@@ -2,12 +2,16 @@
 
 Exit codes: 0 success, 1 validation or parse error, 2 enumeration cap or
 infeasibility of a required construction.  All floating-point output uses 17
-significant digits so repeated runs are byte-identical.
+significant digits so repeated runs are byte-identical.  Config values must
+be finite, and a result that is not finite (overflow, or a relation left
+undefined by a zero vertex factor) is an exit-1 error, never printed.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,6 +34,8 @@ from .coarse import coarse_grain, is_principal
 from .histories import EnumerationCapExceeded, n_step_path_sum
 from .propagator import (
     PropagatorModel,
+    evolve_state,
+    power_propagator,
     qubit_propagator,
     quantization_scan,
     solve_unitary_gammas,
@@ -131,9 +137,12 @@ def _parse_entries(text: str) -> dict[str, _Raw]:
 
 def _as_float(raw: _Raw) -> float:
     try:
-        return float(raw.value)
+        x = float(raw.value)
     except ValueError:
         raise ConfigError(f"expected a real number, got {raw.value!r}", raw.line, raw.column) from None
+    if not math.isfinite(x):
+        raise ConfigError(f"expected a finite number, got {raw.value!r}", raw.line, raw.column)
+    return x
 
 
 def _as_int(raw: _Raw) -> int:
@@ -148,9 +157,12 @@ def _as_complex(raw: _Raw) -> complex:
     if len(parts) != 2:
         raise ConfigError(f"expected 're,im', got {raw.value!r}", raw.line, raw.column)
     try:
-        return complex(float(parts[0]), float(parts[1]))
+        z = complex(float(parts[0]), float(parts[1]))
     except ValueError:
         raise ConfigError(f"expected 're,im', got {raw.value!r}", raw.line, raw.column) from None
+    if not cmath.isfinite(z):
+        raise ConfigError(f"expected finite 're,im', got {raw.value!r}", raw.line, raw.column)
+    return z
 
 
 _FLOAT_KEYS = {
@@ -261,8 +273,19 @@ def load_config(path: str) -> RunConfig:
     return parse_config(text)
 
 
+def _finite(text: str) -> float:
+    """float(text), raising ValueError for nan and infinities too."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"not a finite number: {text!r}")
+    return x
+
+
 def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"a computed result is not finite ({x})")
+    return format(x, ".17g")
 
 
 def _fmt_c(z: complex) -> str:
@@ -300,13 +323,13 @@ def _build_lagrangian(cfg: RunConfig, g: FiniteGroupoid) -> QLagrangian | None:
         raise ConfigError(f"pair_lagrangian must be kind:value, got {spec!r}")
     if kind == "constant":
         try:
-            r = float(arg)
+            r = _finite(arg)
         except ValueError:
             raise ConfigError(f"bad constant weight {arg!r}") from None
         return QLagrangian(g, {e: complex(r, 0.0) for e in g.elements})
     if kind == "index_diff":
         try:
-            s = float(arg)
+            s = _finite(arg)
         except ValueError:
             raise ConfigError(f"bad index_diff scale {arg!r}") from None
         idx = {o: i for i, o in enumerate(g.outcomes)}
@@ -426,7 +449,7 @@ def cmd_propagator(cfg: RunConfig, power: int | None) -> tuple[int, list[str]]:
     if power is not None:
         if power < 0:
             raise ConfigError(f"--power must be non-negative, got {power}")
-        lines += _matrix_lines(f"U^{power}", np.linalg.matrix_power(u, power), g.outcomes)
+        lines += _matrix_lines(f"U^{power}", power_propagator(u, power), g.outcomes)
     return 0, lines
 
 
@@ -503,7 +526,7 @@ def _parse_state(spec: str, size: int) -> StateVector:
         if len(halves) != 2:
             raise ConfigError(f"bad state component {part!r}, expected 're,im'")
         try:
-            comps.append(complex(float(halves[0]), float(halves[1])))
+            comps.append(complex(_finite(halves[0]), _finite(halves[1])))
         except ValueError:
             raise ConfigError(f"bad state component {part!r}, expected 're,im'") from None
     return StateVector(tuple(comps))
@@ -519,7 +542,7 @@ def cmd_evolve(cfg: RunConfig, state_spec: str, steps: int | None) -> tuple[int,
     n = cfg.steps if steps is None else steps
     if n < 0:
         raise ConfigError(f"steps must be non-negative, got {n}")
-    final = np.linalg.matrix_power(u, n) @ state.as_array()
+    final = evolve_state(u, state, n).as_array()
     lines = [f"psi[{o}] = {_fmt_c(final[i])}" for i, o in enumerate(g.outcomes)]
     lines.append(f"norm = {_fmt(float(np.linalg.norm(final)))}")
     return 0, lines
@@ -584,20 +607,21 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         cfg = load_config(args.config)
-        if args.command == "validate":
-            rc, lines = cmd_validate(cfg)
-        elif args.command == "table":
-            rc, lines = cmd_table(cfg)
-        elif args.command == "propagator":
-            rc, lines = cmd_propagator(cfg, args.power)
-        elif args.command == "pathsum":
-            rc, lines = cmd_pathsum(cfg, args.steps, args.check_semigroup)
-        elif args.command == "sweep":
-            rc, lines = cmd_sweep(cfg)
-        elif args.command == "evolve":
-            rc, lines = cmd_evolve(cfg, args.state, args.steps)
-        else:
-            rc, lines = cmd_coarse_grain(cfg, args.partition)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            if args.command == "validate":
+                rc, lines = cmd_validate(cfg)
+            elif args.command == "table":
+                rc, lines = cmd_table(cfg)
+            elif args.command == "propagator":
+                rc, lines = cmd_propagator(cfg, args.power)
+            elif args.command == "pathsum":
+                rc, lines = cmd_pathsum(cfg, args.steps, args.check_semigroup)
+            elif args.command == "sweep":
+                rc, lines = cmd_sweep(cfg)
+            elif args.command == "evolve":
+                rc, lines = cmd_evolve(cfg, args.state, args.steps)
+            else:
+                rc, lines = cmd_coarse_grain(cfg, args.partition)
     except EnumerationCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -609,6 +633,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:
+        print(f"error: arithmetic out of floating-point range ({exc})", file=sys.stderr)
         return 1
     text = "\n".join(lines) + "\n" if lines else ""
     if args.out is not None:

@@ -32,10 +32,6 @@ from .algebra import StateVector
 from .histories import single_step_matrix
 
 FEASIBLE_TOL = 1e-10
-REFINE_TOL = 1e-8
-DEFAULT_STARTS = 32
-DEFAULT_LM_ITERATIONS = 40
-_REFINE_SEED = 20210905
 
 TWO_PI = 2.0 * math.pi
 
@@ -63,9 +59,9 @@ class PropagatorModel:
     sigma: float | None = None
 
     def __post_init__(self):
-        if self.tau <= 0:
+        if not self.tau > 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.hbar <= 0:
+        if not self.hbar > 0:
             raise ValueError(f"hbar must be positive, got {self.hbar}")
         if not 0.0 <= self.p_plus <= 0.5:
             raise ValueError(f"p_plus must lie in [0, 1/2], got {self.p_plus}")
@@ -177,7 +173,7 @@ def unitarity_residuals(model: PropagatorModel) -> UnitarityReport:
 
 @dataclass(frozen=True)
 class GammaSolution:
-    """Outcome of solve_unitary_gammas; model carries the best vertex factors found."""
+    """Outcome of solve_unitary_gammas; model carries the pinned-gauge candidate."""
 
     feasible: bool
     model: PropagatorModel
@@ -185,202 +181,57 @@ class GammaSolution:
     min_residual: float
 
 
-def _structural_targets(
-    delta: float, p_plus: float, tau: float, hbar: float, lam: float, sigma: float, gauge: float
-) -> tuple[complex, complex, complex]:
-    """Pinned values: G_pm target, G_mp target, and the Sigma phase factor."""
-    t_pm = complex(gauge, 0.0)
-    t_mp = gauge * math.exp(2.0 * delta * tau / hbar) * cmath.exp(-1j * lam / hbar)
-    phase_sigma = cmath.exp(1j * sigma / hbar)
-    return t_pm, t_mp, phase_sigma
+def _check_solve_args(p_plus: float, tau: float, hbar: float, gauge: float) -> None:
+    if not 0.0 < p_plus <= 0.5:
+        raise ValueError(f"solving requires p_plus in (0, 1/2], got {p_plus}")
+    if not gauge > 0:
+        raise ValueError(f"gauge must be positive, got {gauge}")
+    if not (tau > 0 and hbar > 0):
+        raise ValueError("tau and hbar must be positive")
 
 
-def _batch_residuals(
-    x: np.ndarray,
-    kernels: np.ndarray,
-    t_pm: np.ndarray,
-    t_mp: np.ndarray,
-    phase_sigma: np.ndarray,
-    p_plus: np.ndarray,
-) -> np.ndarray:
-    """Residual vector (rows of unitarity defects plus structural defects).
-
-    x has shape (B, 8): re/im of G_mm, G_mp, G_pm, G_pp.  kernels has shape
-    (B, 4) holding the gamma-free entries k_mm, k_mp, k_pm, k_pp.
-    """
-    gmm = x[:, 0] + 1j * x[:, 1]
-    gmp = x[:, 2] + 1j * x[:, 3]
-    gpm = x[:, 4] + 1j * x[:, 5]
-    gpp = x[:, 6] + 1j * x[:, 7]
-    u00 = gmm * kernels[:, 0]
-    u01 = gmp * kernels[:, 1]
-    u10 = gpm * kernels[:, 2]
-    u11 = gpp * kernels[:, 3]
-    a00 = np.abs(u00) ** 2
-    a01 = np.abs(u01) ** 2
-    a10 = np.abs(u10) ** 2
-    a11 = np.abs(u11) ** 2
-    p01 = u00 * np.conj(u10) + u01 * np.conj(u11)
-    q01 = np.conj(u00) * u01 + np.conj(u10) * u11
-    p_minus = 1.0 - p_plus
-    s1 = gpm - t_pm
-    s2 = gmp - t_mp
-    s3 = gmm * p_minus - gpp * p_plus * phase_sigma
-    # Pinning Im(G_pp) = 0 matches the closed-form gauge choice; without it a
-    # common phase rotation of (G_mm, G_pp) would defeat the global phase
-    # constraint and make every point look feasible.
-    return np.stack(
-        [
-            a00 + a01 - 1.0,
-            p01.real,
-            p01.imag,
-            a10 + a11 - 1.0,
-            a00 + a10 - 1.0,
-            q01.real,
-            q01.imag,
-            a01 + a11 - 1.0,
-            s1.real,
-            s1.imag,
-            s2.real,
-            s2.imag,
-            s3.real,
-            s3.imag,
-            gpp.imag,
-        ],
-        axis=-1,
-    )
-
-
-def _lm_minimize(
-    x0: np.ndarray,
-    kernels: np.ndarray,
-    t_pm: np.ndarray,
-    t_mp: np.ndarray,
-    phase_sigma: np.ndarray,
-    p_plus: np.ndarray,
-    bound: np.ndarray,
-    iterations: int,
-) -> np.ndarray:
-    """Damped least-squares descent, vectorized over the batch dimension.
-
-    A fixed iteration budget with per-row damping keeps the run deterministic.
-    """
-    x = x0.copy()
-    lam = np.full(x.shape[0], 1e-3)
-    eye = np.eye(8)
-
-    def cost_of(xs: np.ndarray) -> np.ndarray:
-        f = _batch_residuals(xs, kernels, t_pm, t_mp, phase_sigma, p_plus)
-        return np.sum(f * f, axis=-1)
-
-    cost = cost_of(x)
-    for _ in range(iterations):
-        f0 = _batch_residuals(x, kernels, t_pm, t_mp, phase_sigma, p_plus)
-        jac = np.empty((x.shape[0], f0.shape[1], 8))
-        for k in range(8):
-            h = 1e-7 * (1.0 + np.abs(x[:, k]))
-            xp = x.copy()
-            xp[:, k] += h
-            fk = _batch_residuals(xp, kernels, t_pm, t_mp, phase_sigma, p_plus)
-            jac[:, :, k] = (fk - f0) / h[:, None]
-        grad = np.einsum("bik,bi->bk", jac, f0)
-        hess = np.einsum("bik,bil->bkl", jac, jac)
-        a = hess + lam[:, None, None] * eye
-        try:
-            step = np.linalg.solve(a, -grad[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            a = a + 1e-8 * eye
-            step = np.linalg.solve(a, -grad[..., None])[..., 0]
-        x_new = np.clip(x + step, -bound[:, None], bound[:, None])
-        cost_new = cost_of(x_new)
-        accept = cost_new < cost
-        x[accept] = x_new[accept]
-        cost[accept] = cost_new[accept]
-        lam = np.where(accept, lam * 0.3, lam * 5.0)
-        lam = np.clip(lam, 1e-14, 1e10)
-    return x
-
-
-def _refine_batch(
+def _pinned_solution(
     v_plus: float,
     v_minus: float,
-    mus: np.ndarray,
+    mu: float,
     delta: float,
     p_plus: float,
     tau: float,
     hbar: float,
-    lam_phase: float,
-    sigma_phase: float,
+    lam: float,
+    sigma: float,
     gauge: float,
-    n_starts: int,
-    iterations: int,
-    seed: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Best vertex factors and joint residual per mu value, via multi-start descent.
+    feasible_tol: float,
+) -> GammaSolution:
+    """The pinned-gauge candidate and the algebraic verdict on it.
 
-    Returns (gammas, residual) with gammas of shape (len(mus), 4) complex and
-    residual the max magnitude over the eight unitarity equations and the
-    four structural constraints at the best point found.
+    The candidate meets the structural relations exactly, and the only
+    freedom they leave, the sign of the real G_pp, changes neither
+    orthogonality nor the phase gap, so no search can do better.  With s < 0
+    it takes G_pp = G_mm = 0, whose residual is |s|.
     """
-    mus = np.asarray(mus, dtype=float)
-    n_points = mus.shape[0]
     p_minus = 1.0 - p_plus
-    root = math.sqrt(p_plus * p_minus)
-    k_mm = p_minus * np.exp(-1j * tau * v_minus / hbar) * np.ones(n_points, dtype=complex)
-    k_mp = root * np.exp((tau / hbar) * (-delta + 1j * mus))
-    k_pm = root * np.exp((tau / hbar) * (delta + 1j * mus))
-    k_pp = p_plus * np.exp(-1j * tau * v_plus / hbar) * np.ones(n_points, dtype=complex)
-    kernels = np.stack([k_mm, k_mp, k_pm, k_pp], axis=-1)
-    t_pm, t_mp, phase_sigma = _structural_targets(delta, p_plus, tau, hbar, lam_phase, sigma_phase, gauge)
-
-    bound_val = 4.0 * max(1.0, abs(t_pm), abs(t_mp), 1.0 / p_plus, 1.0 / p_minus)
-    rng = np.random.default_rng(seed)
-    # One structure-respecting start plus random ones, shared across points.
-    s = 1.0 - gauge * gauge * p_plus * p_minus * math.exp(2.0 * delta * tau / hbar)
-    g_pp0 = math.sqrt(max(s, 1e-2)) / p_plus
-    g_mm0 = g_pp0 * (p_plus / p_minus) * phase_sigma
-    base = np.array(
-        [g_mm0.real, g_mm0.imag, t_mp.real, t_mp.imag, t_pm.real, t_pm.imag, g_pp0, 0.0]
+    growth = math.exp(2.0 * delta * tau / hbar)
+    s = 1.0 - gauge * gauge * p_plus * p_minus * growth
+    g_pp = math.sqrt(max(s, 0.0)) / p_plus
+    model = PropagatorModel(
+        v_plus=v_plus,
+        v_minus=v_minus,
+        mu=mu,
+        delta=delta,
+        p_plus=p_plus,
+        tau=tau,
+        hbar=hbar,
+        gamma_mm=g_pp * (p_plus / p_minus) * cmath.exp(1j * sigma / hbar),
+        gamma_mp=gauge * growth * cmath.exp(-1j * lam / hbar),
+        gamma_pm=complex(gauge, 0.0),
+        gamma_pp=complex(g_pp, 0.0),
+        lam=lam,
+        sigma=sigma,
     )
-    starts = np.empty((n_starts, 8))
-    starts[0] = base
-    if n_starts > 1:
-        starts[1:] = rng.uniform(-bound_val / 3.0, bound_val / 3.0, size=(n_starts - 1, 8))
-
-    big = n_points * n_starts
-    x0 = np.tile(starts, (n_points, 1))
-    rep = lambda arr: np.repeat(arr, n_starts, axis=0)
-    kernels_b = rep(kernels)
-    t_pm_b = np.full(big, t_pm, dtype=complex)
-    t_mp_b = np.full(big, t_mp, dtype=complex)
-    phase_b = np.full(big, phase_sigma, dtype=complex)
-    p_plus_b = np.full(big, p_plus)
-    bound_b = np.full(big, bound_val)
-
-    x = _lm_minimize(x0, kernels_b, t_pm_b, t_mp_b, phase_b, p_plus_b, bound_b, iterations)
-    f = _batch_residuals(x, kernels_b, t_pm_b, t_mp_b, phase_b, p_plus_b)
-    # Joint residual: unitarity magnitudes (off-diagonals pair up re/im) and
-    # structural magnitudes.
-    mags = np.stack(
-        [
-            np.abs(f[:, 0]),
-            np.hypot(f[:, 1], f[:, 2]),
-            np.abs(f[:, 3]),
-            np.abs(f[:, 4]),
-            np.hypot(f[:, 5], f[:, 6]),
-            np.abs(f[:, 7]),
-            np.hypot(f[:, 8], f[:, 9]),
-            np.hypot(f[:, 10], f[:, 11]),
-            np.hypot(f[:, 12], f[:, 13]),
-            np.abs(f[:, 14]),
-        ],
-        axis=-1,
-    )
-    joint = np.max(mags, axis=-1).reshape(n_points, n_starts)
-    best = np.argmin(joint, axis=1)
-    rows = x.reshape(n_points, n_starts, 8)[np.arange(n_points), best]
-    gammas = rows[:, 0::2] + 1j * rows[:, 1::2]
-    return gammas, joint[np.arange(n_points), best]
+    report = unitarity_residuals(model)
+    feasible = s >= 0.0 and report.max_residual <= feasible_tol
+    return GammaSolution(feasible, model, report, report.max_residual)
 
 
 def solve_unitary_gammas(
@@ -395,70 +246,20 @@ def solve_unitary_gammas(
     sigma: float = 0.0,
     gauge: float = 1.0,
     feasible_tol: float = FEASIBLE_TOL,
-    n_starts: int = DEFAULT_STARTS,
-    lm_iterations: int = DEFAULT_LM_ITERATIONS,
-    seed: int = _REFINE_SEED,
 ) -> GammaSolution:
     """Vertex factors making the step unitary, with the phases lam/sigma pinned.
 
     The gauge fixes G_pm = gauge (real, positive); G_mp then carries the
     delta growth factor and the lam phase, |G_pp| comes from the row-+
-    normalization and G_mm follows from the sigma relation.  Infeasibility
-    (negative |G_pp|^2, or the global phase constraint violated) is certified
-    by a bounded multi-start least-squares search over all eight real vertex
-    degrees of freedom, whose best joint residual is reported.
+    normalization and G_mm follows from the sigma relation.  Feasibility is
+    decided algebraically: it holds exactly when the radicand
+    s = 1 - gauge^2 p+ p- exp(2 delta tau / hbar) is non-negative and the
+    global phase constraint is met, checked as the candidate's unitarity
+    residual being within feasible_tol.  min_residual is that candidate's
+    joint residual; for s < 0 it equals |s|.
     """
-    if not 0.0 < p_plus <= 0.5:
-        raise ValueError(f"solving requires p_plus in (0, 1/2], got {p_plus}")
-    if gauge <= 0:
-        raise ValueError(f"gauge must be positive, got {gauge}")
-    if tau <= 0 or hbar <= 0:
-        raise ValueError("tau and hbar must be positive")
-    p_minus = 1.0 - p_plus
-    t_pm, t_mp, phase_sigma = _structural_targets(delta, p_plus, tau, hbar, lam, sigma, gauge)
-    s = 1.0 - gauge * gauge * p_plus * p_minus * math.exp(2.0 * delta * tau / hbar)
-    closed: PropagatorModel | None = None
-    if s >= 0.0:
-        g_pp = math.sqrt(s) / p_plus
-        g_mm = g_pp * (p_plus / p_minus) * phase_sigma
-        closed = PropagatorModel(
-            v_plus=v_plus,
-            v_minus=v_minus,
-            mu=mu,
-            delta=delta,
-            p_plus=p_plus,
-            tau=tau,
-            hbar=hbar,
-            gamma_mm=g_mm,
-            gamma_mp=t_mp,
-            gamma_pm=t_pm,
-            gamma_pp=complex(g_pp, 0.0),
-            lam=lam,
-            sigma=sigma,
-        )
-        report = unitarity_residuals(closed)
-        if report.max_residual <= feasible_tol:
-            return GammaSolution(True, closed, report, report.max_residual)
-    gammas, resid = _refine_batch(
-        v_plus, v_minus, np.array([mu]), delta, p_plus, tau, hbar,
-        lam, sigma, gauge, n_starts, lm_iterations, seed,
-    )
-    model = PropagatorModel(
-        v_plus=v_plus,
-        v_minus=v_minus,
-        mu=mu,
-        delta=delta,
-        p_plus=p_plus,
-        tau=tau,
-        hbar=hbar,
-        gamma_mm=complex(gammas[0, 0]),
-        gamma_mp=complex(gammas[0, 1]),
-        gamma_pm=complex(gammas[0, 2]),
-        gamma_pp=complex(gammas[0, 3]),
-        lam=lam,
-        sigma=sigma,
-    )
-    return GammaSolution(False, model, unitarity_residuals(model), float(resid[0]))
+    _check_solve_args(p_plus, tau, hbar, gauge)
+    return _pinned_solution(v_plus, v_minus, mu, delta, p_plus, tau, hbar, lam, sigma, gauge, feasible_tol)
 
 
 @dataclass(frozen=True)
@@ -482,76 +283,18 @@ def quantization_scan(
     gauge: float,
     grid: np.ndarray,
     feasible_tol: float = FEASIBLE_TOL,
-    n_starts: int = DEFAULT_STARTS,
-    lm_iterations: int = DEFAULT_LM_ITERATIONS,
-    seed: int = _REFINE_SEED,
 ) -> list[ScanPoint]:
     """Solve for unitary vertex factors along a grid of mu*tau/hbar values.
 
-    Feasible grid points come out of the closed form; the rest are refined in
-    one shared batch so the scan stays fast and deterministic.
+    Each grid point gets the same algebraic decision as solve_unitary_gammas.
     """
-    grid = np.asarray(grid, dtype=float)
-    points: list[ScanPoint | None] = [None] * grid.shape[0]
-    pending: list[int] = []
-    for i, x in enumerate(grid):
+    _check_solve_args(p_plus, tau, hbar, gauge)
+    points = []
+    for x in np.asarray(grid, dtype=float):
         mu = x * hbar / tau
-        solution = _closed_form_only(v_plus, v_minus, mu, delta, p_plus, tau, hbar, lam, sigma, gauge, feasible_tol)
-        if solution is not None:
-            points[i] = ScanPoint(mu, float(x), True, solution.min_residual, solution.model)
-        else:
-            pending.append(i)
-    if pending:
-        mus = np.array([grid[i] * hbar / tau for i in pending])
-        gammas, resid = _refine_batch(
-            v_plus, v_minus, mus, delta, p_plus, tau, hbar,
-            lam, sigma, gauge, n_starts, lm_iterations, seed,
-        )
-        for j, i in enumerate(pending):
-            model = PropagatorModel(
-                v_plus=v_plus,
-                v_minus=v_minus,
-                mu=float(mus[j]),
-                delta=delta,
-                p_plus=p_plus,
-                tau=tau,
-                hbar=hbar,
-                gamma_mm=complex(gammas[j, 0]),
-                gamma_mp=complex(gammas[j, 1]),
-                gamma_pm=complex(gammas[j, 2]),
-                gamma_pp=complex(gammas[j, 3]),
-                lam=lam,
-                sigma=sigma,
-            )
-            points[i] = ScanPoint(float(mus[j]), float(grid[i]), False, float(resid[j]), model)
-    return [p for p in points if p is not None]
-
-
-def _closed_form_only(
-    v_plus, v_minus, mu, delta, p_plus, tau, hbar, lam, sigma, gauge, feasible_tol
-) -> GammaSolution | None:
-    """Closed-form construction; None when it does not meet the tolerance."""
-    if not 0.0 < p_plus <= 0.5:
-        raise ValueError(f"solving requires p_plus in (0, 1/2], got {p_plus}")
-    if gauge <= 0:
-        raise ValueError(f"gauge must be positive, got {gauge}")
-    p_minus = 1.0 - p_plus
-    t_pm, t_mp, phase_sigma = _structural_targets(delta, p_plus, tau, hbar, lam, sigma, gauge)
-    s = 1.0 - gauge * gauge * p_plus * p_minus * math.exp(2.0 * delta * tau / hbar)
-    if s < 0.0:
-        return None
-    g_pp = math.sqrt(s) / p_plus
-    g_mm = g_pp * (p_plus / p_minus) * phase_sigma
-    model = PropagatorModel(
-        v_plus=v_plus, v_minus=v_minus, mu=mu, delta=delta, p_plus=p_plus,
-        tau=tau, hbar=hbar,
-        gamma_mm=g_mm, gamma_mp=t_mp, gamma_pm=t_pm, gamma_pp=complex(g_pp, 0.0),
-        lam=lam, sigma=sigma,
-    )
-    report = unitarity_residuals(model)
-    if report.max_residual <= feasible_tol:
-        return GammaSolution(True, model, report, report.max_residual)
-    return None
+        sol = _pinned_solution(v_plus, v_minus, mu, delta, p_plus, tau, hbar, lam, sigma, gauge, feasible_tol)
+        points.append(ScanPoint(mu, float(x), sol.feasible, sol.min_residual, sol.model))
+    return points
 
 
 def sign_case_matrix(a: complex, b: complex, case: SignCase) -> np.ndarray:

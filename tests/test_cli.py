@@ -414,3 +414,45 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     rc, out, err = run(capsys, "table", "-c", str(tmp_path / "missing.cfg"))
     assert rc == 1
     assert "cannot read config" in err
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("V_plus = nan", r"line 1, column 10: expected a finite number, got 'nan'"),
+        ("mu = 0\ntau = inf", r"line 2, column 7: expected a finite number, got 'inf'"),
+        (
+            "sweep_parameter = mu_tau_over_hbar\nsweep_from = -inf\n"
+            "sweep_to = 1\nsweep_points = 3",
+            r"line 2, column 14: expected a finite number, got '-inf'",
+        ),
+        ("gamma_pm = 1,nan", r"line 1, column 12: expected finite 're,im'"),
+    ],
+)
+def test_parse_config_rejects_non_finite(text, match):
+    with pytest.raises(ConfigError, match=match):
+        parse_config(text)
+
+
+def test_non_finite_solve_input_is_a_parse_error(tmp_path, capsys):
+    rc, out, err = run(
+        capsys, "propagator", "-c", cfg_file(tmp_path, "gamma_mode = solve\nmu = nan\n")
+    )
+    assert rc == 1 and out == ""
+    assert "line 2, column 6: expected a finite number" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "gamma_mode = solve\ndelta = 400\n",  # exp(2 delta tau / hbar) overflows
+        "delta = 1e300\n",  # the one-step kernel overflows
+        "delta = 400\n",  # |U|^2 overflows in the residuals
+        "gamma_mode = explicit\ngamma_pm = 0,0\n",  # relation 1 undefined
+    ],
+)
+def test_non_finite_results_exit_1(tmp_path, capsys, text):
+    rc, out, err = run(capsys, "propagator", "-c", cfg_file(tmp_path, text))
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+

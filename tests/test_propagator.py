@@ -177,6 +177,64 @@ def test_quantization_scan_parity_shift():
     assert feas == [0, 4, 8]  # 0, pi, 2 pi
 
 
+def _seeded_scan_params(seed):
+    """Random model with a chosen radicand sign and grid points on every phase root."""
+    rng = np.random.default_rng(seed)
+    delta_ = float(rng.uniform(-0.3, 0.3))
+    p = float(rng.uniform(0.1, 0.5))
+    tau = float(rng.uniform(0.5, 2.0))
+    hbar = float(rng.uniform(0.5, 2.0))
+    lam = float(rng.uniform(-2.0, 2.0))
+    sigma = float(rng.uniform(-2.0, 2.0))
+    v_plus = float(rng.uniform(-1.0, 1.0))
+    v_minus = float(rng.uniform(-1.0, 1.0))
+    s = float(rng.uniform(0.05, 0.95)) if seed % 2 else float(rng.uniform(-1.5, -0.01))
+    gauge = math.sqrt((1.0 - s) / (p * (1.0 - p) * math.exp(2.0 * delta_ * tau / hbar)))
+    # mu tau / hbar roots of the phase constraint, spaced by pi
+    root = 0.5 * ((sigma + lam) / hbar + math.pi) - 0.5 * tau * (v_plus + v_minus) / hbar
+    roots = [math.remainder(root, math.pi) + k * math.pi for k in range(-1, 5)]
+    grid = np.sort(np.concatenate([np.linspace(-math.pi, 4.0 * math.pi, 41), roots]))
+    args = (v_plus, v_minus, delta_, p, tau, hbar, lam, sigma, gauge, grid)
+    return args, 1.0 - gauge * gauge * p * (1.0 - p) * math.exp(2.0 * delta_ * tau / hbar)
+
+
+def test_scan_feasible_iff_radicand_and_phase_gap():
+    n_feasible = 0
+    for seed in range(20):
+        args, radicand = _seeded_scan_params(seed)
+        for pt in quantization_scan(*args):
+            gap = unitarity_residuals(pt.model).global_phase_gap
+            assert pt.feasible == (radicand >= 0.0 and gap <= 1e-10)
+            n_feasible += pt.feasible
+    assert n_feasible >= 50  # the positive-radicand half has on-grid roots
+
+
+def test_negative_radicand_residual_is_its_magnitude():
+    for seed in range(0, 20, 2):
+        args, radicand = _seeded_scan_params(seed)
+        assert radicand < 0.0
+        for pt in quantization_scan(*args):
+            assert not pt.feasible
+            assert pt.min_residual == pytest.approx(-radicand, abs=1e-12)
+            v_plus, v_minus, delta_, p, tau, hbar, lam, sigma, gauge, _ = args
+            sol = solve_unitary_gammas(
+                v_plus, v_minus, pt.mu, delta_, p, tau, hbar, lam=lam, sigma=sigma, gauge=gauge
+            )
+            assert sol.min_residual == pt.min_residual
+            assert sol.model == pt.model
+
+
+def test_solve_and_model_reject_nan_clock():
+    with pytest.raises(ValueError):
+        PropagatorModel(0, 0, 0, 0, p_plus=0.5, tau=math.nan, hbar=1.0)
+    with pytest.raises(ValueError):
+        PropagatorModel(0, 0, 0, 0, p_plus=0.5, tau=1.0, hbar=math.nan)
+    with pytest.raises(ValueError):
+        solve_unitary_gammas(0, 0, 1.0, 0, 0.5, math.nan, 1.0)
+    with pytest.raises(ValueError):
+        quantization_scan(0, 0, 0, 0.5, 1.0, 1.0, 0, 0, math.nan, np.zeros(2))
+
+
 def test_sign_case_spectra_worked():
     assert special_case_spectrum(3, 4, SignCase.I) == (7, -1)
     assert special_case_spectrum(3, 4, SignCase.II) == (3 + 4j, 3 - 4j)
