@@ -70,7 +70,7 @@ class InfeasibleModel(RuntimeError):
         self.min_residual = min_residual
         super().__init__(
             "no unitary vertex factors satisfy the requested phases; "
-            f"best residual {min_residual:.17g}"
+            f"pinned candidate residual {min_residual:.17g}"
         )
 
 
@@ -600,6 +600,11 @@ def _build_parser() -> _Parser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if "--state" in argv[:-1]:
+        # argparse reads a value such as '-1,0;0,0' as an option unless attached with '='
+        i = argv.index("--state")
+        argv[i : i + 2] = [f"--state={argv[i + 1]}"]
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

@@ -30,6 +30,7 @@ from .lagrangian import OutcomeBias, QLagrangian
 
 DEFAULT_HISTORY_CAP = 10_000_000
 _TIME_TOL = 1e-9
+_COUNT_LIMIT = 10**18  # counts saturate above max(cap, this); being >= 0 they stay exact below
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -38,7 +39,8 @@ class EnumerationCapExceeded(RuntimeError):
     def __init__(self, required: int, cap: int):
         self.required = required
         self.cap = cap
-        super().__init__(f"enumeration needs {required} histories, cap is {cap}")
+        needs = f"more than {_COUNT_LIMIT}" if required > _COUNT_LIMIT else required
+        super().__init__(f"enumeration needs {needs} histories, cap is {cap}")
 
 
 @dataclass(frozen=True)
@@ -238,32 +240,47 @@ def normalization(w: History, bias: OutcomeBias) -> float:
     return math.sqrt(bias[w.start_outcome] * bias[w.end_outcome])
 
 
+def _amplitude(bias: OutcomeBias, start: str, end: str, s: complex, hbar: float) -> complex:
+    return math.sqrt(bias[start] * bias[end]) * cmath.exp(1j * s / hbar)
+
+
 def history_amplitude(
     w: History, ell: QLagrangian, bias: OutcomeBias, hbar: float, tau: float | None = None
 ) -> complex:
     """sqrt(p(start) p(end)) * exp((i/hbar) * action)."""
     if hbar <= 0:
         raise ValueError("hbar must be positive")
-    s = action(w, ell, tau)
-    return normalization(w, bias) * cmath.exp(1j * s / hbar)
+    return _amplitude(bias, w.start_outcome, w.end_outcome, action(w, ell, tau), hbar)
 
 
-def _count_paths(g: FiniteGroupoid, n_steps: int) -> dict[tuple[str, str], int]:
-    """Number of n-step forward walks per (end, start) outcome pair."""
-    idx = {o: i for i, o in enumerate(g.outcomes)}
-    n = len(g.outcomes)
-    adj = [[0] * n for _ in range(n)]
-    for e in g.elements:
-        adj[idx[g.target[e]]][idx[g.source[e]]] += 1
-    power = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def _count_paths(g: FiniteGroupoid, n_steps: int, cap: int, start: str | None = None) -> dict[str, int]:
+    """n-step walks per end outcome, from start or every outcome, saturated at the ceiling."""
+    ceiling = max(cap, _COUNT_LIMIT) + 1
+    counts = {o: int(start in (None, o)) for o in g.outcomes}
     for _ in range(n_steps):
-        power = [
-            [sum(adj[i][k] * power[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-    return {
-        (bf, ai): power[idx[bf]][idx[ai]] for bf in g.outcomes for ai in g.outcomes
-    }
+        nxt = dict.fromkeys(g.outcomes, 0)
+        for e in g.elements:
+            nxt[g.target[e]] = min(ceiling, nxt[g.target[e]] + counts[g.source[e]])
+        if nxt == counts:
+            break
+        counts = nxt
+    return counts
+
+
+def _walk(g: FiniteGroupoid, start: str, n_steps: int, visit) -> None:
+    """visit(path) per n-step walk from start, depth-first in declaration order; path is reused."""
+    out_by_source = {o: [e for e in g.elements if g.source[e] == o] for o in g.outcomes}
+    path: list[str] = []
+
+    def step(current: str) -> None:
+        if len(path) == n_steps:
+            return visit(path)
+        for e in out_by_source[current]:
+            path.append(e)
+            step(g.target[e])
+            path.pop()
+
+    step(start)
 
 
 def enumerate_histories(
@@ -286,43 +303,18 @@ def enumerate_histories(
         raise ValueError(f"unknown outcome {missing!r}")
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
-    required = _count_paths(g, n_steps)[(end, start)]
+    required = _count_paths(g, n_steps, cap, start)[end]
     if required > cap:
         raise EnumerationCapExceeded(required, cap)
-    out_by_source: dict[str, list[str]] = {o: [] for o in g.outcomes}
-    for e in g.elements:
-        out_by_source[g.source[e]].append(e)
     grid = TimeGrid(t_start, tau, n_steps)
     results: list[History] = []
-    stack: list[str] = []
 
-    def walk(current: str, remaining: int) -> None:
-        if remaining == 0:
-            if current == end:
-                results.append(History(g, grid, (Segment(+1, tuple(stack)),), start))
-            return
-        for e in out_by_source[current]:
-            stack.append(e)
-            walk(g.target[e], remaining - 1)
-            stack.pop()
+    def keep(path: list[str]) -> None:
+        if g.target[path[-1]] == end:
+            results.append(History(g, grid, (Segment(+1, tuple(path)),), start))
 
-    walk(start, n_steps)
+    _walk(g, start, n_steps, keep)
     return results
-
-
-def _pairwise_sum(values: Sequence[complex]) -> complex:
-    """Tree reduction; summation order is independent of chunking decisions."""
-    vals = list(values)
-    if not vals:
-        return 0j
-    while len(vals) > 1:
-        nxt = []
-        for i in range(0, len(vals) - 1, 2):
-            nxt.append(vals[i] + vals[i + 1])
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
-    return complex(vals[0])
 
 
 def single_step_matrix(
@@ -336,8 +328,7 @@ def single_step_matrix(
     m = np.zeros((n, n), dtype=complex)
     for e in g.elements:
         a, b = g.source[e], g.target[e]
-        amp = math.sqrt(bias[a] * bias[b]) * cmath.exp(1j * (ell[e] * tau) / hbar)
-        m[idx[b], idx[a]] += amp
+        m[idx[b], idx[a]] += _amplitude(bias, a, b, ell[e] * tau, hbar)
     return m
 
 
@@ -353,33 +344,42 @@ def n_step_path_sum(
     """Brute-force sum over histories, outcome-indexed like single_step_matrix.
 
     Each history contributes its amplitude weighted by the bias of every
-    intermediate outcome it visits.  Per-entry sums use a pairwise tree
-    reduction so results do not depend on how the enumeration might be
-    chunked.
+    intermediate outcome it visits.  Each start's walks are visited once, into
+    per-entry streaming pairwise sums: memory is independent of the history count.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     if hbar <= 0:
         raise ValueError("hbar must be positive")
-    counts = _count_paths(g, n_steps)
-    total = sum(counts.values())
+    total = sum(_count_paths(g, n_steps, cap).values())
     if total > cap:
         raise EnumerationCapExceeded(total, cap)
-    idx = {o: i for i, o in enumerate(g.outcomes)}
-    n = len(g.outcomes)
-    m = np.zeros((n, n), dtype=complex)
+    if ell.groupoid != g:
+        raise ValueError("lagrangian is defined on a different groupoid")
+    sums: dict[tuple[str, str], list[tuple[int, complex]]] = {}
+
+    def add(path: list[str]) -> None:
+        # action(), history_amplitude() and the intermediate-bias weight, op for op
+        seg_sum = 0j
+        for step in path:
+            seg_sum += ell[step]
+        weight = math.prod((bias[g.target[step]] for step in path[:-1]), start=1.0)
+        start, end = g.source[path[0]], g.target[path[-1]]
+        value = weight * _amplitude(bias, start, end, 0j + 1 * seg_sum * tau, hbar)
+        # Streaming pairwise sum: equal heights merge, the earlier on the left.
+        stack, height = sums.setdefault((end, start), []), 0
+        while stack and stack[-1][0] == height:
+            value = stack.pop()[1] + value
+            height += 1
+        stack.append((height, value))
+
     for start in g.outcomes:
-        for end in g.outcomes:
-            contributions = []
-            for w in enumerate_histories(g, start, end, n_steps, tau=tau, cap=cap):
-                weight = 1.0
-                current = start
-                steps = w.steps()
-                for step in steps[:-1]:
-                    current = g.target[step]
-                    weight *= bias[current]
-                contributions.append(weight * history_amplitude(w, ell, bias, hbar, tau))
-            m[idx[end], idx[start]] = _pairwise_sum(contributions)
+        _walk(g, start, n_steps, add)
+    m = np.zeros((len(g.outcomes),) * 2, dtype=complex)
+    for (end, start), stack in sums.items():
+        while len(stack) > 1:  # right to left: the level-by-level pairing tree
+            stack.append((0, stack.pop(-2)[1] + stack.pop()[1]))
+        m[g.outcomes.index(end), g.outcomes.index(start)] = stack[0][1]
     return m
 
 

@@ -246,7 +246,7 @@ def test_propagator_infeasible_exits_2(tmp_path, capsys):
     assert rc == 2
     assert out == ""
     assert "no unitary vertex factors satisfy the requested phases" in err
-    assert "best residual" in err
+    assert "pinned candidate residual" in err
 
 
 def test_pathsum_single_step_matches_propagator(tmp_path, capsys):
@@ -292,6 +292,15 @@ def test_pathsum_cap_exits_2(tmp_path, capsys):
     assert "1220703125" in err
 
 
+@pytest.mark.parametrize("groupoid", ["", "groupoid = pair:8\npair_lagrangian = constant:0.5\n"])
+def test_pathsum_huge_steps_exit_2_promptly(tmp_path, capsys, groupoid):
+    # walk counts saturate, so neither a 6000-digit count nor its formatting is ever built
+    rc, out, err = run(capsys, "pathsum", "-c", cfg_file(tmp_path, groupoid + "steps = 20000\n"))
+    assert rc == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: enumeration needs more than ")
+
+
 def test_sweep_csv_and_determinism(tmp_path, capsys):
     text = (
         "gamma_mode = solve\n"
@@ -333,6 +342,14 @@ def test_evolve_two_steps(tmp_path, capsys):
     assert abs(grab_complex(out, "psi[-]")) <= 1e-12
     assert abs(grab_complex(out, "psi[+]") - 1j) <= 1e-12
     assert abs(float(grab(out, "norm")) - 1.0) <= 1e-12
+
+
+def test_evolve_state_with_leading_minus(tmp_path, capsys):
+    cfg = cfg_file(tmp_path, SOLVE_SQRT2)
+    attached = run(capsys, "evolve", "-c", cfg, "--state=-1,0;0,0", "--steps", "2")
+    separate = run(capsys, "evolve", "-c", cfg, "--state", "-1,0;0,0", "--steps", "2")
+    assert attached[0] == 0
+    assert separate == attached
 
 
 def test_evolve_rejects_bad_states(tmp_path, capsys):

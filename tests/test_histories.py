@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,6 +105,13 @@ def test_enumeration_cap():
         enumerate_histories(A2, "-", "-", 12, cap=100)
     assert exc.value.required == 2 ** 11
     assert exc.value.cap == 100
+
+
+def test_enumeration_cap_with_saturated_count():
+    # the exact count, 2**19999, would take thousands of digits to build and print
+    with pytest.raises(EnumerationCapExceeded, match="needs more than") as exc:
+        enumerate_histories(A2, "-", "-", 20000, cap=100)
+    assert exc.value.required > 10**18
 
 
 def test_total_variation_examples():
@@ -239,6 +247,51 @@ def test_path_sum_single_step_is_exact():
         n_step_path_sum(A2, ell, bias, 0.8, 1.1, 1),
         single_step_matrix(A2, ell, bias, 0.8, 1.1),
     )
+
+
+def reference_path_sum(g, ell, bias, tau, hbar, n_steps):
+    """The sum written out per history: enumerate, weight, and reduce pairwise level by level."""
+    m = np.zeros((len(g.outcomes),) * 2, dtype=complex)
+    for j, start in enumerate(g.outcomes):
+        for i, end in enumerate(g.outcomes):
+            vals = []
+            for w in enumerate_histories(g, start, end, n_steps, tau=tau):
+                weight = 1.0
+                for step in w.steps()[:-1]:
+                    weight *= bias[g.target[step]]
+                vals.append(weight * history_amplitude(w, ell, bias, hbar, tau))
+            while len(vals) > 1:
+                pairs = [vals[k] + vals[k + 1] for k in range(0, len(vals) - 1, 2)]
+                vals = pairs + vals[-1:] if len(vals) % 2 else pairs
+            m[i, j] = vals[0] if vals else 0j
+    return m
+
+
+@pytest.mark.parametrize("g, n_max", [(A2, 10), (build_pair_groupoid(3), 5)])
+def test_path_sum_equals_per_history_reference(g, n_max):
+    idx = {o: i for i, o in enumerate(g.outcomes)}
+    ell = QLagrangian(g, {
+        e: 0.7 * (idx[g.target[e]] + idx[g.source[e]]) - 0.4 + 0.3j * (idx[g.target[e]] - idx[g.source[e]])
+        for e in g.elements
+    })
+    probs = [0.2 + 0.1 * i for i in range(len(g.outcomes))]
+    bias = OutcomeBias({o: p / sum(probs) for o, p in zip(g.outcomes, probs)})
+    for n in range(1, n_max + 1):
+        ps = n_step_path_sum(g, ell, bias, 0.8, 1.1, n)
+        assert np.array_equal(ps, reference_path_sum(g, ell, bias, 0.8, 1.1, n))
+
+
+def test_path_sum_memory_does_not_grow_with_history_count():
+    ell = qubit_lagrangian(0.4, -0.9, 1.2, 0.15)
+    bias = qubit_bias(0.35)
+    n_step_path_sum(A2, ell, bias, 0.8, 1.1, 2)
+    tracemalloc.start()
+    try:
+        n_step_path_sum(A2, ell, bias, 0.8, 1.1, 11)  # 4096 histories
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_path_sum_respects_cap():
