@@ -31,6 +31,7 @@ from .lagrangian import OutcomeBias, QLagrangian
 DEFAULT_HISTORY_CAP = 10_000_000
 _TIME_TOL = 1e-9
 _COUNT_LIMIT = 10**18  # counts saturate above max(cap, this); being >= 0 they stay exact below
+_CHUNK = 256  # walks held at a time by the enumeration core
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -267,20 +268,54 @@ def _count_paths(g: FiniteGroupoid, n_steps: int, cap: int, start: str | None = 
     return counts
 
 
-def _walk(g: FiniteGroupoid, start: str, n_steps: int, visit) -> None:
-    """visit(path) per n-step walk from start, depth-first in declaration order; path is reused."""
-    out_by_source = {o: [e for e in g.elements if g.source[e] == o] for o in g.outcomes}
-    path: list[str] = []
+def _walk_chunks(g: FiniteGroupoid, start: str, n_steps: int, state: list, extend, visit) -> None:
+    """visit(ends, state) per chunk of the n-step walks from start, depth-first in declaration order.
 
-    def step(current: str) -> None:
-        if len(path) == n_steps:
-            return visit(path)
-        for e in out_by_source[current]:
-            path.append(e)
-            step(g.target[e])
-            path.pop()
+    Walks grow a level at a time, one gather per level.  The longest run of a
+    frame's nodes whose walks fit in _CHUNK grows to full length and is
+    visited; a single node with more walks than that pushes its children as a
+    new frame.  So one chunk's arrays are live, plus per level one frame of at
+    most the largest out-degree in nodes, and nothing recurses per step.
+    ``state`` holds per-node arrays; ``extend(state, parent, elem, depth)``
+    returns the children's, child k stepping from node ``parent[k]`` along
+    element index ``elem[k]`` to ``depth`` steps.  ``ends`` holds each walk's
+    end outcome index.
+    """
+    index = {o: i for i, o in enumerate(g.outcomes)}
+    out: list[list[int]] = [[] for _ in g.outcomes]
+    for k, e in enumerate(g.elements):
+        out[index[g.source[e]]].append(k)
+    kids = np.full((len(out), max(map(len, out))), -1)  # out-element indices, -1 padded
+    for i, ks in enumerate(out):
+        kids[i, : len(ks)] = ks
+    target = np.array([index[g.target[e]] for e in g.elements])
+    counts = [np.ones(len(out), dtype=np.int64)]  # r-step walks from each outcome, saturated
+    while len(counts) <= n_steps:
+        row = np.minimum(_CHUNK + 1, np.where(kids >= 0, counts[-1][target[kids]], 0).sum(axis=1))
+        if np.array_equal(row, counts[-1]):
+            break
+        counts.append(row)
 
-    step(start)
+    def grow(cur, state, depth):
+        sub = kids[cur]
+        parent, slot = (sub >= 0).nonzero()
+        elem = sub[parent, slot]
+        return target[elem], extend(state, parent, elem, depth + 1)
+
+    frames = [(0, np.array([index[start]]), state, 0)]  # depth, outcomes, state, first node left
+    while frames:
+        depth, cur, state, lo = frames.pop()
+        walks = np.cumsum(counts[min(n_steps - depth, len(counts) - 1)][cur[lo:]])
+        hi = lo + max(1, int(np.searchsorted(walks, _CHUNK, side="right")))
+        if hi < len(cur):
+            frames.append((depth, cur, state, hi))
+        cur, state = cur[lo:hi], [a[lo:hi] for a in state]
+        if walks[hi - lo - 1] > _CHUNK:
+            frames.append((depth + 1, *grow(cur, state, depth), 0))
+            continue
+        for depth in range(depth, n_steps):
+            cur, state = grow(cur, state, depth)
+        visit(cur, state)
 
 
 def enumerate_histories(
@@ -307,13 +342,18 @@ def enumerate_histories(
     if required > cap:
         raise EnumerationCapExceeded(required, cap)
     grid = TimeGrid(t_start, tau, n_steps)
+    stop = g.outcomes.index(end)
+
+    def extend(state, parent, elem, depth):
+        return [np.column_stack([state[0][parent], elem])]
+
     results: list[History] = []
 
-    def keep(path: list[str]) -> None:
-        if g.target[path[-1]] == end:
-            results.append(History(g, grid, (Segment(+1, tuple(path)),), start))
+    def keep(ends, state):
+        for row in state[0][ends == stop].tolist():
+            results.append(History(g, grid, (Segment(+1, tuple(g.elements[k] for k in row)),), start))
 
-    _walk(g, start, n_steps, keep)
+    _walk_chunks(g, start, n_steps, [np.empty((1, 0), dtype=int)], extend, keep)
     return results
 
 
@@ -344,8 +384,11 @@ def n_step_path_sum(
     """Brute-force sum over histories, outcome-indexed like single_step_matrix.
 
     Each history contributes its amplitude weighted by the bias of every
-    intermediate outcome it visits.  Each start's walks are visited once, into
-    per-entry streaming pairwise sums: memory is independent of the history count.
+    intermediate outcome it visits.  Each start's walks are visited once, a
+    chunk at a time, into per-entry streaming pairwise sums: memory is
+    independent of the history count.  Every entry is bit-identical to summing
+    weight * history_amplitude per history, in enumeration order, with the same
+    pairwise tree, whatever the chunk size.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
@@ -356,31 +399,93 @@ def n_step_path_sum(
         raise EnumerationCapExceeded(total, cap)
     if ell.groupoid != g:
         raise ValueError("lagrangian is defined on a different groupoid")
-    sums: dict[tuple[str, str], list[tuple[int, complex]]] = {}
+    ell_values = np.array([ell[e] for e in g.elements])
+    gain = np.array([bias[g.target[e]] for e in g.elements])  # intermediate-bias factor per step
 
-    def add(path: list[str]) -> None:
-        # action(), history_amplitude() and the intermediate-bias weight, op for op
-        seg_sum = 0j
-        for step in path:
-            seg_sum += ell[step]
-        weight = math.prod((bias[g.target[step]] for step in path[:-1]), start=1.0)
-        start, end = g.source[path[0]], g.target[path[-1]]
-        value = weight * _amplitude(bias, start, end, 0j + 1 * seg_sum * tau, hbar)
-        # Streaming pairwise sum: equal heights merge, the earlier on the left.
-        stack, height = sums.setdefault((end, start), []), 0
-        while stack and stack[-1][0] == height:
-            value = stack.pop()[1] + value
-            height += 1
-        stack.append((height, value))
+    def extend(state, parent, elem, depth):
+        # action() and the intermediate-bias weight, a level at a time
+        seg_sum, weight = state[0][parent], state[1][parent]
+        seg_sum += ell_values[elem]
+        if depth < n_steps:
+            weight *= gain[elem]
+        return [seg_sum, weight]
 
-    for start in g.outcomes:
-        _walk(g, start, n_steps, add)
-    m = np.zeros((len(g.outcomes),) * 2, dtype=complex)
-    for (end, start), stack in sums.items():
-        while len(stack) > 1:  # right to left: the level-by-level pairing tree
-            stack.append((0, stack.pop(-2)[1] + stack.pop()[1]))
-        m[g.outcomes.index(end), g.outcomes.index(start)] = stack[0][1]
+    n = len(g.outcomes)
+    m = np.zeros((n, n), dtype=complex)
+    for j, start in enumerate(g.outcomes):
+        norm = np.array([math.sqrt(bias[start] * bias[end]) for end in g.outcomes])
+        sums: list[list[tuple[int, complex]]] = [[] for _ in range(n)]
+
+        def add(ends, state):
+            values = _contributions(*state, norm[ends], tau, hbar)
+            for i in np.flatnonzero(np.bincount(ends, minlength=n)).tolist():
+                _push_run(sums[i], values[ends == i])
+
+        with np.errstate(all="ignore"):  # Python float semantics: overflow gives inf, not an error
+            _walk_chunks(g, start, n_steps, [np.zeros(1, dtype=complex), np.ones(1)], extend, add)
+        for i, stack in enumerate(sums):
+            while len(stack) > 1:  # right to left: the level-by-level pairing tree
+                stack.append((0, stack.pop(-2)[1] + stack.pop()[1]))
+            if stack:
+                m[i, j] = stack[0][1]
     return m
+
+
+def _by_real(x, re, im):
+    """(x + 0j) * (re + im*1j) part by part, as CPython rounds it; numpy's complex product may fuse.
+
+    CPython before 3.14 turns a real operand into a complex one with a zero
+    imaginary part; the zero's products decide the signs of zero results.
+    """
+    return x * re - 0.0 * im, x * im + 0.0 * re
+
+
+def _exponents(seg_sum: np.ndarray, tau: float, hbar: float) -> np.ndarray:
+    """1j * (0j + 1 * seg_sum * tau) / hbar per walk, rounded as CPython rounds it."""
+    re, im = _by_real(tau, *_by_real(1.0, seg_sum.real, seg_sum.imag))
+    re, im = 0.0 + re, 0.0 + im
+    re, im = 0.0 * re - 1.0 * im, 0.0 * im + 1.0 * re
+    ratio = 0.0 / hbar  # _Py_c_quot by (hbar, 0.0): a true division, where numpy multiplies by 1/hbar
+    denom = hbar + 0.0 * ratio
+    z = np.empty(len(re), dtype=complex)
+    z.real, z.imag = (re + im * ratio) / denom, (im - re * ratio) / denom
+    return z
+
+
+def _contributions(seg_sum, weight, norm, tau: float, hbar: float) -> np.ndarray:
+    """weight * _amplitude(..., 0j + 1 * seg_sum * tau, hbar) per walk, rounded as CPython does."""
+    # cmath.exp, not np.exp, so that each exponential is the libm value the scalar expression gets
+    z = np.fromiter(map(cmath.exp, _exponents(seg_sum, tau, hbar)), dtype=complex, count=len(seg_sum))
+    for x in (norm, weight):
+        z.real, z.imag = _by_real(x, z.real, z.imag)
+    return z
+
+
+def _push(stack: list[tuple[int, complex]], height: int, value: complex) -> None:
+    """Streaming pairwise sum: equal heights merge, the earlier on the left."""
+    while stack and stack[-1][0] == height:
+        value = stack.pop()[1] + value
+        height += 1
+    stack.append((height, value))
+
+
+def _push_run(stack: list[tuple[int, complex]], values: np.ndarray) -> None:
+    """_push each value in turn, merging the aligned pairs of a level with one array add."""
+    lo = sum(1 << h for h, _ in stack)  # values pushed so far
+    hi = lo + len(values)
+    tail = []
+    height = 0
+    while lo < hi:
+        if lo % 2:  # completes the pair the stack's top entry opened
+            _push(stack, height, values[0].item())
+            values, lo = values[1:], lo + 1
+        if (hi - lo) % 2:  # its partner is yet to come
+            tail.append((height, values[-1].item()))
+            values, hi = values[:-1], hi - 1
+        values = values[0::2] + values[1::2]
+        lo, hi, height = lo // 2, hi // 2, height + 1
+    for height, value in reversed(tail):
+        _push(stack, height, value)
 
 
 def decompose_history(w: History, w_ref: History) -> History:

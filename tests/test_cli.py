@@ -4,6 +4,7 @@ Each command is driven through main(argv) exactly as the console script
 would run it, asserting exit codes and the frozen output formats.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -299,6 +300,18 @@ def test_pathsum_huge_steps_exit_2_promptly(tmp_path, capsys, groupoid):
     assert rc == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: enumeration needs more than ")
+
+
+def test_pathsum_long_walk_on_trivial_groupoid(tmp_path, capsys):
+    # one walk per start whatever the steps, so the cap never stops it
+    text = "groupoid = pair:1\npair_lagrangian = constant:0.5\ntau = 0.1\nsteps = 3000\n"
+    rc, out, err = run(capsys, "pathsum", "-c", cfg_file(tmp_path, text))
+    assert rc == 0 and err == ""
+    header, row = out.splitlines()
+    assert header == "row,col,re,im"
+    b, a, re, im = row.split(",")
+    assert (b, a) == ("x1", "x1")
+    assert abs(complex(float(re), float(im)) - cmath.exp(0.5j * 0.1 * 3000)) < 1e-12
 
 
 def test_sweep_csv_and_determinism(tmp_path, capsys):

@@ -1,10 +1,12 @@
 import cmath
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from groupoidqm import histories
 from groupoidqm import (
     ALPHA,
     ALPHA_INV,
@@ -18,9 +20,11 @@ from groupoidqm import (
     action,
     amplitude_via_reference,
     build_a2,
+    build_from_table,
     build_pair_groupoid,
     compose_histories,
     decompose_history,
+    groupoid_to_text,
     enumerate_histories,
     history_amplitude,
     history_from_text,
@@ -37,6 +41,16 @@ from groupoidqm import (
 )
 
 A2 = build_a2()
+# pair:2 on x1, x2 beside a trivial outcome y: out-degrees 2, 1, 2
+MIXED = build_from_table(
+    groupoid_to_text(build_pair_groupoid(2)).replace("outcomes: x1 x2", "outcomes: x1 y x2")
+    + "element: (y,y) y y\nunit: y (y,y)\ninverse: (y,y) (y,y)\ncompose: (y,y) (y,y) = (y,y)\n"
+)
+# the two-element group as a one-outcome groupoid, as in test_groupoid.py
+Z2 = build_from_table(
+    "outcomes: o\nelement: e o o\nelement: s o o\nunit: o e\ninverse: e e\ninverse: s s\n"
+    "compose: e e = e\ncompose: e s = s\ncompose: s e = s\ncompose: s s = e\n"
+)
 
 
 def hist(steps, start=None, t_start=0.0, tau=1.0, orientation=+1):
@@ -267,7 +281,9 @@ def reference_path_sum(g, ell, bias, tau, hbar, n_steps):
     return m
 
 
-@pytest.mark.parametrize("g, n_max", [(A2, 10), (build_pair_groupoid(3), 5)])
+@pytest.mark.parametrize(
+    "g, n_max", [(A2, 10), (build_pair_groupoid(3), 5), (build_pair_groupoid(4), 5), (MIXED, 7), (Z2, 8)]
+)
 def test_path_sum_equals_per_history_reference(g, n_max):
     idx = {o: i for i, o in enumerate(g.outcomes)}
     ell = QLagrangian(g, {
@@ -292,6 +308,85 @@ def test_path_sum_memory_does_not_grow_with_history_count():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
+
+
+def signed_zero_models():
+    # p+ = 0 zeroes every bias product through +; -0.0 parts reach the sums and the exponent
+    yield A2, qubit_lagrangian(0.7, 0.0, -0.0, 0.0), qubit_bias(0.0)
+    g = build_pair_groupoid(3)
+    idx = {o: i for i, o in enumerate(g.outcomes)}
+    ell = QLagrangian(g, {e: complex(-0.0, 0.5 * (idx[g.target[e]] - idx[g.source[e]]) or -0.0) for e in g.elements})
+    yield g, ell, OutcomeBias(dict(zip(g.outcomes, (0.0, 0.25, 0.75))))
+
+
+@pytest.mark.parametrize("g, ell, bias", list(signed_zero_models()))
+def test_path_sum_keeps_signed_zeros(g, ell, bias):
+    for n in range(1, 7):
+        ps = n_step_path_sum(g, ell, bias, 0.8, 1.1, n).ravel().tolist()
+        ref = reference_path_sum(g, ell, bias, 0.8, 1.1, n).ravel().tolist()
+        assert [repr(z) for z in ps] == [repr(z) for z in ref]
+
+
+def test_path_sum_does_not_depend_on_chunk_size(monkeypatch):
+    cases = [(A2, qubit_lagrangian(0.4, -0.9, 1.2, 0.15), qubit_bias(0.35), 9)]
+    for g, n in ((build_pair_groupoid(3), 5), (MIXED, 7)):
+        idx = {o: i for i, o in enumerate(g.outcomes)}
+        ell = QLagrangian(g, {e: complex(0.3 * (idx[g.target[e]] + idx[g.source[e]]), idx[g.target[e]] - idx[g.source[e]])
+                              for e in g.elements})
+        cases.append((g, ell, OutcomeBias.uniform(g), n))
+    for g, ell, bias, n in cases:
+        want = repr(n_step_path_sum(g, ell, bias, 0.8, 1.1, n).tolist())
+        for chunk in (1, 3, 7):
+            monkeypatch.setattr(histories, "_CHUNK", chunk)
+            assert repr(n_step_path_sum(g, ell, bias, 0.8, 1.1, n).tolist()) == want
+        monkeypatch.undo()
+
+
+def lexicographic_walks(g, start, end, n_steps):
+    """Chained n-step walks, ordered lexicographically over elements in declaration order."""
+    walks = []
+    for steps in itertools.product(g.elements, repeat=n_steps):
+        current = start
+        for step in steps:
+            if g.source[step] != current:
+                break
+            current = g.target[step]
+        else:
+            if current == end:
+                walks.append(steps)
+    return walks
+
+
+@pytest.mark.parametrize("g, n_max", [(A2, 6), (build_pair_groupoid(3), 4), (MIXED, 5)])
+def test_enumeration_order_is_lexicographic(g, n_max):
+    for n in range(1, n_max + 1):
+        for start, end in itertools.product(g.outcomes, repeat=2):
+            found = [w.steps() for w in enumerate_histories(g, start, end, n)]
+            assert found == lexicographic_walks(g, start, end, n)
+
+
+def test_path_sum_memory_is_bounded_by_the_chunk():
+    ell = qubit_lagrangian(0.4, -0.9, 1.2, 0.15)
+    bias = qubit_bias(0.35)
+    n_step_path_sum(A2, ell, bias, 0.8, 1.1, 2)
+    tracemalloc.start()
+    try:
+        n_step_path_sum(A2, ell, bias, 0.8, 1.1, 16)  # 131072 histories
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_long_walks_on_a_trivial_groupoid():
+    # one walk per start at any length: the cap never stops it, and nothing may recurse per step
+    g = build_pair_groupoid(1)
+    ell = QLagrangian(g, {e: 0.5 for e in g.elements})
+    m = n_step_path_sum(g, ell, OutcomeBias.uniform(g), 0.1, 1.0, 3000)
+    assert m.shape == (1, 1)
+    assert abs(m[0, 0] - cmath.exp(0.5j * 0.1 * 3000)) < 1e-12
+    (w,) = enumerate_histories(g, "x1", "x1", 3000)
+    assert w.steps() == ("(x1,x1)",) * 3000
 
 
 def test_path_sum_respects_cap():
