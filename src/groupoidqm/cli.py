@@ -34,6 +34,7 @@ from .coarse import coarse_grain, is_principal
 from .histories import EnumerationCapExceeded, n_step_path_sum
 from .propagator import (
     PropagatorModel,
+    UnitarityReport,
     evolve_state,
     power_propagator,
     qubit_propagator,
@@ -359,7 +360,8 @@ def _require_a2(cfg: RunConfig, command: str) -> FiniteGroupoid:
     return g
 
 
-def _model_from_config(cfg: RunConfig) -> PropagatorModel:
+def _step_from_config(cfg: RunConfig) -> tuple[PropagatorModel, np.ndarray, UnitarityReport | None]:
+    """The step's model and matrix; in solve mode also the solver's unitarity report."""
     base = dict(
         v_plus=cfg.v_plus,
         v_minus=cfg.v_minus,
@@ -369,23 +371,18 @@ def _model_from_config(cfg: RunConfig) -> PropagatorModel:
         tau=cfg.tau,
         hbar=cfg.hbar,
     )
-    if cfg.gamma_mode == "unit":
-        return PropagatorModel(**base)
-    if cfg.gamma_mode == "explicit":
-        return PropagatorModel(
-            **base,
-            gamma_mm=cfg.gamma_mm,
-            gamma_mp=cfg.gamma_mp,
-            gamma_pm=cfg.gamma_pm,
-            gamma_pp=cfg.gamma_pp,
+    if cfg.gamma_mode == "solve":
+        solution = solve_unitary_gammas(
+            cfg.v_plus, cfg.v_minus, cfg.mu, cfg.delta, cfg.p_plus, cfg.tau, cfg.hbar,
+            lam=cfg.lam, sigma=cfg.sigma, gauge=cfg.gauge,
         )
-    solution = solve_unitary_gammas(
-        cfg.v_plus, cfg.v_minus, cfg.mu, cfg.delta, cfg.p_plus, cfg.tau, cfg.hbar,
-        lam=cfg.lam, sigma=cfg.sigma, gauge=cfg.gauge,
-    )
-    if not solution.feasible:
-        raise InfeasibleModel(solution.min_residual)
-    return solution.model
+        if not solution.feasible:
+            raise InfeasibleModel(solution.min_residual)
+        return solution.model, solution.u, solution.report
+    if cfg.gamma_mode == "explicit":
+        base.update(gamma_mm=cfg.gamma_mm, gamma_mp=cfg.gamma_mp, gamma_pm=cfg.gamma_pm, gamma_pp=cfg.gamma_pp)
+    model = PropagatorModel(**base)
+    return model, qubit_propagator(model), None
 
 
 def _matrix_lines(label: str, m: np.ndarray, outcomes: tuple[str, ...]) -> list[str]:
@@ -424,9 +421,9 @@ def cmd_table(cfg: RunConfig) -> tuple[int, list[str]]:
 
 def cmd_propagator(cfg: RunConfig, power: int | None) -> tuple[int, list[str]]:
     g = _require_a2(cfg, "propagator")
-    model = _model_from_config(cfg)
-    u = qubit_propagator(model)
-    report = unitarity_residuals(model)
+    model, u, report = _step_from_config(cfg)
+    if report is None:
+        report = unitarity_residuals(model)
     lines = _matrix_lines("U", u, g.outcomes)
     if cfg.gamma_mode == "solve":
         lines += [
@@ -494,25 +491,13 @@ def cmd_sweep(cfg: RunConfig) -> tuple[int, list[str]]:
         cfg.lam, cfg.sigma, cfg.gauge, grid,
     )
     lines = [SWEEP_HEADER]
+    gamma_columns = None  # the vertex factors do not depend on mu
     for pt in points:
-        m = pt.model
-        lines.append(
-            ",".join(
-                [
-                    _fmt(pt.mu_tau_over_hbar),
-                    "1" if pt.feasible else "0",
-                    _fmt(pt.min_residual),
-                    _fmt(m.gamma_mm.real),
-                    _fmt(m.gamma_mm.imag),
-                    _fmt(m.gamma_pm.real),
-                    _fmt(m.gamma_pm.imag),
-                    _fmt(m.gamma_mp.real),
-                    _fmt(m.gamma_mp.imag),
-                    _fmt(m.gamma_pp.real),
-                    _fmt(m.gamma_pp.imag),
-                ]
-            )
-        )
+        row = f"{_fmt(pt.mu_tau_over_hbar)},{'1' if pt.feasible else '0'},{_fmt(pt.min_residual)}"
+        if gamma_columns is None:
+            m = pt.model
+            gamma_columns = ",".join(_fmt_c(z) for z in (m.gamma_mm, m.gamma_pm, m.gamma_mp, m.gamma_pp))
+        lines.append(f"{row},{gamma_columns}")
     return 0, lines
 
 
@@ -537,8 +522,7 @@ def cmd_evolve(cfg: RunConfig, state_spec: str, steps: int | None) -> tuple[int,
     state = _parse_state(state_spec, len(g.outcomes))
     if state.norm() == 0.0:
         raise ConfigError("state must have nonzero norm")
-    model = _model_from_config(cfg)
-    u = qubit_propagator(model)
+    _, u, _ = _step_from_config(cfg)
     n = cfg.steps if steps is None else steps
     if n < 0:
         raise ConfigError(f"steps must be non-negative, got {n}")

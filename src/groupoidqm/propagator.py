@@ -22,14 +22,14 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groupoid import build_a2
+from .groupoid import OUT_MINUS, OUT_PLUS, build_a2
 from .lagrangian import qubit_bias, qubit_lagrangian
 from .algebra import StateVector
-from .histories import single_step_matrix
+from .histories import _amplitude, single_step_matrix
 
 FEASIBLE_TOL = 1e-10
 
@@ -173,12 +173,13 @@ def unitarity_residuals(model: PropagatorModel) -> UnitarityReport:
 
 @dataclass(frozen=True)
 class GammaSolution:
-    """Outcome of solve_unitary_gammas; model carries the pinned-gauge candidate."""
+    """Outcome of solve_unitary_gammas; model carries the pinned-gauge candidate and u its step matrix."""
 
     feasible: bool
     model: PropagatorModel
     report: UnitarityReport
     min_residual: float
+    u: np.ndarray = field(compare=False)
 
 
 def _check_solve_args(p_plus: float, tau: float, hbar: float, gauge: float) -> None:
@@ -190,10 +191,10 @@ def _check_solve_args(p_plus: float, tau: float, hbar: float, gauge: float) -> N
         raise ValueError("tau and hbar must be positive")
 
 
-def _pinned_solution(
+def _solve_grid(
     v_plus: float,
     v_minus: float,
-    mu: float,
+    mus: list[float],
     delta: float,
     p_plus: float,
     tau: float,
@@ -202,22 +203,25 @@ def _pinned_solution(
     sigma: float,
     gauge: float,
     feasible_tol: float,
-) -> GammaSolution:
-    """The pinned-gauge candidate and the algebraic verdict on it.
+) -> tuple[list[PropagatorModel], np.ndarray, list[bool], list[float]]:
+    """The pinned-gauge candidate at each mu, its step matrix and the algebraic verdict on it.
 
     The candidate meets the structural relations exactly, and the only
     freedom they leave, the sign of the real G_pp, changes neither
     orthogonality nor the phase gap, so no search can do better.  With s < 0
-    it takes G_pp = G_mm = 0, whose residual is |s|.
+    it takes G_pp = G_mm = 0, whose residual is |s|.  Only the two flip
+    entries of the kernel depend on mu; each goes through the amplitude
+    arithmetic of single_step_matrix, so u[k] equals qubit_propagator of the
+    k-th model bit for bit.  Returns the models, the (len(mus), 2, 2) step
+    matrices, the verdicts and each candidate's largest unitarity residual.
     """
     p_minus = 1.0 - p_plus
     growth = math.exp(2.0 * delta * tau / hbar)
     s = 1.0 - gauge * gauge * p_plus * p_minus * growth
     g_pp = math.sqrt(max(s, 0.0)) / p_plus
-    model = PropagatorModel(
+    fixed = dict(
         v_plus=v_plus,
         v_minus=v_minus,
-        mu=mu,
         delta=delta,
         p_plus=p_plus,
         tau=tau,
@@ -229,9 +233,26 @@ def _pinned_solution(
         lam=lam,
         sigma=sigma,
     )
-    report = unitarity_residuals(model)
-    feasible = s >= 0.0 and report.max_residual <= feasible_tol
-    return GammaSolution(feasible, model, report, report.max_residual)
+    bias = qubit_bias(p_plus)
+    # single_step_matrix adds each amplitude onto a zero entry, hence the 0j +
+    kernel = np.empty((len(mus), 2, 2), dtype=complex)
+    kernel[:, 1, 1] = 0j + _amplitude(bias, OUT_PLUS, OUT_PLUS, complex(-v_plus, 0.0) * tau, hbar)
+    kernel[:, 0, 0] = 0j + _amplitude(bias, OUT_MINUS, OUT_MINUS, complex(-v_minus, 0.0) * tau, hbar)
+    for k, mu in enumerate(mus):
+        kernel[k, 0, 1] = 0j + _amplitude(bias, OUT_PLUS, OUT_MINUS, complex(mu, delta) * tau, hbar)
+        kernel[k, 1, 0] = 0j + _amplitude(bias, OUT_MINUS, OUT_PLUS, complex(mu, -delta) * tau, hbar)
+    gamma = np.array([[fixed["gamma_mm"], fixed["gamma_mp"]], [fixed["gamma_pm"], fixed["gamma_pp"]]])
+    u = gamma * kernel
+    uh = u.conj().swapaxes(-1, -2)
+    gap = np.stack([u @ uh, uh @ u]) - np.eye(2)
+    # np.hypot, like abs() of a complex scalar; np.abs may round differently
+    worst = np.hypot(gap.real, gap.imag).max(axis=(0, 2, 3)).tolist()
+    feasible = [s >= 0.0 and r <= feasible_tol for r in worst]
+    template = vars(PropagatorModel(mu=0.0, **fixed))  # validated once; the points differ only in mu
+    models = [object.__new__(PropagatorModel) for _ in mus]
+    for model, mu in zip(models, mus):
+        model.__dict__.update(template, mu=mu)
+    return models, u, feasible, worst
 
 
 def solve_unitary_gammas(
@@ -256,10 +277,14 @@ def solve_unitary_gammas(
     s = 1 - gauge^2 p+ p- exp(2 delta tau / hbar) is non-negative and the
     global phase constraint is met, checked as the candidate's unitarity
     residual being within feasible_tol.  min_residual is that candidate's
-    joint residual; for s < 0 it equals |s|.
+    joint residual; for s < 0 it equals |s|.  u is the candidate's step
+    matrix, equal to qubit_propagator(model).
     """
     _check_solve_args(p_plus, tau, hbar, gauge)
-    return _pinned_solution(v_plus, v_minus, mu, delta, p_plus, tau, hbar, lam, sigma, gauge, feasible_tol)
+    models, u, feasible, worst = _solve_grid(
+        v_plus, v_minus, [mu], delta, p_plus, tau, hbar, lam, sigma, gauge, feasible_tol
+    )
+    return GammaSolution(feasible[0], models[0], unitarity_residuals(models[0]), worst[0], u[0])
 
 
 @dataclass(frozen=True)
@@ -286,15 +311,18 @@ def quantization_scan(
 ) -> list[ScanPoint]:
     """Solve for unitary vertex factors along a grid of mu*tau/hbar values.
 
-    Each grid point gets the same algebraic decision as solve_unitary_gammas.
+    Each grid point gets the same algebraic decision as solve_unitary_gammas,
+    but the mu-independent work (radicand, vertex factors, bias, diagonal
+    kernel entries) is done once and the unitarity residuals of all points
+    come from stacked matrix products.
     """
     _check_solve_args(p_plus, tau, hbar, gauge)
-    points = []
-    for x in np.asarray(grid, dtype=float):
-        mu = x * hbar / tau
-        sol = _pinned_solution(v_plus, v_minus, mu, delta, p_plus, tau, hbar, lam, sigma, gauge, feasible_tol)
-        points.append(ScanPoint(mu, float(x), sol.feasible, sol.min_residual, sol.model))
-    return points
+    xs = np.asarray(grid, dtype=float)
+    mus = [x * hbar / tau for x in xs]
+    models, _, feasible, worst = _solve_grid(
+        v_plus, v_minus, mus, delta, p_plus, tau, hbar, lam, sigma, gauge, feasible_tol
+    )
+    return [ScanPoint(*row) for row in zip(mus, xs.tolist(), feasible, worst, models)]
 
 
 def sign_case_matrix(a: complex, b: complex, case: SignCase) -> np.ndarray:

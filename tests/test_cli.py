@@ -17,8 +17,10 @@ from groupoidqm import (
     groupoid_to_text,
     multiplication_table,
     qubit_propagator,
+    solve_unitary_gammas,
 )
-from groupoidqm.cli import SWEEP_HEADER, ConfigError, RunConfig, main, parse_config
+from groupoidqm import cli
+from groupoidqm.cli import SWEEP_HEADER, ConfigError, RunConfig, _fmt, main, parse_config
 
 PI_HALF = format(math.pi / 2, ".17g")
 SQRT2 = format(math.sqrt(2.0), ".17g")
@@ -340,6 +342,90 @@ def test_sweep_csv_and_determinism(tmp_path, capsys):
     rc3, out3, err3 = run(capsys, "sweep", "-c", cfg, "--out", str(dest))
     assert rc3 == 0 and out3 == ""
     assert dest.read_text(encoding="utf-8") == out
+
+
+_SWEEP_VALUES = {
+    "V_plus": 0.3, "V_minus": -0.2, "delta": 0.1, "tau": 1.1, "hbar": 0.9, "Lambda": 0.5, "Sigma": -0.7,
+}
+
+
+def _sweep_reference(v, start, stop, count):
+    """sweep stdout assembled row by row from single solves."""
+    rows = [SWEEP_HEADER]
+    for x in np.linspace(start, stop, count):
+        sol = solve_unitary_gammas(
+            v["V_plus"], v["V_minus"], x * v["hbar"] / v["tau"], v["delta"], v["p_plus"],
+            v["tau"], v["hbar"], lam=v["Lambda"], sigma=v["Sigma"], gauge=v["gauge"],
+        )
+        m = sol.model
+        gammas = [_fmt(part) for z in (m.gamma_mm, m.gamma_pm, m.gamma_mp, m.gamma_pp)
+                  for part in (z.real, z.imag)]
+        rows.append(",".join([_fmt(x), "1" if sol.feasible else "0", _fmt(sol.min_residual), *gammas]))
+    return "\n".join(rows) + "\n"
+
+
+def _phase_root(v):
+    """A mu tau / hbar meeting the phase constraint."""
+    return (0.5 * ((v["Sigma"] + v["Lambda"]) / v["hbar"] + math.pi)
+            - 0.5 * v["tau"] * (v["V_plus"] + v["V_minus"]) / v["hbar"])
+
+
+@pytest.mark.parametrize(
+    "p_plus, radicand, shift",
+    [
+        (0.35, 0.4, 0.0),  # on-grid feasible rows
+        (0.5, 0.7, 0.0),  # p_plus = 1/2
+        (0.35, -0.8, 0.0),  # negative radicand
+        (0.2, 0.5, -6 * math.pi),  # negative grid
+    ],
+)
+def test_sweep_matches_single_solves(tmp_path, capsys, p_plus, radicand, shift):
+    v = dict(_SWEEP_VALUES, p_plus=p_plus)
+    growth = math.exp(2.0 * v["delta"] * v["tau"] / v["hbar"])
+    v["gauge"] = math.sqrt((1.0 - radicand) / (p_plus * (1.0 - p_plus) * growth))
+    start = _phase_root(v) - 7 * math.pi / 30 + shift
+    stop = start + 2 * math.pi
+    text = "".join(f"{k} = {x!r}\n" for k, x in v.items()) + (
+        f"sweep_parameter = mu_tau_over_hbar\nsweep_from = {start!r}\n"
+        f"sweep_to = {stop!r}\nsweep_points = 61\n"
+    )
+    rc, out, err = run(capsys, "sweep", "-c", cfg_file(tmp_path, text))
+    assert rc == 0 and err == ""
+    assert out == _sweep_reference(v, start, stop, 61)
+    assert (",1," in out) == (radicand > 0)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("sweep_from = -1e308\nsweep_to = 1e308\n", "overflow encountered in subtract"),
+        ("delta = 400\nsweep_from = 0\nsweep_to = 1\n", "math range error"),
+        ("p_plus = 0\nsweep_from = 0\nsweep_to = 1\n", "solving requires p_plus in (0, 1/2]"),
+    ],
+)
+def test_sweep_error_paths_exit_1(tmp_path, capsys, text, message):
+    text += "sweep_parameter = mu_tau_over_hbar\nsweep_points = 5\n"
+    rc, out, err = run(capsys, "sweep", "-c", cfg_file(tmp_path, text))
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("propagator",), ("propagator", "--power", "3"), ("evolve", "--state", "-0.6,0.1;0.3,-0.5")],
+)
+def test_solve_mode_reuses_the_solution(tmp_path, capsys, monkeypatch, argv):
+    cfg = cfg_file(tmp_path, SOLVE_SQRT2)
+    rc, out, err = run(capsys, argv[0], "-c", cfg, *argv[1:])
+    assert rc == 0
+
+    def rebuilt(model):
+        raise AssertionError("the step was rebuilt after solving")
+
+    monkeypatch.setattr(cli, "qubit_propagator", rebuilt)
+    monkeypatch.setattr(cli, "unitarity_residuals", rebuilt)
+    assert run(capsys, argv[0], "-c", cfg, *argv[1:]) == (0, out, err)
 
 
 def test_sweep_requires_block(tmp_path, capsys):

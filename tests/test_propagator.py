@@ -224,6 +224,28 @@ def test_negative_radicand_residual_is_its_magnitude():
             assert sol.model == pt.model
 
 
+def test_scan_matches_single_solves_bit_for_bit():
+    n_feasible = 0
+    for seed in range(1, 40, 2):
+        args, radicand = _seeded_scan_params(seed)
+        assert radicand > 0.0
+        v_plus, v_minus, delta_, p, tau, hbar, lam, sigma, gauge, _ = args
+        for pt in quantization_scan(*args):
+            sol = solve_unitary_gammas(
+                v_plus, v_minus, pt.mu, delta_, p, tau, hbar, lam=lam, sigma=sigma, gauge=gauge
+            )
+            assert pt.feasible == sol.feasible
+            assert repr(pt.min_residual) == repr(sol.min_residual) == repr(sol.report.max_residual)
+            assert pt.model == sol.model
+            assert sol.u.tobytes() == qubit_propagator(sol.model).tobytes()
+            n_feasible += pt.feasible
+    assert n_feasible >= 50
+
+
+def test_scan_of_an_empty_grid_is_empty():
+    assert quantization_scan(0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 0.0, 0.0, SQRT2, np.zeros(0)) == []
+
+
 def test_solve_and_model_reject_nan_clock():
     with pytest.raises(ValueError):
         PropagatorModel(0, 0, 0, 0, p_plus=0.5, tau=math.nan, hbar=1.0)
