@@ -1,4 +1,4 @@
-"""Discrete histories on a finite groupoid and their brute-force path sums.
+"""Discrete histories on a finite groupoid and their path sums.
 
 A history is a chained sequence of transitions walked over a uniform time
 grid.  Steps are grouped into segments, each flagged future (+1) or past
@@ -31,7 +31,6 @@ from .lagrangian import OutcomeBias, QLagrangian
 DEFAULT_HISTORY_CAP = 10_000_000
 _TIME_TOL = 1e-9
 _COUNT_LIMIT = 10**18  # counts saturate above max(cap, this); being >= 0 they stay exact below
-_CHUNK = 256  # walks held at a time by the enumeration core
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -254,10 +253,10 @@ def history_amplitude(
     return _amplitude(bias, w.start_outcome, w.end_outcome, action(w, ell, tau), hbar)
 
 
-def _count_paths(g: FiniteGroupoid, n_steps: int, cap: int, start: str | None = None) -> dict[str, int]:
-    """n-step walks per end outcome, from start or every outcome, saturated at the ceiling."""
+def _count_paths(g: FiniteGroupoid, n_steps: int, cap: int, start: str) -> dict[str, int]:
+    """n-step walks from start per end outcome, saturated at the ceiling."""
     ceiling = max(cap, _COUNT_LIMIT) + 1
-    counts = {o: int(start in (None, o)) for o in g.outcomes}
+    counts = {o: int(o == start) for o in g.outcomes}
     for _ in range(n_steps):
         nxt = dict.fromkeys(g.outcomes, 0)
         for e in g.elements:
@@ -266,56 +265,6 @@ def _count_paths(g: FiniteGroupoid, n_steps: int, cap: int, start: str | None = 
             break
         counts = nxt
     return counts
-
-
-def _walk_chunks(g: FiniteGroupoid, start: str, n_steps: int, state: list, extend, visit) -> None:
-    """visit(ends, state) per chunk of the n-step walks from start, depth-first in declaration order.
-
-    Walks grow a level at a time, one gather per level.  The longest run of a
-    frame's nodes whose walks fit in _CHUNK grows to full length and is
-    visited; a single node with more walks than that pushes its children as a
-    new frame.  So one chunk's arrays are live, plus per level one frame of at
-    most the largest out-degree in nodes, and nothing recurses per step.
-    ``state`` holds per-node arrays; ``extend(state, parent, elem, depth)``
-    returns the children's, child k stepping from node ``parent[k]`` along
-    element index ``elem[k]`` to ``depth`` steps.  ``ends`` holds each walk's
-    end outcome index.
-    """
-    index = {o: i for i, o in enumerate(g.outcomes)}
-    out: list[list[int]] = [[] for _ in g.outcomes]
-    for k, e in enumerate(g.elements):
-        out[index[g.source[e]]].append(k)
-    kids = np.full((len(out), max(map(len, out))), -1)  # out-element indices, -1 padded
-    for i, ks in enumerate(out):
-        kids[i, : len(ks)] = ks
-    target = np.array([index[g.target[e]] for e in g.elements])
-    counts = [np.ones(len(out), dtype=np.int64)]  # r-step walks from each outcome, saturated
-    while len(counts) <= n_steps:
-        row = np.minimum(_CHUNK + 1, np.where(kids >= 0, counts[-1][target[kids]], 0).sum(axis=1))
-        if np.array_equal(row, counts[-1]):
-            break
-        counts.append(row)
-
-    def grow(cur, state, depth):
-        sub = kids[cur]
-        parent, slot = (sub >= 0).nonzero()
-        elem = sub[parent, slot]
-        return target[elem], extend(state, parent, elem, depth + 1)
-
-    frames = [(0, np.array([index[start]]), state, 0)]  # depth, outcomes, state, first node left
-    while frames:
-        depth, cur, state, lo = frames.pop()
-        walks = np.cumsum(counts[min(n_steps - depth, len(counts) - 1)][cur[lo:]])
-        hi = lo + max(1, int(np.searchsorted(walks, _CHUNK, side="right")))
-        if hi < len(cur):
-            frames.append((depth, cur, state, hi))
-        cur, state = cur[lo:hi], [a[lo:hi] for a in state]
-        if walks[hi - lo - 1] > _CHUNK:
-            frames.append((depth + 1, *grow(cur, state, depth), 0))
-            continue
-        for depth in range(depth, n_steps):
-            cur, state = grow(cur, state, depth)
-        visit(cur, state)
 
 
 def enumerate_histories(
@@ -331,7 +280,9 @@ def enumerate_histories(
 
     The order is depth-first over out-transitions taken in element declaration
     order.  Raises EnumerationCapExceeded before materializing anything when
-    the count (computed by walk counting) would exceed the cap.
+    the count (computed by walk counting) would exceed the cap.  The walk keeps
+    an explicit stack of out-transition iterators, so a long history never
+    recurses.
     """
     if start not in g.unit_of or end not in g.unit_of:
         missing = start if start not in g.unit_of else end
@@ -341,19 +292,26 @@ def enumerate_histories(
     required = _count_paths(g, n_steps, cap, start)[end]
     if required > cap:
         raise EnumerationCapExceeded(required, cap)
+    if required == 0:  # e.g. end lies in another component: no walk from start can reach it
+        return []
     grid = TimeGrid(t_start, tau, n_steps)
-    stop = g.outcomes.index(end)
-
-    def extend(state, parent, elem, depth):
-        return [np.column_stack([state[0][parent], elem])]
-
+    out: dict[str, list[str]] = {o: [] for o in g.outcomes}
+    for e in g.elements:
+        out[g.source[e]].append(e)
     results: list[History] = []
-
-    def keep(ends, state):
-        for row in state[0][ends == stop].tolist():
-            results.append(History(g, grid, (Segment(+1, tuple(g.elements[k] for k in row)),), start))
-
-    _walk_chunks(g, start, n_steps, [np.empty((1, 0), dtype=int)], extend, keep)
+    path: list[str] = []
+    stack = [iter(out[start])]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            if path:
+                path.pop()
+        elif len(path) + 1 < n_steps:
+            path.append(step)
+            stack.append(iter(out[g.target[step]]))
+        elif g.target[step] == end:
+            results.append(History(g, grid, (Segment(+1, (*path, step)),), start))
     return results
 
 
@@ -372,6 +330,55 @@ def single_step_matrix(
     return m
 
 
+def _product(a, b):
+    """(re, im) of a @ b for float64 (re, im) pairs, in one fixed order.
+
+    Entry [i, j] sums its terms k = 0, 1, ... left to right, each term being
+    the complex product as CPython forms it, (xr yr - xi yi) + (xr yi + xi yr) i.
+    Every multiply and add is a ufunc of its own, so nothing fuses and nothing
+    goes through BLAS: the bits are those of the same loop over Python floats,
+    on any machine.
+    """
+    (ar, ai), (br, bi) = a, b
+    re = im = None
+    for k in range(ar.shape[1]):
+        xr, xi, yr, yi = ar[:, k, None], ai[:, k, None], br[k], bi[k]
+        tr, ti = xr * yr - xi * yi, xr * yi + xi * yr
+        re, im = (tr, ti) if re is None else (re + tr, im + ti)
+    return re, im
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    z = np.empty(re.shape, dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+def fixed_order_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for complex matrices, summed in the fixed order of _product."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return _complex(*_product((a.real, a.imag), (b.real, b.imag)))
+
+
+def fixed_order_power(m: np.ndarray, n: int) -> np.ndarray:
+    """m^n by repeated squaring, every product in the fixed order of _product.
+
+    The result is multiplied on the right by each of m, m^2, m^4, ... whose
+    bit of n is set, lowest bit first: O(log n) products.  m^0 is the identity.
+    """
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    base, result = (m.real, m.imag), None
+    while n:
+        if n & 1:
+            result = base if result is None else _product(result, base)
+        n >>= 1
+        if n:
+            base = _product(base, base)
+    return np.eye(len(m), dtype=complex) if result is None else _complex(*result)
+
+
 def n_step_path_sum(
     g: FiniteGroupoid,
     ell: QLagrangian,
@@ -379,113 +386,22 @@ def n_step_path_sum(
     tau: float,
     hbar: float,
     n_steps: int,
-    cap: int = DEFAULT_HISTORY_CAP,
 ) -> np.ndarray:
-    """Brute-force sum over histories, outcome-indexed like single_step_matrix.
+    """Sum over all n-step histories, outcome-indexed like single_step_matrix.
 
     Each history contributes its amplitude weighted by the bias of every
-    intermediate outcome it visits.  Each start's walks are visited once, a
-    chunk at a time, into per-entry streaming pairwise sums: memory is
-    independent of the history count.  Every entry is bit-identical to summing
-    weight * history_amplitude per history, in enumeration order, with the same
-    pairwise tree, whatever the chunk size.
+    intermediate outcome it visits.  Histories compose, so the sum factorises
+    as D^1/2 K D K ... K D^1/2, where K[b, a] sums exp(i ell_e tau / hbar) over
+    the transitions e: a -> b and D = diag(bias): the n-th power of
+    single_step_matrix.  It is taken by fixed_order_power, in O(log n_steps)
+    products whatever the number of histories.  enumerate_histories with
+    history_amplitude gives the same sum, up to rounding, history by history.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
-    if hbar <= 0:
-        raise ValueError("hbar must be positive")
-    total = sum(_count_paths(g, n_steps, cap).values())
-    if total > cap:
-        raise EnumerationCapExceeded(total, cap)
     if ell.groupoid != g:
         raise ValueError("lagrangian is defined on a different groupoid")
-    ell_values = np.array([ell[e] for e in g.elements])
-    gain = np.array([bias[g.target[e]] for e in g.elements])  # intermediate-bias factor per step
-
-    def extend(state, parent, elem, depth):
-        # action() and the intermediate-bias weight, a level at a time
-        seg_sum, weight = state[0][parent], state[1][parent]
-        seg_sum += ell_values[elem]
-        if depth < n_steps:
-            weight *= gain[elem]
-        return [seg_sum, weight]
-
-    n = len(g.outcomes)
-    m = np.zeros((n, n), dtype=complex)
-    for j, start in enumerate(g.outcomes):
-        norm = np.array([math.sqrt(bias[start] * bias[end]) for end in g.outcomes])
-        sums: list[list[tuple[int, complex]]] = [[] for _ in range(n)]
-
-        def add(ends, state):
-            values = _contributions(*state, norm[ends], tau, hbar)
-            for i in np.flatnonzero(np.bincount(ends, minlength=n)).tolist():
-                _push_run(sums[i], values[ends == i])
-
-        with np.errstate(all="ignore"):  # Python float semantics: overflow gives inf, not an error
-            _walk_chunks(g, start, n_steps, [np.zeros(1, dtype=complex), np.ones(1)], extend, add)
-        for i, stack in enumerate(sums):
-            while len(stack) > 1:  # right to left: the level-by-level pairing tree
-                stack.append((0, stack.pop(-2)[1] + stack.pop()[1]))
-            if stack:
-                m[i, j] = stack[0][1]
-    return m
-
-
-def _by_real(x, re, im):
-    """(x + 0j) * (re + im*1j) part by part, as CPython rounds it; numpy's complex product may fuse.
-
-    CPython before 3.14 turns a real operand into a complex one with a zero
-    imaginary part; the zero's products decide the signs of zero results.
-    """
-    return x * re - 0.0 * im, x * im + 0.0 * re
-
-
-def _exponents(seg_sum: np.ndarray, tau: float, hbar: float) -> np.ndarray:
-    """1j * (0j + 1 * seg_sum * tau) / hbar per walk, rounded as CPython rounds it."""
-    re, im = _by_real(tau, *_by_real(1.0, seg_sum.real, seg_sum.imag))
-    re, im = 0.0 + re, 0.0 + im
-    re, im = 0.0 * re - 1.0 * im, 0.0 * im + 1.0 * re
-    ratio = 0.0 / hbar  # _Py_c_quot by (hbar, 0.0): a true division, where numpy multiplies by 1/hbar
-    denom = hbar + 0.0 * ratio
-    z = np.empty(len(re), dtype=complex)
-    z.real, z.imag = (re + im * ratio) / denom, (im - re * ratio) / denom
-    return z
-
-
-def _contributions(seg_sum, weight, norm, tau: float, hbar: float) -> np.ndarray:
-    """weight * _amplitude(..., 0j + 1 * seg_sum * tau, hbar) per walk, rounded as CPython does."""
-    # cmath.exp, not np.exp, so that each exponential is the libm value the scalar expression gets
-    z = np.fromiter(map(cmath.exp, _exponents(seg_sum, tau, hbar)), dtype=complex, count=len(seg_sum))
-    for x in (norm, weight):
-        z.real, z.imag = _by_real(x, z.real, z.imag)
-    return z
-
-
-def _push(stack: list[tuple[int, complex]], height: int, value: complex) -> None:
-    """Streaming pairwise sum: equal heights merge, the earlier on the left."""
-    while stack and stack[-1][0] == height:
-        value = stack.pop()[1] + value
-        height += 1
-    stack.append((height, value))
-
-
-def _push_run(stack: list[tuple[int, complex]], values: np.ndarray) -> None:
-    """_push each value in turn, merging the aligned pairs of a level with one array add."""
-    lo = sum(1 << h for h, _ in stack)  # values pushed so far
-    hi = lo + len(values)
-    tail = []
-    height = 0
-    while lo < hi:
-        if lo % 2:  # completes the pair the stack's top entry opened
-            _push(stack, height, values[0].item())
-            values, lo = values[1:], lo + 1
-        if (hi - lo) % 2:  # its partner is yet to come
-            tail.append((height, values[-1].item()))
-            values, hi = values[:-1], hi - 1
-        values = values[0::2] + values[1::2]
-        lo, hi, height = lo // 2, hi // 2, height + 1
-    for height, value in reversed(tail):
-        _push(stack, height, value)
+    return fixed_order_power(single_step_matrix(g, ell, bias, tau, hbar), n_steps)
 
 
 def decompose_history(w: History, w_ref: History) -> History:

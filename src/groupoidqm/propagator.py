@@ -29,7 +29,7 @@ import numpy as np
 from .groupoid import OUT_MINUS, OUT_PLUS, build_a2
 from .lagrangian import qubit_bias, qubit_lagrangian
 from .algebra import StateVector
-from .histories import _amplitude, single_step_matrix
+from .histories import _amplitude, fixed_order_matmul, fixed_order_power, single_step_matrix
 
 FEASIBLE_TOL = 1e-10
 
@@ -278,13 +278,16 @@ def solve_unitary_gammas(
     global phase constraint is met, checked as the candidate's unitarity
     residual being within feasible_tol.  min_residual is that candidate's
     joint residual; for s < 0 it equals |s|.  u is the candidate's step
-    matrix, equal to qubit_propagator(model).
+    matrix, equal to qubit_propagator(model).  The report's Frobenius norms
+    read inf when an infeasible candidate's products pass the float range.
     """
     _check_solve_args(p_plus, tau, hbar, gauge)
     models, u, feasible, worst = _solve_grid(
         v_plus, v_minus, [mu], delta, p_plus, tau, hbar, lam, sigma, gauge, feasible_tol
     )
-    return GammaSolution(feasible[0], models[0], unitarity_residuals(models[0]), worst[0], u[0])
+    with np.errstate(over="ignore"):  # only an infeasible candidate's norms can pass the float range
+        report = unitarity_residuals(models[0])
+    return GammaSolution(feasible[0], models[0], report, worst[0], u[0])
 
 
 @dataclass(frozen=True)
@@ -359,16 +362,16 @@ def uniform_free_spectrum(
 
 
 def power_propagator(u: np.ndarray, n: int) -> np.ndarray:
-    """U^n by repeated squaring; n = 0 gives the identity."""
+    """U^n by repeated squaring in a fixed order (histories.fixed_order_power); n = 0 gives the identity."""
     if not (isinstance(n, int) and n >= 0):
         raise ValueError(f"power must be a non-negative integer, got {n!r}")
-    return np.linalg.matrix_power(np.asarray(u, dtype=complex), n)
+    return fixed_order_power(u, n)
 
 
 def evolve_state(u: np.ndarray, state: StateVector, n: int) -> StateVector:
-    """Apply n propagation steps to a pure state."""
+    """Apply n propagation steps to a pure state, in the fixed product order of power_propagator."""
     psi = state.as_array()
     if float(np.linalg.norm(psi)) == 0.0:
         raise ValueError("state must have nonzero norm")
-    moved = power_propagator(u, n) @ psi
+    moved = fixed_order_matmul(power_propagator(u, n), psi[:, None])[:, 0]
     return StateVector(tuple(moved))

@@ -29,6 +29,7 @@ from groupoidqm import (
     enumerate_histories,
     evolve_state,
     fundamental_rep,
+    history_amplitude,
     invert_history,
     involute,
     make_history,
@@ -221,6 +222,17 @@ def test_criterion_04_action_axioms():
     )
 
 
+def _per_history_sum(g, ell, bias, tau, hbar, n):
+    """The n-step sum written out history by history, each amplitude weighted by its intermediate biases."""
+    m = np.zeros((len(g.outcomes),) * 2, dtype=complex)
+    for j, start in enumerate(g.outcomes):
+        for i, end in enumerate(g.outcomes):
+            for w in enumerate_histories(g, start, end, n, tau=tau):
+                weight = math.prod(bias[g.target[step]] for step in w.steps()[:-1])
+                m[i, j] += weight * history_amplitude(w, ell, bias, hbar, tau)
+    return m
+
+
 def test_criterion_05_path_sum_matches_matrix_power():
     start = time.perf_counter()
     worst = 0.0
@@ -229,8 +241,9 @@ def test_criterion_05_path_sum_matches_matrix_power():
     bias = qubit_bias(0.3)
     m1 = single_step_matrix(g, ell, bias, 0.7, 1.3)
     for n in range(1, 9):
-        s = n_step_path_sum(g, ell, bias, 0.7, 1.3, n)
-        worst = max(worst, float(np.max(np.abs(s - np.linalg.matrix_power(m1, n)))))
+        exact = np.linalg.matrix_power(m1, n)
+        for s in (_per_history_sum(g, ell, bias, 0.7, 1.3, n), n_step_path_sum(g, ell, bias, 0.7, 1.3, n)):
+            worst = max(worst, float(np.max(np.abs(s - exact))))
     gp = build_pair_groupoid(3)
     idx = {o: i for i, o in enumerate(gp.outcomes)}
     ellp = QLagrangian(
@@ -239,8 +252,9 @@ def test_criterion_05_path_sum_matches_matrix_power():
     biasp = OutcomeBias.uniform(gp)
     mp1 = single_step_matrix(gp, ellp, biasp, 1.0, 1.0)
     for n in range(1, 6):
-        s = n_step_path_sum(gp, ellp, biasp, 1.0, 1.0, n)
-        worst = max(worst, float(np.max(np.abs(s - np.linalg.matrix_power(mp1, n)))))
+        exact = np.linalg.matrix_power(mp1, n)
+        for s in (_per_history_sum(gp, ellp, biasp, 1.0, 1.0, n), n_step_path_sum(gp, ellp, biasp, 1.0, 1.0, n)):
+            worst = max(worst, float(np.max(np.abs(s - exact))))
     for n1, n2 in ((2, 3), (3, 5), (1, 7)):
         total = n_step_path_sum(g, ell, bias, 0.7, 1.3, n1 + n2)
         m2 = n_step_path_sum(g, ell, bias, 0.7, 1.3, n2)
@@ -250,8 +264,8 @@ def test_criterion_05_path_sum_matches_matrix_power():
     _criterion(
         5,
         worst <= 1e-12 and elapsed < 30.0,
-        f"path sums vs matrix powers (two-outcome N<=8, three-outcome pairs N<=5, "
-        f"semigroup splits), max deviation {worst:.3g} (tol 1e-12), "
+        f"per-history sums and path sums vs matrix powers (two-outcome N<=8, three-outcome "
+        f"pairs N<=5, semigroup splits), max deviation {worst:.3g} (tol 1e-12), "
         f"{elapsed:.2f} s (budget 30 s)",
     )
 

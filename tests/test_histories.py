@@ -6,7 +6,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from groupoidqm import histories
 from groupoidqm import (
     ALPHA,
     ALPHA_INV,
@@ -14,6 +13,7 @@ from groupoidqm import (
     OutcomeBias,
     QLagrangian,
     Segment,
+    StateVector,
     TimeGrid,
     UNIT_MINUS,
     UNIT_PLUS,
@@ -26,6 +26,7 @@ from groupoidqm import (
     decompose_history,
     groupoid_to_text,
     enumerate_histories,
+    evolve_state,
     history_amplitude,
     history_from_text,
     history_to_text,
@@ -33,6 +34,7 @@ from groupoidqm import (
     is_loop,
     make_history,
     n_step_path_sum,
+    power_propagator,
     qubit_bias,
     qubit_lagrangian,
     single_step_matrix,
@@ -126,6 +128,11 @@ def test_enumeration_cap_with_saturated_count():
     with pytest.raises(EnumerationCapExceeded, match="needs more than") as exc:
         enumerate_histories(A2, "-", "-", 20000, cap=100)
     assert exc.value.required > 10**18
+
+
+def test_enumeration_into_another_component_is_empty_at_once():
+    # 2**60 walks leave x1, and none reaches y: the walk count settles it before any walking
+    assert enumerate_histories(MIXED, "x1", "y", 60) == []
 
 
 def test_total_variation_examples():
@@ -294,7 +301,7 @@ def test_path_sum_equals_per_history_reference(g, n_max):
     bias = OutcomeBias({o: p / sum(probs) for o, p in zip(g.outcomes, probs)})
     for n in range(1, n_max + 1):
         ps = n_step_path_sum(g, ell, bias, 0.8, 1.1, n)
-        assert np.array_equal(ps, reference_path_sum(g, ell, bias, 0.8, 1.1, n))
+        assert np.allclose(ps, reference_path_sum(g, ell, bias, 0.8, 1.1, n), rtol=0, atol=1e-13)
 
 
 def test_path_sum_memory_does_not_grow_with_history_count():
@@ -322,24 +329,65 @@ def signed_zero_models():
 @pytest.mark.parametrize("g, ell, bias", list(signed_zero_models()))
 def test_path_sum_keeps_signed_zeros(g, ell, bias):
     for n in range(1, 7):
-        ps = n_step_path_sum(g, ell, bias, 0.8, 1.1, n).ravel().tolist()
-        ref = reference_path_sum(g, ell, bias, 0.8, 1.1, n).ravel().tolist()
-        assert [repr(z) for z in ps] == [repr(z) for z in ref]
+        ps = n_step_path_sum(g, ell, bias, 0.8, 1.1, n)
+        assert np.allclose(ps, reference_path_sum(g, ell, bias, 0.8, 1.1, n), rtol=0, atol=1e-13)
 
 
-def test_path_sum_does_not_depend_on_chunk_size(monkeypatch):
-    cases = [(A2, qubit_lagrangian(0.4, -0.9, 1.2, 0.15), qubit_bias(0.35), 9)]
-    for g, n in ((build_pair_groupoid(3), 5), (MIXED, 7)):
-        idx = {o: i for i, o in enumerate(g.outcomes)}
-        ell = QLagrangian(g, {e: complex(0.3 * (idx[g.target[e]] + idx[g.source[e]]), idx[g.target[e]] - idx[g.source[e]])
-                              for e in g.elements})
-        cases.append((g, ell, OutcomeBias.uniform(g), n))
-    for g, ell, bias, n in cases:
-        want = repr(n_step_path_sum(g, ell, bias, 0.8, 1.1, n).tolist())
-        for chunk in (1, 3, 7):
-            monkeypatch.setattr(histories, "_CHUNK", chunk)
-            assert repr(n_step_path_sum(g, ell, bias, 0.8, 1.1, n).tolist()) == want
-        monkeypatch.undo()
+def python_matmul(a, b):
+    """a @ b over nested lists of Python complex: per entry, the terms k = 0, 1, ... summed left to right."""
+    out = []
+    for row in a:
+        out_row = []
+        for j in range(len(b[0])):
+            re = im = None
+            for x, b_row in zip(row, b):
+                y = b_row[j]
+                tr, ti = x.real * y.real - x.imag * y.imag, x.real * y.imag + x.imag * y.real
+                re, im = (tr, ti) if re is None else (re + tr, im + ti)
+            out_row.append(complex(re, im))
+        out.append(out_row)
+    return out
+
+
+def python_power(m, n):
+    """m^n over Python floats: the result times each set bit's square m, m^2, m^4, ..., lowest bit first."""
+    base, result = m, None
+    while n:
+        if n & 1:
+            result = base if result is None else python_matmul(result, base)
+        n >>= 1
+        if n:
+            base = python_matmul(base, base)
+    return result or [[complex(i == j) for j in range(len(m))] for i in range(len(m))]
+
+
+def fixed_order_models():
+    yield from signed_zero_models()
+    yield A2, qubit_lagrangian(0.4, -0.9, 1.2, 0.15), qubit_bias(0.35)
+    idx = {o: i for i, o in enumerate(MIXED.outcomes)}
+    ell = QLagrangian(MIXED, {e: complex(0.3 * (idx[MIXED.target[e]] + idx[MIXED.source[e]]),
+                                         idx[MIXED.target[e]] - idx[MIXED.source[e]]) for e in MIXED.elements})
+    yield MIXED, ell, OutcomeBias({"x1": 0.5, "y": 0.0, "x2": 0.5})
+    g = build_pair_groupoid(3)  # three nonzero terms per entry, so the order of the k sum shows
+    idx = {o: i for i, o in enumerate(g.outcomes)}
+    ell = QLagrangian(g, {e: 0.3 * (idx[g.target[e]] + idx[g.source[e]]) + 0.5j * (idx[g.target[e]] - idx[g.source[e]])
+                          for e in g.elements})
+    yield g, ell, OutcomeBias(dict(zip(g.outcomes, (0.2, 0.3, 0.5))))
+
+
+@pytest.mark.parametrize("g, ell, bias", list(fixed_order_models()))
+def test_products_follow_the_fixed_order_bit_for_bit(g, ell, bias):
+    # Python float operations never fuse, so these bits are the same on every machine
+    m = single_step_matrix(g, ell, bias, 0.8, 1.1)
+    psi = [complex(-0.0, 0.6), *(complex(0.8, -0.0) for _ in g.outcomes[1:])]
+    for n in (*range(0, 9), 13, 64, 1000):
+        if n:
+            assert repr(n_step_path_sum(g, ell, bias, 0.8, 1.1, n).tolist()) == repr(python_power(m.tolist(), n))
+        for u in (m, -m):  # single_step_matrix holds no -0.0; its negation turns every zero into one
+            want = python_power(u.tolist(), n)
+            assert repr(power_propagator(u, n).tolist()) == repr(want)
+            moved = evolve_state(u, StateVector(tuple(psi)), n).amplitudes
+            assert repr(list(moved)) == repr([row[0] for row in python_matmul(want, [[z] for z in psi])])
 
 
 def lexicographic_walks(g, start, end, n_steps):
@@ -387,13 +435,6 @@ def test_long_walks_on_a_trivial_groupoid():
     assert abs(m[0, 0] - cmath.exp(0.5j * 0.1 * 3000)) < 1e-12
     (w,) = enumerate_histories(g, "x1", "x1", 3000)
     assert w.steps() == ("(x1,x1)",) * 3000
-
-
-def test_path_sum_respects_cap():
-    g = build_pair_groupoid(5)
-    ell = QLagrangian(g, {e: 0.0 for e in g.elements})
-    with pytest.raises(EnumerationCapExceeded):
-        n_step_path_sum(g, ell, OutcomeBias.uniform(g), 1.0, 1.0, 4, cap=100)
 
 
 def test_decompose_four_step_loop():

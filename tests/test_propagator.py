@@ -303,6 +303,8 @@ def test_power_propagator():
     assert np.allclose(n1n2, power_propagator(u, 3) @ power_propagator(u, 4), atol=1e-12)
     with pytest.raises(ValueError):
         power_propagator(u, -1)
+    with pytest.raises(ValueError, match="square"):
+        power_propagator(np.ones((2, 3)), 2)
 
 
 def test_power_propagator_preserves_unitarity():
