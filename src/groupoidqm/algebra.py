@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
@@ -219,7 +220,7 @@ class StateVector:
         return self.amplitudes == other.amplitudes
 
     def norm(self) -> float:
-        return float(np.linalg.norm(np.asarray(self.amplitudes)))
+        return math.hypot(*(x for z in self.amplitudes for x in (z.real, z.imag)))
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.amplitudes, dtype=complex)

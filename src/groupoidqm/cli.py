@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -353,9 +354,12 @@ def _build_bias(cfg: RunConfig, g: FiniteGroupoid) -> OutcomeBias:
     return OutcomeBias.uniform(g)
 
 
+_A2 = build_a2()
+
+
 def _require_a2(cfg: RunConfig, command: str) -> FiniteGroupoid:
     g = _build_groupoid(cfg)
-    if g != build_a2():
+    if g != _A2:
         raise ConfigError(f"{command} command requires a2")
     return g
 
@@ -476,7 +480,8 @@ def cmd_pathsum(cfg: RunConfig, steps: int | None, check_semigroup: str | None) 
             raise ConfigError(f"--check-semigroup {n1}+{n2} does not add up to steps = {n}")
         m1 = n_step_path_sum(g, ell, bias, cfg.tau, cfg.hbar, n1)
         m2 = n_step_path_sum(g, ell, bias, cfg.tau, cfg.hbar, n2)
-        deviation = float(np.max(np.abs(m - fixed_order_matmul(m2, m1))))
+        gap = m - fixed_order_matmul(m2, m1)
+        deviation = float(np.hypot(gap.real, gap.imag).max())
         lines.append(f"semigroup_deviation = {_fmt(deviation)}")
     return 0, lines
 
@@ -526,9 +531,9 @@ def cmd_evolve(cfg: RunConfig, state_spec: str, steps: int | None) -> tuple[int,
     n = cfg.steps if steps is None else steps
     if n < 0:
         raise ConfigError(f"steps must be non-negative, got {n}")
-    final = evolve_state(u, state, n).as_array()
-    lines = [f"psi[{o}] = {_fmt_c(final[i])}" for i, o in enumerate(g.outcomes)]
-    lines.append(f"norm = {_fmt(float(np.linalg.norm(final)))}")
+    final = evolve_state(u, state, n)
+    lines = [f"psi[{o}] = {_fmt_c(z)}" for o, z in zip(g.outcomes, final.amplitudes)]
+    lines.append(f"norm = {_fmt(final.norm())}")
     return 0, lines
 
 
@@ -553,6 +558,7 @@ def cmd_coarse_grain(cfg: RunConfig, partition_spec: str) -> tuple[int, list[str
     return 0, lines
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="groupoidqm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

@@ -337,12 +337,13 @@ def _product(a, b):
     the complex product as CPython forms it, (xr yr - xi yi) + (xr yi + xi yr) i.
     Every multiply and add is a ufunc of its own, so nothing fuses and nothing
     goes through BLAS: the bits are those of the same loop over Python floats,
-    on any machine.
+    on any machine.  Leading axes are stacks of matrices, broadcast as by @.
     """
     (ar, ai), (br, bi) = a, b
     re = im = None
-    for k in range(ar.shape[1]):
-        xr, xi, yr, yi = ar[:, k, None], ai[:, k, None], br[k], bi[k]
+    for k in range(ar.shape[-1]):
+        xr, xi = ar[..., :, k, None], ai[..., :, k, None]
+        yr, yi = br[..., k, None, :], bi[..., k, None, :]
         tr, ti = xr * yr - xi * yi, xr * yi + xi * yr
         re, im = (tr, ti) if re is None else (re + tr, im + ti)
     return re, im
@@ -355,7 +356,7 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 
 def fixed_order_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for complex matrices, summed in the fixed order of _product."""
+    """a @ b for complex matrices or stacks of them, summed in the fixed order of _product."""
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     return _complex(*_product((a.real, a.imag), (b.real, b.imag)))
 

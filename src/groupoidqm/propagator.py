@@ -26,10 +26,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groupoid import OUT_MINUS, OUT_PLUS, build_a2
-from .lagrangian import qubit_bias, qubit_lagrangian
+from .groupoid import OUT_MINUS, OUT_PLUS
+from .lagrangian import qubit_bias
 from .algebra import StateVector
-from .histories import _amplitude, fixed_order_matmul, fixed_order_power, single_step_matrix
+from .histories import _amplitude, fixed_order_matmul, fixed_order_power
 
 FEASIBLE_TOL = 1e-10
 
@@ -113,6 +113,25 @@ class SignCase(enum.Enum):
     IV = (-1.0, -1.0)
 
 
+def _step_matrices(m: PropagatorModel, mus: list[float]) -> np.ndarray:
+    """The (len(mus), 2, 2) step matrices of model m with mu set to each of mus.
+
+    Each kernel entry is the one-step amplitude of histories.single_step_matrix
+    (units weighted -V, the flips mu ± i delta), so with unit vertex factors a
+    step matrix is the one-step path sum bit for bit.  Only the two flip
+    entries depend on mu.
+    """
+    bias, tau, hbar = qubit_bias(m.p_plus), m.tau, m.hbar
+    # single_step_matrix adds each amplitude onto a zero entry, hence the 0j +
+    kernel = np.empty((len(mus), 2, 2), dtype=complex)
+    kernel[:, 1, 1] = 0j + _amplitude(bias, OUT_PLUS, OUT_PLUS, complex(-m.v_plus, 0.0) * tau, hbar)
+    kernel[:, 0, 0] = 0j + _amplitude(bias, OUT_MINUS, OUT_MINUS, complex(-m.v_minus, 0.0) * tau, hbar)
+    for k, mu in enumerate(mus):
+        kernel[k, 0, 1] = 0j + _amplitude(bias, OUT_PLUS, OUT_MINUS, complex(mu, m.delta) * tau, hbar)
+        kernel[k, 1, 0] = 0j + _amplitude(bias, OUT_MINUS, OUT_PLUS, complex(mu, -m.delta) * tau, hbar)
+    return np.array(m.gammas, dtype=complex).reshape(2, 2) * kernel
+
+
 def qubit_propagator(model: PropagatorModel) -> np.ndarray:
     """2x2 step matrix on the (-, +) basis; vertex factors scale each entry.
 
@@ -120,55 +139,45 @@ def qubit_propagator(model: PropagatorModel) -> np.ndarray:
     bit, because the kernel is computed through the same amplitude
     arithmetic.
     """
-    g = build_a2()
-    ell = qubit_lagrangian(model.v_plus, model.v_minus, model.mu, model.delta)
-    bias = qubit_bias(model.p_plus)
-    kernel = single_step_matrix(g, ell, bias, model.tau, model.hbar)
-    gamma = np.array(
-        [[model.gamma_mm, model.gamma_mp], [model.gamma_pm, model.gamma_pp]], dtype=complex
-    )
-    return gamma * kernel
+    return _step_matrices(model, [model.mu])[0]
 
 
-def _mod_2pi_distance(theta: float) -> float:
-    return abs(math.remainder(theta, TWO_PI))
+def _residuals(u: np.ndarray) -> np.ndarray:
+    """|U U* - 1| then |U* U - 1|, entries row by row, for a (..., 2, 2) stack: shape (..., 8).
+
+    The products are histories.fixed_order_matmul and the magnitudes np.hypot,
+    as abs() of a complex scalar, so no residual depends on the BLAS build.
+    """
+    uh = u.conj().swapaxes(-1, -2)
+    gap = np.stack([fixed_order_matmul(u, uh), fixed_order_matmul(uh, u)], axis=-3) - np.eye(2)
+    return np.hypot(gap.real, gap.imag).reshape(*u.shape[:-2], 8)
 
 
-def unitarity_residuals(model: PropagatorModel) -> UnitarityReport:
-    """Evaluate all eight unitarity equations and the derived gap quantities."""
-    u = qubit_propagator(model)
-    eye = np.eye(2)
-    left = u @ u.conj().T - eye
-    right = u.conj().T @ u - eye
-    residuals = (
-        abs(left[0, 0]),
-        abs(left[0, 1]),
-        abs(left[1, 0]),
-        abs(left[1, 1]),
-        abs(right[0, 0]),
-        abs(right[0, 1]),
-        abs(right[1, 0]),
-        abs(right[1, 1]),
-    )
+def _report(model: PropagatorModel, residuals: np.ndarray) -> UnitarityReport:
+    """The report on model, whose step matrix has the given _residuals."""
+    r = tuple(residuals.tolist())
     growth = math.exp(2.0 * model.delta * model.tau / model.hbar)
-    if abs(model.gamma_pm) == 0.0:
-        relation1_gap = math.inf
-    else:
-        relation1_gap = abs(abs(model.gamma_mp) / abs(model.gamma_pm) - growth)
+    pm = abs(model.gamma_pm)
+    relation1_gap = abs(abs(model.gamma_mp) / pm - growth) if pm else math.inf
     relation2_gap = abs(abs(model.gamma_mm) * model.p_minus - abs(model.gamma_pp) * model.p_plus)
     v_bar = 0.5 * (model.v_plus + model.v_minus)
     theta = (model.mu + v_bar) * 2.0 * model.tau / model.hbar - (
         (model.sigma + model.lam) / model.hbar + math.pi
     )
     return UnitarityReport(
-        residuals=tuple(float(r) for r in residuals),
-        max_residual=float(max(residuals)),
-        relation1_gap=float(relation1_gap),
-        relation2_gap=float(relation2_gap),
-        global_phase_gap=_mod_2pi_distance(theta),
-        frobenius_left=float(np.linalg.norm(left, "fro")),
-        frobenius_right=float(np.linalg.norm(right, "fro")),
+        residuals=r,
+        max_residual=max(r),
+        relation1_gap=relation1_gap,
+        relation2_gap=relation2_gap,
+        global_phase_gap=abs(math.remainder(theta, TWO_PI)),
+        frobenius_left=math.hypot(*r[:4]),
+        frobenius_right=math.hypot(*r[4:]),
     )
+
+
+def unitarity_residuals(model: PropagatorModel) -> UnitarityReport:
+    """Evaluate all eight unitarity equations and the derived gap quantities."""
+    return _report(model, _residuals(qubit_propagator(model)))
 
 
 @dataclass(frozen=True)
@@ -203,56 +212,37 @@ def _solve_grid(
     sigma: float,
     gauge: float,
     feasible_tol: float,
-) -> tuple[list[PropagatorModel], np.ndarray, list[bool], list[float]]:
+) -> tuple[list[PropagatorModel], np.ndarray, np.ndarray, list[bool]]:
     """The pinned-gauge candidate at each mu, its step matrix and the algebraic verdict on it.
 
     The candidate meets the structural relations exactly, and the only
     freedom they leave, the sign of the real G_pp, changes neither
     orthogonality nor the phase gap, so no search can do better.  With s < 0
-    it takes G_pp = G_mm = 0, whose residual is |s|.  Only the two flip
-    entries of the kernel depend on mu; each goes through the amplitude
-    arithmetic of single_step_matrix, so u[k] equals qubit_propagator of the
-    k-th model bit for bit.  Returns the models, the (len(mus), 2, 2) step
-    matrices, the verdicts and each candidate's largest unitarity residual.
+    it takes G_pp = G_mm = 0, whose residual is |s|.  The step matrices come
+    from _step_matrices, so u[k] equals qubit_propagator of the k-th model
+    bit for bit.  Returns the models, the (len(mus), 2, 2) step matrices,
+    their (len(mus), 8) _residuals and the verdicts.
     """
     p_minus = 1.0 - p_plus
     growth = math.exp(2.0 * delta * tau / hbar)
     s = 1.0 - gauge * gauge * p_plus * p_minus * growth
     g_pp = math.sqrt(max(s, 0.0)) / p_plus
-    fixed = dict(
-        v_plus=v_plus,
-        v_minus=v_minus,
-        delta=delta,
-        p_plus=p_plus,
-        tau=tau,
-        hbar=hbar,
+    # validated once, at mu = 0; the points differ only in mu
+    base = PropagatorModel(
+        v_plus, v_minus, 0.0, delta, p_plus, tau, hbar,
         gamma_mm=g_pp * (p_plus / p_minus) * cmath.exp(1j * sigma / hbar),
         gamma_mp=gauge * growth * cmath.exp(-1j * lam / hbar),
         gamma_pm=complex(gauge, 0.0),
         gamma_pp=complex(g_pp, 0.0),
-        lam=lam,
-        sigma=sigma,
+        lam=lam, sigma=sigma,
     )
-    bias = qubit_bias(p_plus)
-    # single_step_matrix adds each amplitude onto a zero entry, hence the 0j +
-    kernel = np.empty((len(mus), 2, 2), dtype=complex)
-    kernel[:, 1, 1] = 0j + _amplitude(bias, OUT_PLUS, OUT_PLUS, complex(-v_plus, 0.0) * tau, hbar)
-    kernel[:, 0, 0] = 0j + _amplitude(bias, OUT_MINUS, OUT_MINUS, complex(-v_minus, 0.0) * tau, hbar)
-    for k, mu in enumerate(mus):
-        kernel[k, 0, 1] = 0j + _amplitude(bias, OUT_PLUS, OUT_MINUS, complex(mu, delta) * tau, hbar)
-        kernel[k, 1, 0] = 0j + _amplitude(bias, OUT_MINUS, OUT_PLUS, complex(mu, -delta) * tau, hbar)
-    gamma = np.array([[fixed["gamma_mm"], fixed["gamma_mp"]], [fixed["gamma_pm"], fixed["gamma_pp"]]])
-    u = gamma * kernel
-    uh = u.conj().swapaxes(-1, -2)
-    gap = np.stack([u @ uh, uh @ u]) - np.eye(2)
-    # np.hypot, like abs() of a complex scalar; np.abs may round differently
-    worst = np.hypot(gap.real, gap.imag).max(axis=(0, 2, 3)).tolist()
-    feasible = [s >= 0.0 and r <= feasible_tol for r in worst]
-    template = vars(PropagatorModel(mu=0.0, **fixed))  # validated once; the points differ only in mu
     models = [object.__new__(PropagatorModel) for _ in mus]
     for model, mu in zip(models, mus):
-        model.__dict__.update(template, mu=mu)
-    return models, u, feasible, worst
+        model.__dict__.update(vars(base), mu=mu)
+    u = _step_matrices(base, mus)
+    residuals = _residuals(u)
+    feasible = [s >= 0.0 and r <= feasible_tol for r in residuals.max(axis=-1).tolist()]
+    return models, u, residuals, feasible
 
 
 def solve_unitary_gammas(
@@ -278,16 +268,15 @@ def solve_unitary_gammas(
     global phase constraint is met, checked as the candidate's unitarity
     residual being within feasible_tol.  min_residual is that candidate's
     joint residual; for s < 0 it equals |s|.  u is the candidate's step
-    matrix, equal to qubit_propagator(model).  The report's Frobenius norms
-    read inf when an infeasible candidate's products pass the float range.
+    matrix, equal to qubit_propagator(model), and report is
+    unitarity_residuals(model).
     """
     _check_solve_args(p_plus, tau, hbar, gauge)
-    models, u, feasible, worst = _solve_grid(
+    models, u, residuals, feasible = _solve_grid(
         v_plus, v_minus, [mu], delta, p_plus, tau, hbar, lam, sigma, gauge, feasible_tol
     )
-    with np.errstate(over="ignore"):  # only an infeasible candidate's norms can pass the float range
-        report = unitarity_residuals(models[0])
-    return GammaSolution(feasible[0], models[0], report, worst[0], u[0])
+    report = _report(models[0], residuals[0])
+    return GammaSolution(feasible[0], models[0], report, report.max_residual, u[0])
 
 
 @dataclass(frozen=True)
@@ -322,9 +311,10 @@ def quantization_scan(
     _check_solve_args(p_plus, tau, hbar, gauge)
     xs = np.asarray(grid, dtype=float)
     mus = [x * hbar / tau for x in xs]
-    models, _, feasible, worst = _solve_grid(
+    models, _, residuals, feasible = _solve_grid(
         v_plus, v_minus, mus, delta, p_plus, tau, hbar, lam, sigma, gauge, feasible_tol
     )
+    worst = residuals.max(axis=-1).tolist()
     return [ScanPoint(*row) for row in zip(mus, xs.tolist(), feasible, worst, models)]
 
 
@@ -370,8 +360,7 @@ def power_propagator(u: np.ndarray, n: int) -> np.ndarray:
 
 def evolve_state(u: np.ndarray, state: StateVector, n: int) -> StateVector:
     """Apply n propagation steps to a pure state, in the fixed product order of power_propagator."""
-    psi = state.as_array()
-    if float(np.linalg.norm(psi)) == 0.0:
+    if state.norm() == 0.0:
         raise ValueError("state must have nonzero norm")
-    moved = fixed_order_matmul(power_propagator(u, n), psi[:, None])[:, 0]
+    moved = fixed_order_matmul(power_propagator(u, n), state.as_array()[:, None])[:, 0]
     return StateVector(tuple(moved))

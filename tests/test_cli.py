@@ -20,7 +20,7 @@ from groupoidqm import (
     qubit_propagator,
     solve_unitary_gammas,
 )
-from groupoidqm import cli
+from groupoidqm import cli, lagrangian
 from groupoidqm.cli import SWEEP_HEADER, ConfigError, RunConfig, _fmt, main, parse_config
 
 PI_HALF = format(math.pi / 2, ".17g")
@@ -483,6 +483,66 @@ def test_evolve_rejects_bad_states(tmp_path, capsys):
     rc, out, err = run(capsys, "evolve", "-c", cfg, "--state", "1,0")
     assert rc == 1
     assert "state needs 2 components" in err
+
+
+@pytest.mark.parametrize(
+    "scale, state, unit_state", [(1e-200, "1e-200,0;0,0", "1,0;0,0"), (1e200, "1e200,0;1e200,0", "1,0;1,0")]
+)
+def test_evolve_at_extreme_state_scales(tmp_path, capsys, scale, state, unit_state):
+    # the norm neither underflows to zero nor overflows on the way to a finite result
+    cfg = cfg_file(tmp_path, "mu = 0.3\n")
+    rc, out, err = run(capsys, "evolve", "-c", cfg, "--state", state)
+    assert rc == 0 and err == ""
+    unscaled = run(capsys, "evolve", "-c", cfg, "--state", unit_state)[1]
+    for key in ("psi[-]", "psi[+]"):
+        assert grab_complex(out, key) == pytest.approx(scale * grab_complex(unscaled, key), rel=1e-15)
+    assert float(grab(out, "norm")) == pytest.approx(scale * float(grab(unscaled, "norm")), rel=1e-15)
+
+
+def test_propagator_report_near_the_float_range(tmp_path, capsys):
+    # every printed figure is finite (~2.5e199), though its square is not
+    cfg = cfg_file(tmp_path, "gamma_mode = explicit\ngamma_mm = 1e100,0\n")
+    rc, out, err = run(capsys, "propagator", "-c", cfg)
+    assert rc == 0 and err == ""
+    for key in ("residual_1_1", "max_residual", "frobenius_left", "frobenius_right"):
+        assert float(grab(out, key)) == pytest.approx(2.5e199, rel=1e-15)
+
+
+def test_parser_is_built_once(tmp_path, capsys):
+    cfg = cfg_file(tmp_path, SOLVE_SQRT2)
+    commands = [
+        ("propagator", "-c", cfg, "--power", "two"),
+        ("propagator", "-c", cfg, "--power", "2"),
+        ("evolve", "-c", cfg),
+    ]
+
+    def session(fresh):
+        results = []
+        for argv in commands:
+            if fresh:
+                cli._build_parser.cache_clear()
+            results.append(run(capsys, *argv))
+        return results
+
+    cli._build_parser.cache_clear()
+    reused = session(fresh=False)
+    assert cli._build_parser.cache_info().misses == 1
+    assert [rc for rc, _, _ in reused] == [1, 0, 1]
+    assert reused == session(fresh=True)
+
+
+@pytest.mark.parametrize("argv", [("propagator",), ("evolve", "--state", "1,0;0,0")])
+def test_solve_command_builds_a2_once(tmp_path, capsys, monkeypatch, argv):
+    calls = []
+
+    def counted():
+        calls.append(1)
+        return build_a2()
+
+    for module in (cli, lagrangian):
+        monkeypatch.setattr(module, "build_a2", counted)
+    rc, _, _ = run(capsys, argv[0], "-c", cfg_file(tmp_path, SOLVE_SQRT2), *argv[1:])
+    assert rc == 0 and len(calls) == 1
 
 
 def test_coarse_grain_index_diff(tmp_path, capsys):

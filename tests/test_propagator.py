@@ -19,6 +19,8 @@ from groupoidqm import (
     uniform_free_spectrum,
     unitarity_residuals,
 )
+from groupoidqm.histories import fixed_order_matmul
+from groupoidqm.propagator import _residuals
 
 SQRT2 = math.sqrt(2.0)
 
@@ -240,6 +242,34 @@ def test_scan_matches_single_solves_bit_for_bit():
             assert sol.u.tobytes() == qubit_propagator(sol.model).tobytes()
             n_feasible += pt.feasible
     assert n_feasible >= 50
+
+
+def python_residuals(u):
+    """|U U* - 1| then |U* U - 1| over Python complex numbers, each entry's terms summed left to right."""
+    uh = [[u[j][i].conjugate() for j in range(2)] for i in range(2)]
+    return [abs(a[i][0] * b[0][j] + a[i][1] * b[1][j] - (i == j))
+            for a, b in ((u, uh), (uh, u)) for i in range(2) for j in range(2)]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 7, 8])
+def test_residuals_follow_the_fixed_order_bit_for_bit(seed):
+    # Python float operations never fuse, so these bits are the same on every machine
+    args, _ = _seeded_scan_params(seed)
+    v_plus, v_minus, delta_, p, tau, hbar, lam, sigma, gauge, _ = args
+    points = quantization_scan(*args)
+    models = [pt.model for pt in points]
+    models.append(PropagatorModel(v_plus, v_minus, 0.4, delta_, p, tau, hbar, 1 - 2j, -0.5, 3j, 0.25))
+    us = np.stack([qubit_propagator(m) for m in models])
+    assert fixed_order_matmul(us, us.conj()).tobytes() == b"".join(
+        fixed_order_matmul(u, u.conj()).tobytes() for u in us
+    )
+    stacked = _residuals(us)
+    for m, u, row in zip(models, us, stacked):
+        report = unitarity_residuals(m)
+        assert repr(list(report.residuals)) == repr(row.tolist()) == repr(python_residuals(u.tolist()))
+    for pt in points:
+        sol = solve_unitary_gammas(v_plus, v_minus, pt.mu, delta_, p, tau, hbar, lam=lam, sigma=sigma, gauge=gauge)
+        assert sol.report == unitarity_residuals(sol.model)
 
 
 def test_scan_of_an_empty_grid_is_empty():
