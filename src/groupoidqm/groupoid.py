@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 NOT_COMPOSABLE = "∗"
 
 # Canonical labels for the four-element two-outcome groupoid.
@@ -24,6 +26,9 @@ UNIT_MINUS = "1-"
 UNIT_PLUS = "1+"
 ALPHA = "alpha"
 ALPHA_INV = "alpha^-1"
+
+# Composable triples gathered per associativity step; bounds validation memory.
+_ASSOC_CHUNK = 4096
 
 
 class GroupoidParseError(ValueError):
@@ -126,6 +131,8 @@ class FiniteGroupoid:
         """Structural equality; label declaration order is irrelevant."""
         if not isinstance(other, FiniteGroupoid):
             return NotImplemented
+        if self is other:
+            return True
         return (
             set(self.outcomes) == set(other.outcomes)
             and set(self.elements) == set(other.elements)
@@ -239,35 +246,59 @@ def build_pair_groupoid(labels_or_size: int | Sequence[str]) -> FiniteGroupoid:
     )
 
 
+def _index_tables(g: FiniteGroupoid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Integer views of ``g`` over element indices 0..E-1 in declaration order.
+
+    Returns source and target outcome indices per element, each with a final
+    -1 for the index E, and the ``(E+1) x (E+1)`` compose table, in which E
+    means "undefined" and absorbs: ``table[E, a] == table[b, E] == E``.
+    """
+    n = len(g.elements)
+    index = {e: i for i, e in enumerate(g.elements)}
+    outcome = {o: i for i, o in enumerate(g.outcomes)}
+    source = np.array([outcome[g.source[e]] for e in g.elements] + [-1], dtype=np.int32)
+    target = np.array([outcome[g.target[e]] for e in g.elements] + [-1], dtype=np.int32)
+    table = np.full((n + 1, n + 1), n, dtype=np.int32)
+    for (b, a), c in g.compose_table.items():
+        table[index[b], index[a]] = index[c]
+    return source, target, table
+
+
 def validate_axioms(g: FiniteGroupoid) -> ValidationReport:
     """Exhaustively check every groupoid axiom, reporting failures with witnesses.
 
-    Cost is cubic in the number of elements (all composable triples are
-    visited); intended for the small groupoids this package deals in.
+    The work is one pass over the E x E cells of the compose table plus one
+    gather per composable triple; memory is the 4(E+1)^2-byte integer table
+    and E x E masks, plus one fixed-size chunk of triples.  Witnesses come in
+    element order: (beta, alpha) cells, units, inverses, then (c, b, a) triples.
     """
     failures: list[AxiomFailure] = []
 
     def fail(axiom: str, message: str) -> None:
         failures.append(AxiomFailure(axiom, message))
 
-    table = g.compose_table
-    for b in g.elements:
-        for a in g.elements:
-            defined = (b, a) in table
-            composable = g.is_composable(b, a)
-            if composable and not defined:
-                fail("composition-domain", f"missing composition for ({b}, {a})")
-            elif defined and not composable:
-                fail("composition-domain", f"({b}, {a}) is not composable but the table defines it")
-            elif defined:
-                c = table[(b, a)]
-                if g.source[c] != g.source[a] or g.target[c] != g.target[b]:
-                    fail(
-                        "composition-endpoints",
-                        f"{b} ∘ {a} = {c} maps {g.source[c]} -> {g.target[c]}, "
-                        f"expected {g.source[a]} -> {g.target[b]}",
-                    )
+    n = len(g.elements)
+    names = g.elements + (None,)  # the undefined index n prints as None
+    src, tgt, T = _index_tables(g)
+    cells = T[:n, :n]
+    defined = cells != n
+    composable = src[:n, None] == tgt[None, :n]  # [b, a]: source(b) == target(a)
+    wrong_ends = (src[cells] != src[None, :n]) | (tgt[cells] != tgt[:n, None])
+    for i, j in np.argwhere((defined != composable) | (defined & wrong_ends)).tolist():
+        b, a = names[i], names[j]
+        if not defined[i, j]:
+            fail("composition-domain", f"missing composition for ({b}, {a})")
+        elif not composable[i, j]:
+            fail("composition-domain", f"({b}, {a}) is not composable but the table defines it")
+        else:
+            c = names[cells[i, j]]
+            fail(
+                "composition-endpoints",
+                f"{b} ∘ {a} = {c} maps {g.source[c]} -> {g.target[c]}, "
+                f"expected {g.source[a]} -> {g.target[b]}",
+            )
 
+    table = g.compose_table
     for o in g.outcomes:
         u = g.unit_of[o]
         if g.source[u] != o or g.target[u] != o:
@@ -292,38 +323,38 @@ def validate_axioms(g: FiniteGroupoid) -> ValidationReport:
         if table.get((a, inv)) != g.unit_of[g.target[a]]:
             fail("inverse-law", f"{a} ∘ {inv} = {table.get((a, inv))}, expected {g.unit_of[g.target[a]]}")
 
-    for c in g.elements:
-        for b in g.elements:
-            if not g.is_composable(c, b):
-                continue
-            cb = table.get((c, b))
-            for a in g.elements:
-                if not g.is_composable(b, a):
-                    continue
-                ba = table.get((b, a))
-                left = table.get((cb, a)) if cb is not None else None
-                right = table.get((c, ba)) if ba is not None else None
-                if left != right or left is None:
-                    fail(
-                        "associativity",
-                        f"({c} ∘ {b}) ∘ {a} = {left} but {c} ∘ ({b} ∘ {a}) = {right}",
-                    )
+    # Triple k lies in the k-th slot of the row-major (c, b) composable pairs,
+    # each followed by its a's (target(a) == source(b)) in element order.
+    pair_c, pair_b = np.nonzero(composable)
+    by_target = np.argsort(tgt[:n], kind="stable")
+    group_start = np.searchsorted(tgt[by_target], src[pair_b])
+    counts = np.bincount(tgt[:n], minlength=len(g.outcomes))[src[pair_b]]
+    ends = np.cumsum(counts)
+    total = int(counts.sum())
+    for lo in range(0, total, _ASSOC_CHUNK):
+        k = np.arange(lo, min(lo + _ASSOC_CHUNK, total))
+        p = np.searchsorted(ends, k, side="right")
+        ci, bi = pair_c[p], pair_b[p]
+        ai = by_target[group_start[p] + k - (ends[p] - counts[p])]
+        lefts, rights = T[T[ci, bi], ai], T[ci, T[bi, ai]]
+        for i in np.flatnonzero((lefts != rights) | (lefts == n)).tolist():
+            c, b, a, left, right = (names[v[i]] for v in (ci, bi, ai, lefts, rights))
+            fail(
+                "associativity",
+                f"({c} ∘ {b}) ∘ {a} = {left} but {c} ∘ ({b} ∘ {a}) = {right}",
+            )
     return ValidationReport(tuple(failures))
 
 
 def multiplication_table(g: FiniteGroupoid) -> str:
     """Human-readable multiplication grid; cell (row, col) is row ∘ col."""
-    width = max(len(e) for e in g.elements)
-    width = max(width, 1)
-    header = ["∘".ljust(width)] + [e.ljust(width) for e in g.elements]
-    lines = ["  ".join(header).rstrip()]
+    width = max(1, max(len(e) for e in g.elements))
+    n = len(g.elements)
+    cells = [e.ljust(width) for e in g.elements] + [NOT_COMPOSABLE.ljust(width)]
+    lines = ["  ".join(["∘".ljust(width)] + cells[:n]).rstrip()]
     lines.append("-" * len(lines[0]))
-    for b in g.elements:
-        row = [b.ljust(width)]
-        for a in g.elements:
-            cell = g.compose_table.get((b, a), NOT_COMPOSABLE)
-            row.append(cell.ljust(width))
-        lines.append("  ".join(row).rstrip())
+    for b, row in enumerate(_index_tables(g)[2][:n, :n].tolist()):
+        lines.append("  ".join([cells[b]] + [cells[c] for c in row]).rstrip())
     return "\n".join(lines) + "\n"
 
 

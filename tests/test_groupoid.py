@@ -1,10 +1,16 @@
+import random
+import tracemalloc
+
 import pytest
 
+from groupoidqm import groupoid as groupoid_module
 from groupoidqm import (
     ALPHA,
     ALPHA_INV,
+    AxiomFailure,
     FiniteGroupoid,
     GroupoidParseError,
+    NOT_COMPOSABLE,
     NotComposable,
     OUT_MINUS,
     OUT_PLUS,
@@ -12,6 +18,7 @@ from groupoidqm import (
     QLagrangian,
     UNIT_MINUS,
     UNIT_PLUS,
+    ValidationReport,
     build_a2,
     build_from_table,
     build_pair_groupoid,
@@ -268,3 +275,207 @@ def test_coarse_grain_rejects_non_principal():
     ell = QLagrangian(g, {e: 0.0 for e in g.elements})
     with pytest.raises(ValueError, match="pair-structured"):
         coarse_grain(g, OutcomePartition((("o",),)), ell)
+
+
+def _reference_validate(g: FiniteGroupoid) -> ValidationReport:
+    """The scalar nested-loop walk over labels: the per-witness oracle."""
+    failures: list[AxiomFailure] = []
+
+    def fail(axiom: str, message: str) -> None:
+        failures.append(AxiomFailure(axiom, message))
+
+    table = g.compose_table
+    for b in g.elements:
+        for a in g.elements:
+            defined = (b, a) in table
+            composable = g.is_composable(b, a)
+            if composable and not defined:
+                fail("composition-domain", f"missing composition for ({b}, {a})")
+            elif defined and not composable:
+                fail("composition-domain", f"({b}, {a}) is not composable but the table defines it")
+            elif defined:
+                c = table[(b, a)]
+                if g.source[c] != g.source[a] or g.target[c] != g.target[b]:
+                    fail(
+                        "composition-endpoints",
+                        f"{b} ∘ {a} = {c} maps {g.source[c]} -> {g.target[c]}, "
+                        f"expected {g.source[a]} -> {g.target[b]}",
+                    )
+
+    for o in g.outcomes:
+        u = g.unit_of[o]
+        if g.source[u] != o or g.target[u] != o:
+            fail("unit-endpoints", f"unit {u} of outcome {o} maps {g.source[u]} -> {g.target[u]}")
+    for a in g.elements:
+        left_unit = g.unit_of[g.target[a]]
+        right_unit = g.unit_of[g.source[a]]
+        if table.get((left_unit, a)) != a:
+            fail("unit-law", f"{left_unit} ∘ {a} = {table.get((left_unit, a))}, expected {a}")
+        if table.get((a, right_unit)) != a:
+            fail("unit-law", f"{a} ∘ {right_unit} = {table.get((a, right_unit))}, expected {a}")
+
+    for a in g.elements:
+        inv = g.inverse[a]
+        if g.source[inv] != g.target[a] or g.target[inv] != g.source[a]:
+            fail("inverse-endpoints", f"inverse of {a} is {inv} mapping {g.source[inv]} -> {g.target[inv]}")
+            continue
+        if g.inverse[inv] != a:
+            fail("inverse-involution", f"inverse(inverse({a})) = {g.inverse[inv]}")
+        if table.get((inv, a)) != g.unit_of[g.source[a]]:
+            fail("inverse-law", f"{inv} ∘ {a} = {table.get((inv, a))}, expected {g.unit_of[g.source[a]]}")
+        if table.get((a, inv)) != g.unit_of[g.target[a]]:
+            fail("inverse-law", f"{a} ∘ {inv} = {table.get((a, inv))}, expected {g.unit_of[g.target[a]]}")
+
+    for c in g.elements:
+        for b in g.elements:
+            if not g.is_composable(c, b):
+                continue
+            cb = table.get((c, b))
+            for a in g.elements:
+                if not g.is_composable(b, a):
+                    continue
+                ba = table.get((b, a))
+                left = table.get((cb, a)) if cb is not None else None
+                right = table.get((c, ba)) if ba is not None else None
+                if left != right or left is None:
+                    fail(
+                        "associativity",
+                        f"({c} ∘ {b}) ∘ {a} = {left} but {c} ∘ ({b} ∘ {a}) = {right}",
+                    )
+    return ValidationReport(tuple(failures))
+
+
+def _reference_table(g: FiniteGroupoid) -> str:
+    """The scalar label-by-label renderer: the oracle for multiplication_table."""
+    width = max(len(e) for e in g.elements)
+    width = max(width, 1)
+    header = ["∘".ljust(width)] + [e.ljust(width) for e in g.elements]
+    lines = ["  ".join(header).rstrip()]
+    lines.append("-" * len(lines[0]))
+    for b in g.elements:
+        row = [b.ljust(width)]
+        for a in g.elements:
+            cell = g.compose_table.get((b, a), NOT_COMPOSABLE)
+            row.append(cell.ljust(width))
+        lines.append("  ".join(row).rstrip())
+    return "\n".join(lines) + "\n"
+
+
+CORRUPTIONS = ("rewrite", "delete", "extra", "inverse", "source", "target", "unit")
+
+
+def _corrupt(g: FiniteGroupoid, rng: random.Random, kinds=CORRUPTIONS, count: int = 1) -> FiniteGroupoid:
+    """g with `count` random edits: a compose entry rewritten, deleted or added,
+    or a wrong inverse, source, target or unit.  Edits may leave g valid."""
+    maps = {name: dict(getattr(g, name)) for name in ("source", "target", "unit_of", "inverse", "compose_table")}
+    table, elements = maps["compose_table"], g.elements
+    for _ in range(count):
+        kind = rng.choice(kinds)
+        if kind == "rewrite":
+            table[rng.choice(list(table))] = rng.choice(elements)
+        elif kind == "delete" and len(table) > 1:
+            del table[rng.choice(list(table))]
+        elif kind == "extra":
+            table[(rng.choice(elements), rng.choice(elements))] = rng.choice(elements)
+        elif kind in ("source", "target"):
+            maps[kind][rng.choice(elements)] = rng.choice(g.outcomes)
+        elif kind == "inverse":
+            maps["inverse"][rng.choice(elements)] = rng.choice(elements)
+        elif kind == "unit":
+            maps["unit_of"][rng.choice(g.outcomes)] = rng.choice(elements)
+    return FiniteGroupoid(outcomes=g.outcomes, elements=elements, **maps)
+
+
+def test_validate_axioms_matches_scalar_oracle_on_seeded_corruptions():
+    rng = random.Random(20240531)
+    bases = (build_a2(), build_pair_groupoid(3), build_pair_groupoid(4), build_from_table(GROUP_Z2))
+    broken, axioms = 0, set()
+    for case in range(2400):
+        g = _corrupt(bases[case % len(bases)], rng, count=1 + case % 3)
+        expected = _reference_validate(g)
+        assert validate_axioms(g).failures == expected.failures
+        broken += not expected.ok
+        axioms.update(f.axiom for f in expected.failures)
+    assert broken > 2000
+    no_pairs = FiniteGroupoid(
+        outcomes=("o1", "o2"), elements=("e",), source={"e": "o1"}, target={"e": "o2"},
+        unit_of={"o1": "e", "o2": "e"}, inverse={"e": "e"}, compose_table={},
+    )
+    assert validate_axioms(no_pairs) == _reference_validate(no_pairs)
+    assert axioms == {
+        "composition-domain", "composition-endpoints", "unit-endpoints", "unit-law",
+        "inverse-endpoints", "inverse-involution", "inverse-law", "associativity",
+    }
+
+
+def test_build_from_table_error_text_matches_scalar_oracle():
+    rng = random.Random(7)
+    for _ in range(40):
+        g = _corrupt(build_pair_groupoid(3), rng, kinds=("rewrite",), count=2)
+        expected = _reference_validate(g)
+        if expected.ok:
+            continue
+        with pytest.raises(GroupoidParseError) as exc:
+            build_from_table(groupoid_to_text(g))
+        assert str(exc.value) == "groupoid axioms violated: " + "; ".join(
+            str(f) for f in expected.failures[:5]
+        )
+
+
+@pytest.mark.parametrize("chunk", [1, 7, groupoid_module._ASSOC_CHUNK])
+def test_associativity_chunk_seams_do_not_change_reports(chunk, monkeypatch):
+    broken = _corrupt(build_pair_groupoid(4), random.Random(3), kinds=("rewrite", "delete", "extra"), count=4)
+    valid = build_pair_groupoid(6)
+    expected_broken = _reference_validate(broken)
+    assert any(f.axiom == "associativity" for f in expected_broken.failures)
+    monkeypatch.setattr(groupoid_module, "_ASSOC_CHUNK", chunk)
+    assert validate_axioms(broken) == expected_broken
+    assert validate_axioms(valid) == ValidationReport(())
+
+
+def test_multiplication_table_matches_scalar_renderer():
+    groupoids = [build_a2(), *(build_pair_groupoid(n) for n in range(1, 7))]
+    rng = random.Random(11)
+    for base in (build_a2(), build_pair_groupoid(3)):
+        for _ in range(20):
+            groupoids.append(_corrupt(base, rng, kinds=("delete", "extra", "rewrite"), count=3))
+    assert any(
+        (b, a) in g.compose_table and not g.is_composable(b, a)
+        for g in groupoids for b in g.elements for a in g.elements
+    )
+    for g in groupoids:
+        assert multiplication_table(g) == _reference_table(g)
+
+
+def test_validate_axioms_memory_stays_bounded():
+    g = build_pair_groupoid(16)
+    tracemalloc.start()
+    try:
+        assert validate_axioms(g).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2**20
+
+
+def test_groupoid_equality_is_structural():
+    g = build_pair_groupoid(3)
+    assert g == g
+    assert g == build_pair_groupoid(3)
+    reordered = FiniteGroupoid(
+        outcomes=tuple(reversed(g.outcomes)),
+        elements=tuple(reversed(g.elements)),
+        source=dict(reversed(g.source.items())),
+        target=dict(g.target),
+        unit_of=dict(g.unit_of),
+        inverse=dict(g.inverse),
+        compose_table=dict(reversed(g.compose_table.items())),
+    )
+    assert reordered == g and g == reordered
+    table = dict(g.compose_table)
+    table[next(iter(table))] = g.elements[-1]
+    changed = FiniteGroupoid(
+        outcomes=g.outcomes, elements=g.elements, source=dict(g.source), target=dict(g.target),
+        unit_of=dict(g.unit_of), inverse=dict(g.inverse), compose_table=table,
+    )
+    assert changed != g
