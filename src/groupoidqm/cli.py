@@ -29,7 +29,7 @@ from .groupoid import (
     multiplication_table,
     validate_axioms,
 )
-from .lagrangian import OutcomeBias, QLagrangian, qubit_bias, qubit_lagrangian
+from .lagrangian import OutcomeBias, QLagrangian, _qubit_weights, qubit_bias
 from .algebra import StateVector, element_from_lines
 from .coarse import coarse_grain, is_principal
 from .histories import fixed_order_matmul, n_step_path_sum
@@ -315,8 +315,8 @@ def _build_groupoid(cfg: RunConfig) -> FiniteGroupoid:
 
 def _build_lagrangian(cfg: RunConfig, g: FiniteGroupoid) -> QLagrangian | None:
     """Weights for the configured groupoid; None when nothing is specified."""
-    if cfg.groupoid_spec == "a2":
-        return qubit_lagrangian(cfg.v_plus, cfg.v_minus, cfg.mu, cfg.delta)
+    if cfg.groupoid_spec == "a2":  # g is the a2 that _build_groupoid built
+        return QLagrangian(g, _qubit_weights(cfg.v_plus, cfg.v_minus, cfg.mu, cfg.delta))
     spec = cfg.pair_lagrangian
     if spec is None:
         return None
@@ -359,7 +359,7 @@ _A2 = build_a2()
 
 def _require_a2(cfg: RunConfig, command: str) -> FiniteGroupoid:
     g = _build_groupoid(cfg)
-    if g != _A2:
+    if cfg.groupoid_spec != "a2" and g != _A2:
         raise ConfigError(f"{command} command requires a2")
     return g
 

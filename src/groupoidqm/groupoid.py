@@ -7,13 +7,21 @@ composition table.  ``compose_table[(beta, alpha)] = gamma`` encodes
 ``source(beta) == target(alpha)``.  Rendered multiplication tables follow the
 same reading: the cell at (row, column) holds row ∘ column, with "∗" marking
 non-composable pairs.
+
+Every groupoid also holds its composition law as an ``(E+1) x (E+1)`` int32
+table over element indices 0..E-1 in declaration order, in which E means
+"undefined" and absorbs.  Pair groupoids are built on that table, and their
+``compose_table`` is a read-only view of it; groupoids built from label dicts
+derive it on first use.
 """
 
 from __future__ import annotations
 
+from collections.abc import ItemsView
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -75,6 +83,72 @@ class ValidationReport:
         return "\n".join(str(f) for f in self.failures)
 
 
+class _ComposeTable(Mapping):
+    """Read-only ``(beta, alpha) -> gamma`` mapping over an integer compose table.
+
+    ``table[b, a]`` is the index of ``elements[b] ∘ elements[a]``, or E (the
+    element count) where the pair does not compose; row and column E are E.
+    Keys iterate row by row, beta-major, in element order.
+    """
+
+    __slots__ = ("elements", "index", "table")
+
+    def __init__(self, elements: tuple[str, ...], table: np.ndarray):
+        table.setflags(write=False)
+        self.elements = elements
+        self.index = dict(zip(elements, range(len(elements))))
+        self.table = table
+
+    @classmethod
+    def from_mapping(cls, elements: tuple[str, ...], mapping: Mapping[tuple[str, str], str]) -> "_ComposeTable":
+        n = len(elements)
+        index = dict(zip(elements, range(n)))
+        table = np.full((n + 1, n + 1), n, dtype=np.int32)
+        if mapping:
+            b, a, c = zip(*((index[b], index[a], index[c]) for (b, a), c in mapping.items()))
+            table[b, a] = c
+        return cls(elements, table)
+
+    def __getitem__(self, key: tuple[str, str]) -> str:
+        try:
+            beta, alpha = key
+            c = self.table[self.index[beta], self.index[alpha]]
+        except (KeyError, TypeError, ValueError):
+            raise KeyError(key) from None
+        if c == len(self.elements):
+            raise KeyError(key)
+        return self.elements[c]
+
+    def _defined(self) -> tuple[list[int], list[int]]:
+        rows, cols = np.nonzero(self.table[:-1, :-1] != len(self.elements))
+        return rows.tolist(), cols.tolist()
+
+    def __iter__(self) -> Iterator[tuple[str, str]]:
+        names = self.elements
+        return ((names[b], names[a]) for b, a in zip(*self._defined()))
+
+    def __reversed__(self) -> Iterator[tuple[str, str]]:
+        names = self.elements
+        rows, cols = self._defined()
+        return ((names[b], names[a]) for b, a in zip(reversed(rows), reversed(cols)))
+
+    def __len__(self) -> int:
+        return len(self._defined()[0])
+
+    def items(self) -> "_ComposeItems":
+        return _ComposeItems(self)
+
+    def __repr__(self) -> str:
+        return f"_ComposeTable({dict(self)!r})"
+
+
+class _ComposeItems(ItemsView):
+    """Items of a _ComposeTable; reversible, like a dict's."""
+
+    def __reversed__(self) -> Iterator[tuple[tuple[str, str], str]]:
+        return ((key, self._mapping[key]) for key in reversed(self._mapping))
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteGroupoid:
     """Immutable finite groupoid.
@@ -116,16 +190,27 @@ class FiniteGroupoid:
             raise ValueError("inverse map must cover exactly the elements")
         if any(self.inverse[e] not in eset for e in elements):
             raise ValueError("inverse points at an undeclared element")
-        for (b, a), c in self.compose_table.items():
-            if b not in eset or a not in eset or c not in eset:
-                raise ValueError(f"compose table mentions undeclared elements: ({b!r}, {a!r}) -> {c!r}")
+        table = self.compose_table
+        # A _ComposeTable over these elements holds only their indices and E.
+        if not (isinstance(table, _ComposeTable) and table.elements == elements):
+            for (b, a), c in table.items():
+                if b not in eset or a not in eset or c not in eset:
+                    raise ValueError(f"compose table mentions undeclared elements: ({b!r}, {a!r}) -> {c!r}")
+            table = MappingProxyType(dict(table))
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "source", MappingProxyType(dict(self.source)))
         object.__setattr__(self, "target", MappingProxyType(dict(self.target)))
         object.__setattr__(self, "unit_of", MappingProxyType(dict(self.unit_of)))
         object.__setattr__(self, "inverse", MappingProxyType(dict(self.inverse)))
-        object.__setattr__(self, "compose_table", MappingProxyType(dict(self.compose_table)))
+        object.__setattr__(self, "compose_table", table)
+
+    @cached_property
+    def _law(self) -> _ComposeTable:
+        """The composition law on element indices; derived on first use from a label dict."""
+        if isinstance(self.compose_table, _ComposeTable):
+            return self.compose_table
+        return _ComposeTable.from_mapping(self.elements, self.compose_table)
 
     def __eq__(self, other) -> bool:
         """Structural equality; label declaration order is irrelevant."""
@@ -140,8 +225,18 @@ class FiniteGroupoid:
             and dict(self.target) == dict(other.target)
             and dict(self.unit_of) == dict(other.unit_of)
             and dict(self.inverse) == dict(other.inverse)
-            and dict(self.compose_table) == dict(other.compose_table)
+            and self._same_law(other)
         )
+
+    def _same_law(self, other: "FiniteGroupoid") -> bool:
+        """Equal compose tables, given equal element sets in any order."""
+        mine, theirs = self.compose_table, other.compose_table
+        if not (isinstance(mine, _ComposeTable) or isinstance(theirs, _ComposeTable)):
+            return mine == theirs
+        n, index = len(self.elements), self._law.index
+        # perm[j]: the index in self of other's element j; E stays E.
+        perm = np.array([index[e] for e in other.elements] + [n], dtype=np.intp)
+        return bool(np.array_equal(self._law.table[np.ix_(perm, perm)], perm[other._law.table]))
 
     def __hash__(self):
         return hash((frozenset(self.outcomes), frozenset(self.elements)))
@@ -222,55 +317,34 @@ def build_pair_groupoid(labels_or_size: int | Sequence[str]) -> FiniteGroupoid:
             raise ValueError("pair groupoid needs at least one outcome label")
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate outcome labels")
-    elements, source, target, inverse = [], {}, {}, {}
-    for y in labels:
-        for x in labels:
-            e = pair_element(y, x)
-            elements.append(e)
-            source[e] = x
-            target[e] = y
-            inverse[e] = pair_element(x, y)
-    table = {}
-    for z in labels:
-        for y in labels:
-            for x in labels:
-                table[(pair_element(z, y), pair_element(y, x))] = pair_element(z, x)
+    # Element (y,x) has index y*n + x.  (z,y) ∘ (y,x) = (z,x): row b = z*n + y is
+    # defined on the n columns a = y*n + x, where it holds z*n + x.
+    n = len(labels)
+    elements = tuple(pair_element(y, x) for y in labels for x in labels)
+    b = np.arange(n * n)[:, None]
+    x = np.arange(n)
+    table = np.full((n * n + 1, n * n + 1), n * n, dtype=np.int32)
+    table[b, b % n * n + x] = b // n * n + x
     return FiniteGroupoid(
         outcomes=labels,
-        elements=tuple(elements),
-        source=source,
-        target=target,
-        unit_of={x: pair_element(x, x) for x in labels},
-        inverse=inverse,
-        compose_table=table,
+        elements=elements,
+        source=dict(zip(elements, labels * n)),
+        target=dict(zip(elements, (y for y in labels for _ in labels))),
+        unit_of={x: elements[i * n + i] for i, x in enumerate(labels)},
+        inverse={e: elements[k % n * n + k // n] for k, e in enumerate(elements)},
+        compose_table=_ComposeTable(elements, table),
     )
-
-
-def _index_tables(g: FiniteGroupoid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Integer views of ``g`` over element indices 0..E-1 in declaration order.
-
-    Returns source and target outcome indices per element, each with a final
-    -1 for the index E, and the ``(E+1) x (E+1)`` compose table, in which E
-    means "undefined" and absorbs: ``table[E, a] == table[b, E] == E``.
-    """
-    n = len(g.elements)
-    index = {e: i for i, e in enumerate(g.elements)}
-    outcome = {o: i for i, o in enumerate(g.outcomes)}
-    source = np.array([outcome[g.source[e]] for e in g.elements] + [-1], dtype=np.int32)
-    target = np.array([outcome[g.target[e]] for e in g.elements] + [-1], dtype=np.int32)
-    table = np.full((n + 1, n + 1), n, dtype=np.int32)
-    for (b, a), c in g.compose_table.items():
-        table[index[b], index[a]] = index[c]
-    return source, target, table
 
 
 def validate_axioms(g: FiniteGroupoid) -> ValidationReport:
     """Exhaustively check every groupoid axiom, reporting failures with witnesses.
 
-    The work is one pass over the E x E cells of the compose table plus one
-    gather per composable triple; memory is the 4(E+1)^2-byte integer table
-    and E x E masks, plus one fixed-size chunk of triples.  Witnesses come in
-    element order: (beta, alpha) cells, units, inverses, then (c, b, a) triples.
+    The work is one pass over the E x E cells of the groupoid's integer compose
+    table plus one gather per composable triple.  The table (4(E+1)^2 bytes)
+    belongs to the groupoid and is built at most once; validation adds E x E
+    masks, O(E) index arrays and one fixed-size chunk of triples.  Witnesses
+    come in element order: (beta, alpha) cells, units, inverses, then
+    (c, b, a) triples, and are formatted only where a check fails.
     """
     failures: list[AxiomFailure] = []
 
@@ -279,7 +353,12 @@ def validate_axioms(g: FiniteGroupoid) -> ValidationReport:
 
     n = len(g.elements)
     names = g.elements + (None,)  # the undefined index n prints as None
-    src, tgt, T = _index_tables(g)
+    index, T = g._law.index, g._law.table
+    outcome = {o: i for i, o in enumerate(g.outcomes)}
+    src = np.array([outcome[g.source[e]] for e in g.elements] + [-1], dtype=np.int32)
+    tgt = np.array([outcome[g.target[e]] for e in g.elements] + [-1], dtype=np.int32)
+    unit = np.array([index[g.unit_of[o]] for o in g.outcomes], dtype=np.intp)
+    inv = np.array([index[g.inverse[e]] for e in g.elements], dtype=np.intp)
     cells = T[:n, :n]
     defined = cells != n
     composable = src[:n, None] == tgt[None, :n]  # [b, a]: source(b) == target(a)
@@ -298,30 +377,35 @@ def validate_axioms(g: FiniteGroupoid) -> ValidationReport:
                 f"expected {g.source[a]} -> {g.target[b]}",
             )
 
-    table = g.compose_table
-    for o in g.outcomes:
+    outcome_ids = np.arange(len(g.outcomes))
+    for i in np.flatnonzero((src[unit] != outcome_ids) | (tgt[unit] != outcome_ids)).tolist():
+        o = g.outcomes[i]
         u = g.unit_of[o]
-        if g.source[u] != o or g.target[u] != o:
-            fail("unit-endpoints", f"unit {u} of outcome {o} maps {g.source[u]} -> {g.target[u]}")
-    for a in g.elements:
-        left_unit = g.unit_of[g.target[a]]
-        right_unit = g.unit_of[g.source[a]]
-        if table.get((left_unit, a)) != a:
-            fail("unit-law", f"{left_unit} ∘ {a} = {table.get((left_unit, a))}, expected {a}")
-        if table.get((a, right_unit)) != a:
-            fail("unit-law", f"{a} ∘ {right_unit} = {table.get((a, right_unit))}, expected {a}")
+        fail("unit-endpoints", f"unit {u} of outcome {o} maps {g.source[u]} -> {g.target[u]}")
+    ids = np.arange(n)
+    left_unit, right_unit = unit[tgt[:n]], unit[src[:n]]
+    left, right = T[left_unit, ids], T[ids, right_unit]
+    for i in np.flatnonzero((left != ids) | (right != ids)).tolist():
+        a = names[i]
+        if left[i] != i:
+            fail("unit-law", f"{names[left_unit[i]]} ∘ {a} = {names[left[i]]}, expected {a}")
+        if right[i] != i:
+            fail("unit-law", f"{a} ∘ {names[right_unit[i]]} = {names[right[i]]}, expected {a}")
 
-    for a in g.elements:
-        inv = g.inverse[a]
-        if g.source[inv] != g.target[a] or g.target[inv] != g.source[a]:
-            fail("inverse-endpoints", f"inverse of {a} is {inv} mapping {g.source[inv]} -> {g.target[inv]}")
+    inv_ends = (src[inv] != tgt[:n]) | (tgt[inv] != src[:n])
+    after, before = T[inv, ids], T[ids, inv]  # inv ∘ a, a ∘ inv
+    bad = inv_ends | (inv[inv] != ids) | (after != right_unit) | (before != left_unit)
+    for i in np.flatnonzero(bad).tolist():
+        a, ia = names[i], names[inv[i]]
+        if inv_ends[i]:
+            fail("inverse-endpoints", f"inverse of {a} is {ia} mapping {g.source[ia]} -> {g.target[ia]}")
             continue
-        if g.inverse[inv] != a:
-            fail("inverse-involution", f"inverse(inverse({a})) = {g.inverse[inv]}")
-        if table.get((inv, a)) != g.unit_of[g.source[a]]:
-            fail("inverse-law", f"{inv} ∘ {a} = {table.get((inv, a))}, expected {g.unit_of[g.source[a]]}")
-        if table.get((a, inv)) != g.unit_of[g.target[a]]:
-            fail("inverse-law", f"{a} ∘ {inv} = {table.get((a, inv))}, expected {g.unit_of[g.target[a]]}")
+        if inv[inv[i]] != i:
+            fail("inverse-involution", f"inverse(inverse({a})) = {names[inv[inv[i]]]}")
+        if after[i] != right_unit[i]:
+            fail("inverse-law", f"{ia} ∘ {a} = {names[after[i]]}, expected {names[right_unit[i]]}")
+        if before[i] != left_unit[i]:
+            fail("inverse-law", f"{a} ∘ {ia} = {names[before[i]]}, expected {names[left_unit[i]]}")
 
     # Triple k lies in the k-th slot of the row-major (c, b) composable pairs,
     # each followed by its a's (target(a) == source(b)) in element order.
@@ -353,7 +437,7 @@ def multiplication_table(g: FiniteGroupoid) -> str:
     cells = [e.ljust(width) for e in g.elements] + [NOT_COMPOSABLE.ljust(width)]
     lines = ["  ".join(["∘".ljust(width)] + cells[:n]).rstrip()]
     lines.append("-" * len(lines[0]))
-    for b, row in enumerate(_index_tables(g)[2][:n, :n].tolist()):
+    for b, row in enumerate(g._law.table[:n, :n].tolist()):
         lines.append("  ".join([cells[b]] + [cells[c] for c in row]).rstrip())
     return "\n".join(lines) + "\n"
 
@@ -374,10 +458,9 @@ def groupoid_to_text(g: FiniteGroupoid) -> str:
         seen.add(e)
         seen.add(inv)
         lines.append(f"inverse: {e} {inv}")
-    for b in g.elements:
-        for a in g.elements:
-            if (b, a) in g.compose_table:
-                lines.append(f"compose: {b} {a} = {g.compose_table[(b, a)]}")
+    names, n = g.elements, len(g.elements)
+    for b, row in enumerate(g._law.table[:n, :n].tolist()):
+        lines.extend(f"compose: {names[b]} {names[a]} = {names[c]}" for a, c in enumerate(row) if c != n)
     return "\n".join(lines) + "\n"
 
 

@@ -48,14 +48,17 @@ class QLagrangian:
 
 def qubit_lagrangian(v_plus: float, v_minus: float, mu: float, delta: float) -> QLagrangian:
     """Weights on the two-outcome groupoid: units carry -V, the flips mu ± i delta."""
-    g = build_a2()
-    values = {
+    return QLagrangian(build_a2(), _qubit_weights(v_plus, v_minus, mu, delta))
+
+
+def _qubit_weights(v_plus: float, v_minus: float, mu: float, delta: float) -> dict[str, complex]:
+    """The values of qubit_lagrangian, by a2 element label."""
+    return {
         UNIT_PLUS: complex(-v_plus, 0.0),
         UNIT_MINUS: complex(-v_minus, 0.0),
         ALPHA: complex(mu, delta),
         ALPHA_INV: complex(mu, -delta),
     }
-    return QLagrangian(g, values)
 
 
 @dataclass(frozen=True)

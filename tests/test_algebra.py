@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from groupoidqm import (
     element_to_lines,
     evolve_observable,
     fundamental_rep,
+    groupoid_to_text,
     heisenberg_rhs,
     involute,
     is_observable,
@@ -282,3 +284,73 @@ def test_scalar_and_linear_ops():
 def test_cross_groupoid_operations_rejected():
     with pytest.raises(ValueError):
         convolve(delta(A2, ALPHA), delta(P3, pair_element("x1", "x2")))
+
+
+def _reference_convolve(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+    """The label-dict loop convolve replaced, verbatim: the bit-for-bit oracle."""
+    a._check_same(b)
+    g = a.groupoid
+    out: dict[str, complex] = {}
+    for beta, ca in a.coefficients.items():
+        for alpha, cb in b.coefficients.items():
+            gamma = g.compose_table.get((beta, alpha))
+            if gamma is None:
+                continue
+            out[gamma] = out.get(gamma, 0) + ca * cb
+    return AlgebraElement(g, out)
+
+
+# pair:2 on x1, x2 beside a trivial outcome y, as in test_histories.py
+MIXED = build_from_table(
+    groupoid_to_text(build_pair_groupoid(2)).replace("outcomes: x1 x2", "outcomes: x1 y x2")
+    + "element: (y,y) y y\nunit: y (y,y)\ninverse: (y,y) (y,y)\ncompose: (y,y) (y,y) = (y,y)\n"
+)
+
+_PARTS = (0.0, -0.0, 1.0, -2.5, 1e-300, -1e-300, 3e150)
+
+
+def _seeded_element(g, rng) -> AlgebraElement:
+    """Coefficients on a random subset (possibly empty, in random order) of g."""
+    density = rng.choice((0.0, 0.3, 0.7, 1.0))
+    chosen = [e for e in g.elements if rng.random() < density]
+    rng.shuffle(chosen)
+
+    def part():
+        return rng.choice(_PARTS) if rng.random() < 0.3 else rng.normal()
+
+    return AlgebraElement(g, {e: complex(part(), part()) for e in chosen})
+
+
+def _bits(a: AlgebraElement) -> list[tuple[str, str]]:
+    return [(k, repr(v)) for k, v in a.coefficients.items()]
+
+
+def test_convolve_matches_dict_loop_bit_for_bit():
+    rng = np.random.default_rng(20240611)
+    groupoids = [A2, MIXED, *(build_pair_groupoid(n) for n in range(1, 9))]
+    signed_zeros = 0
+    for case in range(1400):
+        g = groupoids[case % len(groupoids)]
+        a, b = _seeded_element(g, rng), _seeded_element(g, rng)
+        got, want = convolve(a, b), _reference_convolve(a, b)
+        assert _bits(got) == _bits(want)
+        assert all(type(v) is complex for v in got.coefficients.values())
+        assert np.array_equal(fundamental_rep(got), fundamental_rep(want))
+        signed_zeros += any(str(v).startswith("(-0") or "-0j" in str(v) for v in want.coefficients.values())
+    assert signed_zeros > 0
+    empty = AlgebraElement(A2, {})
+    assert _bits(convolve(empty, algebra_unit(A2) * 1j)) == _bits(_reference_convolve(empty, algebra_unit(A2) * 1j)) == []
+
+
+def test_convolve_overflow_matches_complex_multiply_without_warnings():
+    g = build_pair_groupoid(3)
+    big = {e: complex(1e200, 1e200 * (-1) ** k) for k, e in enumerate(g.elements)}
+    a = AlgebraElement(g, big)
+    b = AlgebraElement(g, {e: complex(1e200, 0.5) for e in g.elements})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = convolve(a, b)
+    want = _reference_convolve(a, b)
+    assert _bits(got) == _bits(want)
+    assert any(math.isinf(v.real) or math.isinf(v.imag) for v in got.coefficients.values())
+    assert any(math.isnan(v.real) or math.isnan(v.imag) for v in got.coefficients.values())

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from groupoidqm import (
+    FiniteGroupoid,
     PropagatorModel,
     build_a2,
     build_pair_groupoid,
@@ -543,6 +544,33 @@ def test_solve_command_builds_a2_once(tmp_path, capsys, monkeypatch, argv):
         monkeypatch.setattr(module, "build_a2", counted)
     rc, _, _ = run(capsys, argv[0], "-c", cfg_file(tmp_path, SOLVE_SQRT2), *argv[1:])
     assert rc == 0 and len(calls) == 1
+
+
+@pytest.mark.parametrize("argv, text", [
+    (("pathsum", "--check-semigroup", "2+2"), "mu = 0.5\np_plus = 0.3\nsteps = 4\n"),
+    (("validate",), "mu = 0.5\np_plus = 0.3\n"),
+    (("propagator",), SOLVE_SQRT2),
+    (("evolve", "--state", "1,0;0,0"), SOLVE_SQRT2),
+])
+def test_a2_command_builds_a2_once_and_never_compares_it(tmp_path, capsys, monkeypatch, argv, text):
+    builds, compares = [], []
+    equal = FiniteGroupoid.__eq__
+
+    def counted():
+        builds.append(1)
+        return build_a2()
+
+    def structural(self, other):
+        if self is not other:
+            compares.append(1)
+        return equal(self, other)
+
+    for module in (cli, lagrangian):
+        monkeypatch.setattr(module, "build_a2", counted)
+    monkeypatch.setattr(FiniteGroupoid, "__eq__", structural)
+    rc, out, _ = run(capsys, argv[0], "-c", cfg_file(tmp_path, text), *argv[1:])
+    assert rc == 0 and out
+    assert len(builds) == 1 and not compares
 
 
 def test_coarse_grain_index_diff(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from groupoidqm import groupoid as groupoid_module
@@ -479,3 +480,128 @@ def test_groupoid_equality_is_structural():
         unit_of=dict(g.unit_of), inverse=dict(g.inverse), compose_table=table,
     )
     assert changed != g
+
+
+def _reference_pair_groupoid(labels_or_size) -> FiniteGroupoid:
+    """The label-dict triple loop build_pair_groupoid replaced, verbatim: the oracle."""
+    if isinstance(labels_or_size, int):
+        if labels_or_size < 1:
+            raise ValueError("pair groupoid size must be at least 1")
+        labels = tuple(f"x{i}" for i in range(1, labels_or_size + 1))
+    else:
+        labels = tuple(groupoid_module._check_label(str(x)) for x in labels_or_size)
+        if not labels:
+            raise ValueError("pair groupoid needs at least one outcome label")
+        if len(set(labels)) != len(labels):
+            raise ValueError("duplicate outcome labels")
+    elements, source, target, inverse = [], {}, {}, {}
+    for y in labels:
+        for x in labels:
+            e = pair_element(y, x)
+            elements.append(e)
+            source[e] = x
+            target[e] = y
+            inverse[e] = pair_element(x, y)
+    table = {}
+    for z in labels:
+        for y in labels:
+            for x in labels:
+                table[(pair_element(z, y), pair_element(y, x))] = pair_element(z, x)
+    return FiniteGroupoid(
+        outcomes=labels,
+        elements=tuple(elements),
+        source=source,
+        target=target,
+        unit_of={x: pair_element(x, x) for x in labels},
+        inverse=inverse,
+        compose_table=table,
+    )
+
+
+@pytest.mark.parametrize("spec", [*range(1, 9), ("a", "b", "c"), ["z9", "y", "alpha", "q"]], ids=str)
+def test_pair_groupoid_matches_dict_builder(spec):
+    g, want = build_pair_groupoid(spec), _reference_pair_groupoid(spec)
+    assert dict(g.compose_table) == dict(want.compose_table)
+    assert list(g.compose_table.items()) == list(want.compose_table.items())
+    assert list(reversed(g.compose_table.items())) == list(reversed(want.compose_table.items()))
+    assert len(g.compose_table) == len(want.compose_table)
+    assert (g.outcomes, g.elements) == (want.outcomes, want.elements)
+    for name in ("source", "target", "unit_of", "inverse"):
+        assert list(getattr(g, name).items()) == list(getattr(want, name).items())
+    assert g == want and want == g and hash(g) == hash(want)
+    assert multiplication_table(g) == multiplication_table(want)
+    assert groupoid_to_text(g) == groupoid_to_text(want)
+    assert validate_axioms(g).ok
+
+
+def test_pair_compose_table_is_a_read_only_mapping():
+    g = build_pair_groupoid(("a", "b", "c"))
+    table = g.compose_table
+    ab, ba, aa = pair_element("a", "b"), pair_element("b", "a"), pair_element("a", "a")
+    assert table[(ab, ba)] == table.get((ab, ba)) == aa
+    assert (ab, ba) in table
+    for key in ((ab, ab), ("nope", ab), (ab, "nope"), "nope", (ab, ba, aa)):
+        assert key not in table and table.get(key) is None
+        with pytest.raises(KeyError):
+            table[key]
+    with pytest.raises(TypeError):
+        table[(ab, ab)] = aa
+    with pytest.raises(KeyError):
+        g.compose("nope", ab)
+    with pytest.raises(KeyError):
+        g.compose(ab, "nope")
+    with pytest.raises(NotComposable):
+        g.compose(ab, ab)
+    assert g.compose(ab, ba) == aa
+
+
+def test_groupoid_tables_are_built_once_and_read_only():
+    a2 = build_a2()
+    assert "_law" not in vars(a2)  # dict-born groupoids build their table on first use
+    for g in (build_pair_groupoid(3), a2, build_from_table(GROUP_Z2)):
+        law = g._law
+        assert g._law is law
+        assert law.table.shape == (len(g.elements) + 1,) * 2 and law.table.dtype == np.int32
+        with pytest.raises(ValueError):
+            law.table[0, 0] = 0
+        with pytest.raises(ValueError):
+            law.table[-1] = 0
+    pair = build_pair_groupoid(2)
+    assert pair._law is pair.compose_table
+
+
+@pytest.mark.parametrize("spec", [1, 2, 4, ("p", "q", "r")], ids=str)
+def test_array_born_groupoid_equals_dict_born_in_any_order(spec):
+    g, ref = build_pair_groupoid(spec), _reference_pair_groupoid(spec)
+
+    def reversed_maps(**changes):
+        maps = {name: dict(reversed(getattr(ref, name).items()))
+                for name in ("source", "target", "unit_of", "inverse", "compose_table")}
+        maps.update(changes)
+        return FiniteGroupoid(outcomes=tuple(reversed(ref.outcomes)), elements=tuple(reversed(ref.elements)), **maps)
+
+    reordered = reversed_maps()
+    for x, y in ((g, reordered), (reordered, g), (g, ref), (g, build_pair_groupoid(spec))):
+        assert x == y and hash(x) == hash(y)
+    if len(g.elements) == 1:
+        return
+    first = next(iter(ref.compose_table))
+    rewritten = dict(ref.compose_table)
+    rewritten[first] = next(e for e in ref.elements if e != rewritten[first])
+    deleted = dict(ref.compose_table)
+    del deleted[first]
+    for table in (rewritten, deleted):
+        changed = reversed_maps(compose_table=table)
+        assert changed != g and g != changed
+
+
+def test_pair_groupoid_retained_memory_is_bounded():
+    build_pair_groupoid(2)
+    tracemalloc.start()
+    try:
+        g = build_pair_groupoid(16)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(g.elements) == 256
+    assert retained <= 0.5 * 2**20
