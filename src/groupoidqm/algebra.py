@@ -137,13 +137,15 @@ def lagrangian_element(ell: QLagrangian) -> AlgebraElement:
 def fundamental_rep(a: AlgebraElement) -> np.ndarray:
     """Matrix on the outcome basis: entry [target, source] sums the coefficients.
 
-    Rows and columns follow the groupoid's declared outcome order.
+    Rows and columns follow the groupoid's declared outcome order.  Entries
+    shared by several transitions add up in coefficient order.
     """
     g = a.groupoid
     idx = {o: i for i, o in enumerate(g.outcomes)}
     m = np.zeros((len(g.outcomes), len(g.outcomes)), dtype=complex)
-    for el, c in a.coefficients.items():
-        m[idx[g.target[el]], idx[g.source[el]]] += c
+    rows = np.array([idx[g.target[el]] for el in a.coefficients], dtype=np.intp)
+    cols = np.array([idx[g.source[el]] for el in a.coefficients], dtype=np.intp)
+    np.add.at(m, (rows, cols), np.array(list(a.coefficients.values()), dtype=complex))
     return m
 
 

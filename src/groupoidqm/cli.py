@@ -49,6 +49,8 @@ SWEEP_HEADER = (
     "gamma_mm_re,gamma_mm_im,gamma_pm_re,gamma_pm_im,"
     "gamma_mp_re,gamma_mp_im,gamma_pp_re,gamma_pp_im"
 )
+# A sweep holds every point at once, ~0.8 kB each, so this caps it near 80 MB.
+MAX_SWEEP_POINTS = 100_000
 
 
 class ConfigError(ValueError):
@@ -238,9 +240,10 @@ def parse_config(text: str) -> RunConfig:
             )
         points_raw = entries["sweep_points"]
         points = _as_int(points_raw)
-        if points < 2:
+        if not 2 <= points <= MAX_SWEEP_POINTS:
+            bound = "at least 2" if points < 2 else f"at most {MAX_SWEEP_POINTS}"
             raise ConfigError(
-                f"sweep_points must be at least 2, got {points}",
+                f"sweep_points must be {bound}, got {points}",
                 points_raw.line,
                 points_raw.column,
             )
@@ -397,7 +400,12 @@ def _matrix_lines(label: str, m: np.ndarray, outcomes: tuple[str, ...]) -> list[
     return lines
 
 
-def cmd_validate(cfg: RunConfig) -> tuple[int, list[str]]:
+def _text(lines: list[str]) -> str:
+    """A command's output: each line newline-terminated."""
+    return "\n".join(lines) + "\n"
+
+
+def cmd_validate(cfg: RunConfig) -> tuple[int, str]:
     g = _build_groupoid(cfg)
     report = validate_axioms(g)
     lines = [f"outcomes = {len(g.outcomes)}", f"elements = {len(g.elements)}"]
@@ -415,15 +423,15 @@ def cmd_validate(cfg: RunConfig) -> tuple[int, list[str]]:
         ok = False
     else:
         lines.append("lagrangian = none" if ell is None else "lagrangian = self-adjoint")
-    return (0 if ok else 1), lines
+    return (0 if ok else 1), _text(lines)
 
 
-def cmd_table(cfg: RunConfig) -> tuple[int, list[str]]:
+def cmd_table(cfg: RunConfig) -> tuple[int, str]:
     g = _build_groupoid(cfg)
-    return 0, multiplication_table(g).splitlines()
+    return 0, multiplication_table(g)
 
 
-def cmd_propagator(cfg: RunConfig, power: int | None) -> tuple[int, list[str]]:
+def cmd_propagator(cfg: RunConfig, power: int | None) -> tuple[int, str]:
     g = _require_a2(cfg, "propagator")
     model, u, report = _step_from_config(cfg)
     if report is None:
@@ -451,10 +459,10 @@ def cmd_propagator(cfg: RunConfig, power: int | None) -> tuple[int, list[str]]:
         if power < 0:
             raise ConfigError(f"--power must be non-negative, got {power}")
         lines += _matrix_lines(f"U^{power}", power_propagator(u, power), g.outcomes)
-    return 0, lines
+    return 0, _text(lines)
 
 
-def cmd_pathsum(cfg: RunConfig, steps: int | None, check_semigroup: str | None) -> tuple[int, list[str]]:
+def cmd_pathsum(cfg: RunConfig, steps: int | None, check_semigroup: str | None) -> tuple[int, str]:
     g = _build_groupoid(cfg)
     ell = _build_lagrangian(cfg, g)
     if ell is None:
@@ -483,10 +491,10 @@ def cmd_pathsum(cfg: RunConfig, steps: int | None, check_semigroup: str | None) 
         gap = m - fixed_order_matmul(m2, m1)
         deviation = float(np.hypot(gap.real, gap.imag).max())
         lines.append(f"semigroup_deviation = {_fmt(deviation)}")
-    return 0, lines
+    return 0, _text(lines)
 
 
-def cmd_sweep(cfg: RunConfig) -> tuple[int, list[str]]:
+def cmd_sweep(cfg: RunConfig) -> tuple[int, str]:
     if cfg.sweep is None:
         raise ConfigError("sweep command requires a sweep block in the config")
     _, start, stop, count = cfg.sweep
@@ -503,7 +511,7 @@ def cmd_sweep(cfg: RunConfig) -> tuple[int, list[str]]:
             m = pt.model
             gamma_columns = ",".join(_fmt_c(z) for z in (m.gamma_mm, m.gamma_pm, m.gamma_mp, m.gamma_pp))
         lines.append(f"{row},{gamma_columns}")
-    return 0, lines
+    return 0, _text(lines)
 
 
 def _parse_state(spec: str, size: int) -> StateVector:
@@ -522,7 +530,7 @@ def _parse_state(spec: str, size: int) -> StateVector:
     return StateVector(tuple(comps))
 
 
-def cmd_evolve(cfg: RunConfig, state_spec: str, steps: int | None) -> tuple[int, list[str]]:
+def cmd_evolve(cfg: RunConfig, state_spec: str, steps: int | None) -> tuple[int, str]:
     g = _require_a2(cfg, "evolve")
     state = _parse_state(state_spec, len(g.outcomes))
     if state.norm() == 0.0:
@@ -534,10 +542,10 @@ def cmd_evolve(cfg: RunConfig, state_spec: str, steps: int | None) -> tuple[int,
     final = evolve_state(u, state, n)
     lines = [f"psi[{o}] = {_fmt_c(z)}" for o, z in zip(g.outcomes, final.amplitudes)]
     lines.append(f"norm = {_fmt(final.norm())}")
-    return 0, lines
+    return 0, _text(lines)
 
 
-def cmd_coarse_grain(cfg: RunConfig, partition_spec: str) -> tuple[int, list[str]]:
+def cmd_coarse_grain(cfg: RunConfig, partition_spec: str) -> tuple[int, str]:
     g = _build_groupoid(cfg)
     if not is_principal(g):
         raise ConfigError("coarse-grain command requires a pair groupoid")
@@ -550,12 +558,8 @@ def cmd_coarse_grain(cfg: RunConfig, partition_spec: str) -> tuple[int, list[str
     )
     partition = OutcomePartition(blocks)
     quotient, ell2 = coarse_grain(g, partition, ell)
-    lines = multiplication_table(quotient).splitlines()
-    lines.append("")
-    lines.append("lagrangian:")
-    for e in quotient.elements:
-        lines.append(f"{e} = {_fmt_c(ell2[e])}")
-    return 0, lines
+    weights = [f"{e} = {_fmt_c(ell2[e])}" for e in quotient.elements]
+    return 0, multiplication_table(quotient) + _text(["", "lagrangian:", *weights])
 
 
 @functools.cache
@@ -604,19 +608,19 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             if args.command == "validate":
-                rc, lines = cmd_validate(cfg)
+                rc, text = cmd_validate(cfg)
             elif args.command == "table":
-                rc, lines = cmd_table(cfg)
+                rc, text = cmd_table(cfg)
             elif args.command == "propagator":
-                rc, lines = cmd_propagator(cfg, args.power)
+                rc, text = cmd_propagator(cfg, args.power)
             elif args.command == "pathsum":
-                rc, lines = cmd_pathsum(cfg, args.steps, args.check_semigroup)
+                rc, text = cmd_pathsum(cfg, args.steps, args.check_semigroup)
             elif args.command == "sweep":
-                rc, lines = cmd_sweep(cfg)
+                rc, text = cmd_sweep(cfg)
             elif args.command == "evolve":
-                rc, lines = cmd_evolve(cfg, args.state, args.steps)
+                rc, text = cmd_evolve(cfg, args.state, args.steps)
             else:
-                rc, lines = cmd_coarse_grain(cfg, args.partition)
+                rc, text = cmd_coarse_grain(cfg, args.partition)
     except InfeasibleModel as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -629,7 +633,6 @@ def main(argv: list[str] | None = None) -> int:
     except ArithmeticError as exc:
         print(f"error: arithmetic out of floating-point range ({exc})", file=sys.stderr)
         return 1
-    text = "\n".join(lines) + "\n" if lines else ""
     if args.out is not None:
         Path(args.out).write_text(text, encoding="utf-8")
     else:

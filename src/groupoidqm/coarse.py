@@ -2,17 +2,18 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from .groupoid import FiniteGroupoid, OutcomePartition, build_pair_groupoid, pair_element
 from .lagrangian import QLagrangian
 
 
 def is_principal(g: FiniteGroupoid) -> bool:
     """True when there is exactly one transition per ordered outcome pair."""
-    counts: dict[tuple[str, str], int] = {}
-    for e in g.elements:
-        key = (g.target[e], g.source[e])
-        counts[key] = counts.get(key, 0) + 1
-    return all(counts.get((b, a), 0) == 1 for b in g.outcomes for a in g.outcomes)
+    k = len(g.outcomes)
+    idx = {o: i for i, o in enumerate(g.outcomes)}
+    pairs = [idx[g.target[e]] * k + idx[g.source[e]] for e in g.elements]
+    return bool(np.all(np.bincount(pairs, minlength=k * k) == 1))
 
 
 def coarse_grain(

@@ -37,6 +37,8 @@ ALPHA_INV = "alpha^-1"
 
 # Composable triples gathered per associativity step; bounds validation memory.
 _ASSOC_CHUNK = 4096
+# Table cells rendered per step; bounds multiplication_table's fixed-width buffer.
+_TABLE_CHUNK = 8192
 
 
 class GroupoidParseError(ValueError):
@@ -339,12 +341,19 @@ def build_pair_groupoid(labels_or_size: int | Sequence[str]) -> FiniteGroupoid:
 def validate_axioms(g: FiniteGroupoid) -> ValidationReport:
     """Exhaustively check every groupoid axiom, reporting failures with witnesses.
 
-    The work is one pass over the E x E cells of the groupoid's integer compose
-    table plus one gather per composable triple.  The table (4(E+1)^2 bytes)
-    belongs to the groupoid and is built at most once; validation adds E x E
-    masks, O(E) index arrays and one fixed-size chunk of triples.  Witnesses
-    come in element order: (beta, alpha) cells, units, inverses, then
-    (c, b, a) triples, and are formatted only where a check fails.
+    The work is two E x E masks over the groupoid's integer compose table, one
+    gather of b ∘ a per composable pair (b, a) and O(E) unit and inverse
+    checks.  Associativity then walks P x W slots: each of the P composable
+    pairs (c, b) reads a padded row of W candidate a's, where W is the largest
+    number of elements sharing a target.  The row holds the a's with
+    target(a) == source(b) in element order, then the filler index E, which
+    is masked out; a groupoid whose every outcome ends W elements (every pair
+    groupoid) pads nothing.  The table (4(E+1)^2 bytes) belongs to the
+    groupoid and is built at most once; validation adds the E x E boolean
+    masks, O(P) index arrays, the O x W padded rows (O outcomes) and one
+    chunk of at most max(_ASSOC_CHUNK, W) slots.  Witnesses come in element
+    order: (beta, alpha) cells, units, inverses, then (c, b, a) triples, and
+    are formatted only where a check fails.
     """
     failures: list[AxiomFailure] = []
 
@@ -359,18 +368,25 @@ def validate_axioms(g: FiniteGroupoid) -> ValidationReport:
     tgt = np.array([outcome[g.target[e]] for e in g.elements] + [-1], dtype=np.int32)
     unit = np.array([index[g.unit_of[o]] for o in g.outcomes], dtype=np.intp)
     inv = np.array([index[g.inverse[e]] for e in g.elements], dtype=np.intp)
-    cells = T[:n, :n]
-    defined = cells != n
+    defined = T[:n, :n] != n
     composable = src[:n, None] == tgt[None, :n]  # [b, a]: source(b) == target(a)
-    wrong_ends = (src[cells] != src[None, :n]) | (tgt[cells] != tgt[:n, None])
-    for i, j in np.argwhere((defined != composable) | (defined & wrong_ends)).tolist():
+    # The composable (b, a), row-major, and b ∘ a read from the flat table, in
+    # which row b starts at b * (n + 1).  b ∘ a must map source(a) -> target(b);
+    # an undefined one (index n, ends -1) is a bad cell already.
+    flat, stride = T.ravel(), n + 1
+    pairs = np.flatnonzero(composable)
+    pair_b, pair_a = np.divmod(pairs, n)
+    made = flat[pairs + pair_b]
+    bad = defined != composable
+    bad.flat[pairs[(src[made] != src[pair_a]) | (tgt[made] != tgt[pair_b])]] = True
+    for i, j in zip(*np.divmod(np.flatnonzero(bad), n)):
         b, a = names[i], names[j]
         if not defined[i, j]:
             fail("composition-domain", f"missing composition for ({b}, {a})")
         elif not composable[i, j]:
             fail("composition-domain", f"({b}, {a}) is not composable but the table defines it")
         else:
-            c = names[cells[i, j]]
+            c = names[T[i, j]]
             fail(
                 "composition-endpoints",
                 f"{b} ∘ {a} = {c} maps {g.source[c]} -> {g.target[c]}, "
@@ -407,22 +423,26 @@ def validate_axioms(g: FiniteGroupoid) -> ValidationReport:
         if before[i] != left_unit[i]:
             fail("inverse-law", f"{a} ∘ {ia} = {names[before[i]]}, expected {names[left_unit[i]]}")
 
-    # Triple k lies in the k-th slot of the row-major (c, b) composable pairs,
-    # each followed by its a's (target(a) == source(b)) in element order.
-    pair_c, pair_b = np.nonzero(composable)
+    # Row o of `groups` lists the elements with target o in element order, then
+    # the filler n.  Each composable (c, b), the pairs above taken row-major,
+    # reads the row of source(b); a chunk is a run of pairs, so witnesses stay
+    # in (c, b, a) order.
+    counts = np.bincount(tgt[:n], minlength=len(g.outcomes))
     by_target = np.argsort(tgt[:n], kind="stable")
-    group_start = np.searchsorted(tgt[by_target], src[pair_b])
-    counts = np.bincount(tgt[:n], minlength=len(g.outcomes))[src[pair_b]]
-    ends = np.cumsum(counts)
-    total = int(counts.sum())
-    for lo in range(0, total, _ASSOC_CHUNK):
-        k = np.arange(lo, min(lo + _ASSOC_CHUNK, total))
-        p = np.searchsorted(ends, k, side="right")
-        ci, bi = pair_c[p], pair_b[p]
-        ai = by_target[group_start[p] + k - (ends[p] - counts[p])]
-        lefts, rights = T[T[ci, bi], ai], T[ci, T[bi, ai]]
-        for i in np.flatnonzero((lefts != rights) | (lefts == n)).tolist():
-            c, b, a, left, right = (names[v[i]] for v in (ci, bi, ai, lefts, rights))
+    sorted_tgt = tgt[by_target]
+    width = int(counts.max())
+    groups = np.full((len(g.outcomes), width), n, dtype=np.intp)
+    groups[sorted_tgt, ids - (np.cumsum(counts) - counts)[sorted_tgt]] = by_target
+    step = max(1, _ASSOC_CHUNK // width)
+    for lo in range(0, len(pairs), step):
+        ci, bi = pair_b[lo : lo + step, None], pair_a[lo : lo + step, None]
+        ai = groups[src[bi[:, 0]]]
+        lefts = flat[made[lo : lo + step, None].astype(np.intp) * stride + ai]
+        rights = flat[ci * stride + flat[bi * stride + ai]]
+        bad = ((lefts != rights) | (lefts == n)) & (ai != n)
+        for p, k in zip(*np.divmod(np.flatnonzero(bad), width)):
+            c, b, a = names[ci[p, 0]], names[bi[p, 0]], names[ai[p, k]]
+            left, right = names[lefts[p, k]], names[rights[p, k]]
             fail(
                 "associativity",
                 f"({c} ∘ {b}) ∘ {a} = {left} but {c} ∘ ({b} ∘ {a}) = {right}",
@@ -434,12 +454,19 @@ def multiplication_table(g: FiniteGroupoid) -> str:
     """Human-readable multiplication grid; cell (row, col) is row ∘ col."""
     width = max(1, max(len(e) for e in g.elements))
     n = len(g.elements)
-    cells = [e.ljust(width) for e in g.elements] + [NOT_COMPOSABLE.ljust(width)]
-    lines = ["  ".join(["∘".ljust(width)] + cells[:n]).rstrip()]
-    lines.append("-" * len(lines[0]))
-    for b, row in enumerate(g._law.table[:n, :n].tolist()):
-        lines.append("  ".join([cells[b]] + [cells[c] for c in row]).rstrip())
-    return "\n".join(lines) + "\n"
+    names = [f"{e.ljust(width)}  " for e in g.elements]
+    header = "".join(["∘".ljust(width + 2), *names]).rstrip()
+    lines = [header, "-" * len(header)]
+    # Fixed-width cells by element index, n being the non-composable mark: a
+    # gathered row viewed as one string is the row's cells joined by "  ", plus
+    # trailing blanks that rstrip removes as it would from the joined row.
+    cells = np.array(names + [NOT_COMPOSABLE.ljust(width + 2)], dtype=f"<U{width + 2}")
+    step = max(1, _TABLE_CHUNK // n)
+    for lo in range(0, n, step):
+        grid = cells[g._law.table[lo : lo + step, :n]].view(f"<U{(width + 2) * n}")
+        lines += [(b + row).rstrip() for b, row in zip(names[lo : lo + step], grid.ravel().tolist())]
+    lines.append("")  # the final newline, without copying the joined text
+    return "\n".join(lines)
 
 
 def groupoid_to_text(g: FiniteGroupoid) -> str:

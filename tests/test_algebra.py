@@ -342,6 +342,40 @@ def test_convolve_matches_dict_loop_bit_for_bit():
     assert _bits(convolve(empty, algebra_unit(A2) * 1j)) == _bits(_reference_convolve(empty, algebra_unit(A2) * 1j)) == []
 
 
+# Z3 as loops at o beside a lone unit at p, as in test_groupoid.py: three
+# coefficients add up in the [o, o] entry.
+Z3_BESIDE_UNIT = build_from_table(
+    "outcomes: o p\nelement: e o o\nelement: u p p\nelement: r o o\nelement: s o o\n"
+    "unit: o e\nunit: p u\ninverse: e e\ninverse: u u\ninverse: r s\n"
+    + "".join(f"compose: {b} {a} = {c}\n" for b, a, c in (
+        ("e", "e", "e"), ("e", "r", "r"), ("e", "s", "s"), ("r", "e", "r"), ("r", "r", "s"),
+        ("r", "s", "e"), ("s", "e", "s"), ("s", "r", "e"), ("s", "s", "r"), ("u", "u", "u"),
+    ))
+)
+
+
+def _reference_rep(a: AlgebraElement) -> np.ndarray:
+    """The label loop fundamental_rep replaced, verbatim: the bit-for-bit oracle."""
+    g = a.groupoid
+    idx = {o: i for i, o in enumerate(g.outcomes)}
+    m = np.zeros((len(g.outcomes), len(g.outcomes)), dtype=complex)
+    for el, c in a.coefficients.items():
+        m[idx[g.target[el]], idx[g.source[el]]] += c
+    return m
+
+
+def test_fundamental_rep_matches_label_loop_bit_for_bit():
+    rng = np.random.default_rng(20261018)
+    groupoids = [A2, MIXED, Z3_BESIDE_UNIT, *(build_pair_groupoid(n) for n in (1, 2, 3, 5, 8, 12))]
+    for case in range(600):
+        a = _seeded_element(groupoids[case % len(groupoids)], rng)
+        assert fundamental_rep(a).tobytes() == _reference_rep(a).tobytes()
+    assert fundamental_rep(algebra_unit(A2) * 1j).tobytes() == _reference_rep(algebra_unit(A2) * 1j).tobytes()
+    shared = AlgebraElement(Z3_BESIDE_UNIT, {"s": 1e16, "r": 1.0, "e": -1e16})
+    assert fundamental_rep(shared).tobytes() == _reference_rep(shared).tobytes()
+    assert fundamental_rep(shared)[0, 0] == 0  # (1e16 + 1) - 1e16 in coefficient order
+
+
 def test_convolve_overflow_matches_complex_multiply_without_warnings():
     g = build_pair_groupoid(3)
     big = {e: complex(1e200, 1e200 * (-1) ** k) for k, e in enumerate(g.elements)}

@@ -22,7 +22,7 @@ from groupoidqm import (
     solve_unitary_gammas,
 )
 from groupoidqm import cli, lagrangian
-from groupoidqm.cli import SWEEP_HEADER, ConfigError, RunConfig, _fmt, main, parse_config
+from groupoidqm.cli import MAX_SWEEP_POINTS, SWEEP_HEADER, ConfigError, RunConfig, _fmt, main, parse_config
 
 PI_HALF = format(math.pi / 2, ".17g")
 SQRT2 = format(math.sqrt(2.0), ".17g")
@@ -129,6 +129,18 @@ def test_parse_config_reads_every_key():
 def test_parse_config_rejects(text, match):
     with pytest.raises(ConfigError, match=match):
         parse_config(text)
+
+
+def test_sweep_points_ceiling_is_a_parse_error(tmp_path, capsys):
+    # Only parsed, never swept, so nothing of the ceiling's size is allocated.
+    block = "sweep_parameter = mu_tau_over_hbar\nsweep_from = 0\nsweep_to = 1\n"
+    assert parse_config(block + f"sweep_points = {MAX_SWEEP_POINTS}").sweep[3] == MAX_SWEEP_POINTS
+    message = f"line 4, column 16: sweep_points must be at most {MAX_SWEEP_POINTS}, got {MAX_SWEEP_POINTS + 1}"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(block + f"sweep_points = {MAX_SWEEP_POINTS + 1}")
+    assert str(exc.value) == message
+    rc, out, err = run(capsys, "sweep", "-c", cfg_file(tmp_path, block + f"sweep_points = {MAX_SWEEP_POINTS + 1}\n"))
+    assert (rc, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_validate_a2(tmp_path, capsys):

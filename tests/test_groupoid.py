@@ -185,12 +185,63 @@ compose: s s = e
 """
 
 
+# Z3 as loops at o beside a lone unit at p: 4 = 2^2 elements, yet not principal.
+# Three elements end at o and one at p, so associativity pads p's row of a's.
+Z3_BESIDE_UNIT = """
+outcomes: o p
+element: e o o
+element: u p p
+element: r o o
+element: s o o
+unit: o e
+unit: p u
+inverse: e e
+inverse: u u
+inverse: r s
+compose: e e = e
+compose: e r = r
+compose: e s = s
+compose: r e = r
+compose: r r = s
+compose: r s = e
+compose: s e = s
+compose: s r = e
+compose: s s = r
+compose: u u = u
+"""
+
+
 def test_build_from_table_group_and_principality():
     g = build_from_table(GROUP_Z2)
     assert validate_axioms(g).ok
     assert not is_principal(g)
     assert is_principal(build_a2())
     assert is_principal(build_pair_groupoid(4))
+
+
+def _reference_is_principal(g: FiniteGroupoid) -> bool:
+    """The label-dict count is_principal replaced: the oracle."""
+    counts: dict[tuple[str, str], int] = {}
+    for e in g.elements:
+        key = (g.target[e], g.source[e])
+        counts[key] = counts.get(key, 0) + 1
+    return all(counts.get((b, a), 0) == 1 for b in g.outcomes for a in g.outcomes)
+
+
+def test_is_principal_matches_dict_count_oracle():
+    z3 = build_from_table(Z3_BESIDE_UNIT)
+    assert len(z3.elements) == len(z3.outcomes) ** 2
+    assert not is_principal(z3) and not _reference_is_principal(z3)
+    groupoids = [
+        build_a2(), z3, build_from_table(GROUP_Z2),
+        *(build_pair_groupoid(n) for n in range(1, 6)), build_pair_groupoid(("q", "p", "r")),
+    ]
+    rng = random.Random(5)
+    for base in (build_a2(), build_pair_groupoid(3), z3):
+        groupoids += [_corrupt(base, rng, kinds=("source", "target"), count=1 + k % 2) for k in range(30)]
+    verdicts = [_reference_is_principal(g) for g in groupoids]
+    assert [is_principal(g) for g in groupoids] == verdicts
+    assert True in verdicts and False in verdicts
 
 
 def test_build_from_table_missing_inverse():
@@ -389,15 +440,20 @@ def _corrupt(g: FiniteGroupoid, rng: random.Random, kinds=CORRUPTIONS, count: in
 
 def test_validate_axioms_matches_scalar_oracle_on_seeded_corruptions():
     rng = random.Random(20240531)
-    bases = (build_a2(), build_pair_groupoid(3), build_pair_groupoid(4), build_from_table(GROUP_Z2))
+    z3 = build_from_table(Z3_BESIDE_UNIT)
+    assert validate_axioms(z3) == _reference_validate(z3) == ValidationReport(())
+    bases = (build_a2(), build_pair_groupoid(3), build_pair_groupoid(4), build_from_table(GROUP_Z2), z3)
     broken, axioms = 0, set()
-    for case in range(2400):
+    for case in range(3000):
         g = _corrupt(bases[case % len(bases)], rng, count=1 + case % 3)
         expected = _reference_validate(g)
-        assert validate_axioms(g).failures == expected.failures
+        got = validate_axioms(g).failures
+        assert got == expected.failures
+        # Padding a's carry the index E, which would print as None.
+        assert not any(f.axiom == "associativity" and ") ∘ None =" in f.message for f in got)
         broken += not expected.ok
         axioms.update(f.axiom for f in expected.failures)
-    assert broken > 2000
+    assert broken > 2500
     no_pairs = FiniteGroupoid(
         outcomes=("o1", "o2"), elements=("e",), source={"e": "o1"}, target={"e": "o2"},
         unit_of={"o1": "e", "o2": "e"}, inverse={"e": "e"}, compose_table={},
@@ -429,23 +485,51 @@ def test_associativity_chunk_seams_do_not_change_reports(chunk, monkeypatch):
     valid = build_pair_groupoid(6)
     expected_broken = _reference_validate(broken)
     assert any(f.axiom == "associativity" for f in expected_broken.failures)
+    padded = _corrupt(build_from_table(Z3_BESIDE_UNIT), random.Random(1), kinds=("rewrite",), count=2)
+    expected_padded = _reference_validate(padded)
+    assert any(f.axiom == "associativity" for f in expected_padded.failures)
     monkeypatch.setattr(groupoid_module, "_ASSOC_CHUNK", chunk)
     assert validate_axioms(broken) == expected_broken
+    assert validate_axioms(padded) == expected_padded
     assert validate_axioms(valid) == ValidationReport(())
 
 
 def test_multiplication_table_matches_scalar_renderer():
-    groupoids = [build_a2(), *(build_pair_groupoid(n) for n in range(1, 7))]
+    # Labels of mixed widths, the widest first or last; blank labels, which
+    # rstrip removes along with the padding before them.
+    blank = FiniteGroupoid(
+        outcomes=("o",), elements=("", " "), source={"": "o", " ": "o"}, target={"": "o", " ": "o"},
+        unit_of={"o": ""}, inverse={"": "", " ": " "},
+        compose_table={("", ""): "", ("", " "): " ", (" ", ""): " ", (" ", " "): ""},
+    )
+    groupoids = [
+        build_a2(), *(build_pair_groupoid(n) for n in (*range(1, 7), 12, 16)),
+        build_pair_groupoid(("a", "bb", "ccc")), build_pair_groupoid(("ccc", "bb", "a")),
+        build_from_table(Z3_BESIDE_UNIT), blank,
+    ]
     rng = random.Random(11)
-    for base in (build_a2(), build_pair_groupoid(3)):
+    for base in (build_a2(), build_pair_groupoid(3), build_pair_groupoid(("ccc", "bb", "a"))):
         for _ in range(20):
             groupoids.append(_corrupt(base, rng, kinds=("delete", "extra", "rewrite"), count=3))
     assert any(
         (b, a) in g.compose_table and not g.is_composable(b, a)
         for g in groupoids for b in g.elements for a in g.elements
     )
+    # Rows end in "∗" and in defined cells narrower than the column, so rstrip
+    # strips padding after both.
+    last_cells = [(g, g.compose_table.get((b, g.elements[-1]))) for g in groupoids for b in g.elements]
+    assert any(c is None for _, c in last_cells)
+    assert any(c is not None and len(c) < max(map(len, g.elements)) for g, c in last_cells)
     for g in groupoids:
         assert multiplication_table(g) == _reference_table(g)
+
+
+@pytest.mark.parametrize("chunk", [1, 20, groupoid_module._TABLE_CHUNK])
+def test_table_chunk_seams_do_not_change_rendering(chunk, monkeypatch):
+    groupoids = (build_a2(), build_pair_groupoid(("ccc", "bb", "a")), build_from_table(Z3_BESIDE_UNIT))
+    expected = [_reference_table(g) for g in groupoids]
+    monkeypatch.setattr(groupoid_module, "_TABLE_CHUNK", chunk)
+    assert [multiplication_table(g) for g in groupoids] == expected
 
 
 def test_validate_axioms_memory_stays_bounded():
