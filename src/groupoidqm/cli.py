@@ -49,7 +49,8 @@ SWEEP_HEADER = (
     "gamma_mm_re,gamma_mm_im,gamma_pm_re,gamma_pm_im,"
     "gamma_mp_re,gamma_mp_im,gamma_pp_re,gamma_pp_im"
 )
-# A sweep holds every point at once, ~0.8 kB each, so this caps it near 80 MB.
+# A sweep holds every point at once, ~0.45 kB each at its tracemalloc peak
+# (scan arrays, per-point complex amplitudes, CSV text), so this caps it near 45 MB.
 MAX_SWEEP_POINTS = 100_000
 
 
@@ -499,19 +500,19 @@ def cmd_sweep(cfg: RunConfig) -> tuple[int, str]:
         raise ConfigError("sweep command requires a sweep block in the config")
     _, start, stop, count = cfg.sweep
     grid = np.linspace(start, stop, count)
-    points = quantization_scan(
+    scan = quantization_scan(
         cfg.v_plus, cfg.v_minus, cfg.delta, cfg.p_plus, cfg.tau, cfg.hbar,
         cfg.lam, cfg.sigma, cfg.gauge, grid,
     )
-    lines = [SWEEP_HEADER]
-    gamma_columns = None  # the vertex factors do not depend on mu
-    for pt in points:
-        row = f"{_fmt(pt.mu_tau_over_hbar)},{'1' if pt.feasible else '0'},{_fmt(pt.min_residual)}"
-        if gamma_columns is None:
-            m = pt.model
-            gamma_columns = ",".join(_fmt_c(z) for z in (m.gamma_mm, m.gamma_pm, m.gamma_mp, m.gamma_pp))
-        lines.append(f"{row},{gamma_columns}")
-    return 0, _text(lines)
+    for column in (scan.mu_tau_over_hbar, scan.min_residual):
+        finite = np.isfinite(column)
+        if not finite.all():
+            raise ValueError(f"a computed result is not finite ({column[~finite][0]})")
+    m = scan.model  # the vertex factors do not depend on mu
+    gammas = ",".join(_fmt_c(z) for z in (m.gamma_mm, m.gamma_pm, m.gamma_mp, m.gamma_pp))
+    row = "%.17g,%d,%.17g," + gammas  # no % to escape: gammas holds digits, signs, dots, e and commas
+    columns = zip(scan.mu_tau_over_hbar.tolist(), scan.feasible.tolist(), scan.min_residual.tolist())
+    return 0, _text([SWEEP_HEADER, *[row % values for values in columns]])
 
 
 def _parse_state(spec: str, size: int) -> StateVector:

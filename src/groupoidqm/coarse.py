@@ -2,18 +2,20 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from .groupoid import FiniteGroupoid, OutcomePartition, build_pair_groupoid, pair_element
 from .lagrangian import QLagrangian
 
 
+def _pair_transitions(g: FiniteGroupoid) -> dict[tuple[str, str], str] | None:
+    """The transition of each ordered (target, source) outcome pair; None unless each has exactly one."""
+    by_pair = {(g.target[e], g.source[e]): e for e in g.elements}
+    k = len(g.outcomes)
+    return by_pair if len(by_pair) == len(g.elements) == k * k else None
+
+
 def is_principal(g: FiniteGroupoid) -> bool:
     """True when there is exactly one transition per ordered outcome pair."""
-    k = len(g.outcomes)
-    idx = {o: i for i, o in enumerate(g.outcomes)}
-    pairs = [idx[g.target[e]] * k + idx[g.source[e]] for e in g.elements]
-    return bool(np.all(np.bincount(pairs, minlength=k * k) == 1))
+    return _pair_transitions(g) is not None
 
 
 def coarse_grain(
@@ -26,14 +28,14 @@ def coarse_grain(
     Only pair-structured groupoids are accepted; on those the quotient is
     again a pair groupoid over the block labels.
     """
-    if not is_principal(g):
+    by_pair = _pair_transitions(g)
+    if by_pair is None:
         raise ValueError("coarse graining requires a pair-structured groupoid "
                          "(exactly one transition per ordered outcome pair)")
     if ell.groupoid != g:
         raise ValueError("lagrangian is defined on a different groupoid")
     partition.validate_against(g.outcomes)
 
-    by_pair = {(g.target[e], g.source[e]): e for e in g.elements}
     labels = tuple(partition.block_label(b) for b in partition.blocks)
     quotient = build_pair_groupoid(labels)
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -119,16 +119,17 @@ def _step_matrices(m: PropagatorModel, mus: list[float]) -> np.ndarray:
     Each kernel entry is the one-step amplitude of histories.single_step_matrix
     (units weighted -V, the flips mu ± i delta), so with unit vertex factors a
     step matrix is the one-step path sum bit for bit.  Only the two flip
-    entries depend on mu.
+    entries depend on mu; they are written out as histories._amplitude
+    evaluates them, with sqrt(p+ p-) taken once.
     """
-    bias, tau, hbar = qubit_bias(m.p_plus), m.tau, m.hbar
+    bias, tau, hbar, delta = qubit_bias(m.p_plus), m.tau, m.hbar, m.delta
     # single_step_matrix adds each amplitude onto a zero entry, hence the 0j +
     kernel = np.empty((len(mus), 2, 2), dtype=complex)
     kernel[:, 1, 1] = 0j + _amplitude(bias, OUT_PLUS, OUT_PLUS, complex(-m.v_plus, 0.0) * tau, hbar)
     kernel[:, 0, 0] = 0j + _amplitude(bias, OUT_MINUS, OUT_MINUS, complex(-m.v_minus, 0.0) * tau, hbar)
-    for k, mu in enumerate(mus):
-        kernel[k, 0, 1] = 0j + _amplitude(bias, OUT_PLUS, OUT_MINUS, complex(mu, m.delta) * tau, hbar)
-        kernel[k, 1, 0] = 0j + _amplitude(bias, OUT_MINUS, OUT_PLUS, complex(mu, -m.delta) * tau, hbar)
+    root, exp = math.sqrt(bias[OUT_PLUS] * bias[OUT_MINUS]), cmath.exp
+    kernel[:, 0, 1] = [0j + root * exp(1j * (complex(mu, delta) * tau) / hbar) for mu in mus]
+    kernel[:, 1, 0] = [0j + root * exp(1j * (complex(mu, -delta) * tau) / hbar) for mu in mus]
     return np.array(m.gammas, dtype=complex).reshape(2, 2) * kernel
 
 
@@ -212,23 +213,23 @@ def _solve_grid(
     sigma: float,
     gauge: float,
     feasible_tol: float,
-) -> tuple[list[PropagatorModel], np.ndarray, np.ndarray, list[bool]]:
-    """The pinned-gauge candidate at each mu, its step matrix and the algebraic verdict on it.
+) -> tuple[PropagatorModel, np.ndarray, np.ndarray, np.ndarray]:
+    """The pinned-gauge candidate, its step matrix at each mu and the algebraic verdict there.
 
     The candidate meets the structural relations exactly, and the only
     freedom they leave, the sign of the real G_pp, changes neither
     orthogonality nor the phase gap, so no search can do better.  With s < 0
-    it takes G_pp = G_mm = 0, whose residual is |s|.  The step matrices come
-    from _step_matrices, so u[k] equals qubit_propagator of the k-th model
-    bit for bit.  Returns the models, the (len(mus), 2, 2) step matrices,
-    their (len(mus), 8) _residuals and the verdicts.
+    it takes G_pp = G_mm = 0, whose residual is |s|.  Its vertex factors do
+    not depend on mu, so one model, built at mu = 0, stands for every point;
+    u[k] equals qubit_propagator of that model with mu = mus[k], bit for bit.
+    Returns the model, the (len(mus), 2, 2) step matrices, their
+    (len(mus), 8) _residuals and the boolean verdicts.
     """
     p_minus = 1.0 - p_plus
     growth = math.exp(2.0 * delta * tau / hbar)
     s = 1.0 - gauge * gauge * p_plus * p_minus * growth
     g_pp = math.sqrt(max(s, 0.0)) / p_plus
-    # validated once, at mu = 0; the points differ only in mu
-    base = PropagatorModel(
+    model = PropagatorModel(
         v_plus, v_minus, 0.0, delta, p_plus, tau, hbar,
         gamma_mm=g_pp * (p_plus / p_minus) * cmath.exp(1j * sigma / hbar),
         gamma_mp=gauge * growth * cmath.exp(-1j * lam / hbar),
@@ -236,13 +237,10 @@ def _solve_grid(
         gamma_pp=complex(g_pp, 0.0),
         lam=lam, sigma=sigma,
     )
-    models = [object.__new__(PropagatorModel) for _ in mus]
-    for model, mu in zip(models, mus):
-        model.__dict__.update(vars(base), mu=mu)
-    u = _step_matrices(base, mus)
+    u = _step_matrices(model, mus)
     residuals = _residuals(u)
-    feasible = [s >= 0.0 and r <= feasible_tol for r in residuals.max(axis=-1).tolist()]
-    return models, u, residuals, feasible
+    feasible = np.logical_and(s >= 0.0, residuals.max(axis=-1) <= feasible_tol)
+    return model, u, residuals, feasible
 
 
 def solve_unitary_gammas(
@@ -272,20 +270,30 @@ def solve_unitary_gammas(
     unitarity_residuals(model).
     """
     _check_solve_args(p_plus, tau, hbar, gauge)
-    models, u, residuals, feasible = _solve_grid(
+    model, u, residuals, feasible = _solve_grid(
         v_plus, v_minus, [mu], delta, p_plus, tau, hbar, lam, sigma, gauge, feasible_tol
     )
-    report = _report(models[0], residuals[0])
-    return GammaSolution(feasible[0], models[0], report, report.max_residual, u[0])
+    model = replace(model, mu=mu)
+    report = _report(model, residuals[0])
+    return GammaSolution(bool(feasible[0]), model, report, report.max_residual, u[0])
 
 
-@dataclass(frozen=True)
-class ScanPoint:
-    mu: float
-    mu_tau_over_hbar: float
-    feasible: bool
-    min_residual: float
+@dataclass(frozen=True, eq=False)
+class QuantizationScan:
+    """Outcome of quantization_scan: one candidate model and a read-only array per column.
+
+    The pinned-gauge vertex factors do not depend on mu, so model (built at
+    mu = 0) carries them once; the candidate at grid point i is
+    dataclasses.replace(model, mu=mu[i]), which is solve_unitary_gammas'
+    model there.  feasible and min_residual are that solve's verdict and
+    joint residual, bit for bit.
+    """
+
     model: PropagatorModel
+    mu: np.ndarray
+    mu_tau_over_hbar: np.ndarray
+    min_residual: np.ndarray
+    feasible: np.ndarray
 
 
 def quantization_scan(
@@ -300,22 +308,24 @@ def quantization_scan(
     gauge: float,
     grid: np.ndarray,
     feasible_tol: float = FEASIBLE_TOL,
-) -> list[ScanPoint]:
+) -> QuantizationScan:
     """Solve for unitary vertex factors along a grid of mu*tau/hbar values.
 
     Each grid point gets the same algebraic decision as solve_unitary_gammas,
     but the mu-independent work (radicand, vertex factors, bias, diagonal
-    kernel entries) is done once and the unitarity residuals of all points
-    come from stacked matrix products.
+    kernel entries) is done once, the unitarity residuals of all points
+    come from stacked matrix products, and no per-point object is built.
     """
     _check_solve_args(p_plus, tau, hbar, gauge)
-    xs = np.asarray(grid, dtype=float)
-    mus = [x * hbar / tau for x in xs]
-    models, _, residuals, feasible = _solve_grid(
-        v_plus, v_minus, mus, delta, p_plus, tau, hbar, lam, sigma, gauge, feasible_tol
+    xs = np.array(grid, dtype=float)  # a copy: the caller's grid stays writable
+    mus = xs * hbar / tau
+    model, _, residuals, feasible = _solve_grid(
+        v_plus, v_minus, mus.tolist(), delta, p_plus, tau, hbar, lam, sigma, gauge, feasible_tol
     )
-    worst = residuals.max(axis=-1).tolist()
-    return [ScanPoint(*row) for row in zip(mus, xs.tolist(), feasible, worst, models)]
+    columns = (mus, xs, residuals.max(axis=-1), feasible)
+    for column in columns:
+        column.flags.writeable = False
+    return QuantizationScan(model, *columns)
 
 
 def sign_case_matrix(a: complex, b: complex, case: SignCase) -> np.ndarray:

@@ -21,7 +21,8 @@ from groupoidqm import (
     qubit_propagator,
     solve_unitary_gammas,
 )
-from groupoidqm import cli, lagrangian
+from groupoidqm import cli, coarse, lagrangian
+from groupoidqm.coarse import is_principal
 from groupoidqm.cli import MAX_SWEEP_POINTS, SWEEP_HEADER, ConfigError, RunConfig, _fmt, main, parse_config
 
 PI_HALF = format(math.pi / 2, ".17g")
@@ -598,6 +599,27 @@ def test_coarse_grain_index_diff(tmp_path, capsys):
     assert "({x3+x4},{x1+x2}) = 0,2" in tail
     assert "({x1+x2},{x3+x4}) = 0,-2" in tail
     assert "({x1+x2},{x1+x2}) = 0,0" in tail
+
+
+def test_coarse_grain_counts_outcome_pairs_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return is_principal(g)
+
+    monkeypatch.setattr(cli, "is_principal", counted)
+    monkeypatch.setattr(coarse, "is_principal", counted)
+    text = "groupoid = pair:4\npair_lagrangian = index_diff:1.0\n"
+    rc, out, err = run(capsys, "coarse-grain", "-c", cfg_file(tmp_path, text), "--partition", "x1,x2|x3,x4")
+    assert rc == 0 and len(calls) == 1
+    calls.clear()
+    z1 = tmp_path / "z1.g"
+    z1.write_text("outcomes: o\nelement: e o o\nelement: s o o\nunit: o e\ninverse: e e\ninverse: s s\n"
+                  "compose: e e = e\ncompose: e s = s\ncompose: s e = s\ncompose: s s = e\n", encoding="utf-8")
+    rc, out, err = run(capsys, "coarse-grain", "-c", cfg_file(tmp_path, f"groupoid = {z1}\n", "z.cfg"),
+                       "--partition", "o")
+    assert rc == 1 and "requires a pair groupoid" in err and len(calls) == 1
 
 
 def test_coarse_grain_requires_pair_groupoid(tmp_path, capsys):

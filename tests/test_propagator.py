@@ -1,5 +1,7 @@
 import cmath
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from groupoidqm import (
     unitarity_residuals,
 )
 from groupoidqm.histories import fixed_order_matmul
-from groupoidqm.propagator import _residuals
+from groupoidqm.propagator import _residuals, _step_matrices
 
 SQRT2 = math.sqrt(2.0)
 
@@ -163,19 +165,25 @@ def test_solve_rejects_degenerate_bias():
         solve_unitary_gammas(0, 0, 1.0, 0, 0.5, 1.0, 1.0, gauge=0.0)
 
 
+def scan_models(scan):
+    """The candidate model at each grid point of a quantization scan."""
+    return [dataclasses.replace(scan.model, mu=mu) for mu in scan.mu.tolist()]
+
+
 def test_quantization_scan_small_grid():
     grid = np.linspace(0.0, 2 * math.pi, 9)
-    points = quantization_scan(0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 0.0, 0.0, SQRT2, grid)
-    feas = [i for i, pt in enumerate(points) if pt.feasible]
+    scan = quantization_scan(0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 0.0, 0.0, SQRT2, grid)
+    feas = np.flatnonzero(scan.feasible).tolist()
     assert feas == [2, 6]  # pi/2 and 3 pi/2
-    assert all(pt.min_residual > 1e-3 for i, pt in enumerate(points) if i not in feas)
-    assert points[2].mu == pytest.approx(math.pi / 2)
+    assert all(r > 1e-3 for i, r in enumerate(scan.min_residual.tolist()) if i not in feas)
+    assert scan.mu[2] == pytest.approx(math.pi / 2)
+    assert scan.mu_tau_over_hbar.tobytes() == grid.tobytes()
 
 
 def test_quantization_scan_parity_shift():
     grid = np.linspace(0.0, 2 * math.pi, 9)
-    points = quantization_scan(0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 0.0, math.pi, SQRT2, grid)
-    feas = [i for i, pt in enumerate(points) if pt.feasible]
+    scan = quantization_scan(0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 0.0, math.pi, SQRT2, grid)
+    feas = np.flatnonzero(scan.feasible).tolist()
     assert feas == [0, 4, 8]  # 0, pi, 2 pi
 
 
@@ -204,10 +212,11 @@ def test_scan_feasible_iff_radicand_and_phase_gap():
     n_feasible = 0
     for seed in range(20):
         args, radicand = _seeded_scan_params(seed)
-        for pt in quantization_scan(*args):
-            gap = unitarity_residuals(pt.model).global_phase_gap
-            assert pt.feasible == (radicand >= 0.0 and gap <= 1e-10)
-            n_feasible += pt.feasible
+        scan = quantization_scan(*args)
+        for model, feasible in zip(scan_models(scan), scan.feasible.tolist()):
+            gap = unitarity_residuals(model).global_phase_gap
+            assert feasible == (radicand >= 0.0 and gap <= 1e-10)
+            n_feasible += feasible
     assert n_feasible >= 50  # the positive-radicand half has on-grid roots
 
 
@@ -215,15 +224,16 @@ def test_negative_radicand_residual_is_its_magnitude():
     for seed in range(0, 20, 2):
         args, radicand = _seeded_scan_params(seed)
         assert radicand < 0.0
-        for pt in quantization_scan(*args):
-            assert not pt.feasible
-            assert pt.min_residual == pytest.approx(-radicand, abs=1e-12)
-            v_plus, v_minus, delta_, p, tau, hbar, lam, sigma, gauge, _ = args
+        scan = quantization_scan(*args)
+        assert not scan.feasible.any()
+        v_plus, v_minus, delta_, p, tau, hbar, lam, sigma, gauge, _ = args
+        for mu, min_residual, model in zip(scan.mu.tolist(), scan.min_residual.tolist(), scan_models(scan)):
+            assert min_residual == pytest.approx(-radicand, abs=1e-12)
             sol = solve_unitary_gammas(
-                v_plus, v_minus, pt.mu, delta_, p, tau, hbar, lam=lam, sigma=sigma, gauge=gauge
+                v_plus, v_minus, mu, delta_, p, tau, hbar, lam=lam, sigma=sigma, gauge=gauge
             )
-            assert sol.min_residual == pt.min_residual
-            assert sol.model == pt.model
+            assert sol.min_residual == min_residual
+            assert sol.model == model
 
 
 def test_scan_matches_single_solves_bit_for_bit():
@@ -232,15 +242,17 @@ def test_scan_matches_single_solves_bit_for_bit():
         args, radicand = _seeded_scan_params(seed)
         assert radicand > 0.0
         v_plus, v_minus, delta_, p, tau, hbar, lam, sigma, gauge, _ = args
-        for pt in quantization_scan(*args):
+        scan = quantization_scan(*args)
+        us = _step_matrices(scan.model, scan.mu.tolist())  # the scan's own step matrices
+        for i, mu in enumerate(scan.mu.tolist()):
             sol = solve_unitary_gammas(
-                v_plus, v_minus, pt.mu, delta_, p, tau, hbar, lam=lam, sigma=sigma, gauge=gauge
+                v_plus, v_minus, mu, delta_, p, tau, hbar, lam=lam, sigma=sigma, gauge=gauge
             )
-            assert pt.feasible == sol.feasible
-            assert repr(pt.min_residual) == repr(sol.min_residual) == repr(sol.report.max_residual)
-            assert pt.model == sol.model
-            assert sol.u.tobytes() == qubit_propagator(sol.model).tobytes()
-            n_feasible += pt.feasible
+            assert type(sol.feasible) is bool and sol.feasible == scan.feasible[i]
+            assert repr(scan.min_residual[i].item()) == repr(sol.min_residual) == repr(sol.report.max_residual)
+            assert dataclasses.replace(scan.model, mu=scan.mu[i]) == sol.model
+            assert sol.u.tobytes() == us[i].tobytes() == qubit_propagator(sol.model).tobytes()
+            n_feasible += sol.feasible
     assert n_feasible >= 50
 
 
@@ -256,8 +268,8 @@ def test_residuals_follow_the_fixed_order_bit_for_bit(seed):
     # Python float operations never fuse, so these bits are the same on every machine
     args, _ = _seeded_scan_params(seed)
     v_plus, v_minus, delta_, p, tau, hbar, lam, sigma, gauge, _ = args
-    points = quantization_scan(*args)
-    models = [pt.model for pt in points]
+    scan = quantization_scan(*args)
+    models = scan_models(scan)
     models.append(PropagatorModel(v_plus, v_minus, 0.4, delta_, p, tau, hbar, 1 - 2j, -0.5, 3j, 0.25))
     us = np.stack([qubit_propagator(m) for m in models])
     assert fixed_order_matmul(us, us.conj()).tobytes() == b"".join(
@@ -267,13 +279,41 @@ def test_residuals_follow_the_fixed_order_bit_for_bit(seed):
     for m, u, row in zip(models, us, stacked):
         report = unitarity_residuals(m)
         assert repr(list(report.residuals)) == repr(row.tolist()) == repr(python_residuals(u.tolist()))
-    for pt in points:
-        sol = solve_unitary_gammas(v_plus, v_minus, pt.mu, delta_, p, tau, hbar, lam=lam, sigma=sigma, gauge=gauge)
+    for mu in scan.mu.tolist():
+        sol = solve_unitary_gammas(v_plus, v_minus, mu, delta_, p, tau, hbar, lam=lam, sigma=sigma, gauge=gauge)
         assert sol.report == unitarity_residuals(sol.model)
 
 
 def test_scan_of_an_empty_grid_is_empty():
-    assert quantization_scan(0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 0.0, 0.0, SQRT2, np.zeros(0)) == []
+    scan = quantization_scan(0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 0.0, 0.0, SQRT2, np.zeros(0))
+    columns = (scan.mu, scan.mu_tau_over_hbar, scan.min_residual, scan.feasible)
+    assert [c.shape for c in columns] == [(0,)] * 4
+    assert scan.feasible.dtype == bool
+
+
+def test_scan_result_is_read_only_and_leaves_the_grid_alone():
+    grid = np.linspace(0.0, 1.0, 5)
+    scan = quantization_scan(0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 0.0, 0.0, SQRT2, grid)
+    for column in (scan.mu, scan.mu_tau_over_hbar, scan.min_residual, scan.feasible):
+        with pytest.raises(ValueError):
+            column[0] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        scan.mu = grid
+    grid[0] = 7.0  # the scan holds its own copy
+    assert scan.mu_tau_over_hbar[0] == 0.0
+
+
+def test_scan_retains_bounded_memory_per_point():
+    grid = np.linspace(0.0, 2 * math.pi, 20000)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        scan = quantization_scan(0.0, 0.0, 0.1, 0.4, 1.0, 1.0, 0.3, -0.2, 1.5, grid)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert scan.mu.size == 20000
+    assert retained < 100 * 20000, f"{retained / 20000:.0f} B per point"
 
 
 def test_solve_and_model_reject_nan_clock():
