@@ -511,7 +511,7 @@ def cmd_sweep(cfg: RunConfig) -> tuple[int, str]:
     m = scan.model  # the vertex factors do not depend on mu
     gammas = ",".join(_fmt_c(z) for z in (m.gamma_mm, m.gamma_pm, m.gamma_mp, m.gamma_pp))
     row = "%.17g,%d,%.17g," + gammas  # no % to escape: gammas holds digits, signs, dots, e and commas
-    columns = zip(scan.mu_tau_over_hbar.tolist(), scan.feasible.tolist(), scan.min_residual.tolist())
+    columns = zip(scan.mu_tau_over_hbar.tolist(), scan.feasible_mask.tolist(), scan.min_residual.tolist())
     return 0, _text([SWEEP_HEADER, *[row % values for values in columns]])
 
 

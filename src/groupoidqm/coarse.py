@@ -2,20 +2,18 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from .groupoid import FiniteGroupoid, OutcomePartition, build_pair_groupoid, pair_element
 from .lagrangian import QLagrangian
 
 
-def _pair_transitions(g: FiniteGroupoid) -> dict[tuple[str, str], str] | None:
-    """The transition of each ordered (target, source) outcome pair; None unless each has exactly one."""
-    by_pair = {(g.target[e], g.source[e]): e for e in g.elements}
-    k = len(g.outcomes)
-    return by_pair if len(by_pair) == len(g.elements) == k * k else None
-
-
 def is_principal(g: FiniteGroupoid) -> bool:
     """True when there is exactly one transition per ordered outcome pair."""
-    return _pair_transitions(g) is not None
+    k = len(g.outcomes)
+    idx = {o: i for i, o in enumerate(g.outcomes)}
+    pairs = [idx[g.target[e]] * k + idx[g.source[e]] for e in g.elements]
+    return bool(np.all(np.bincount(pairs, minlength=k * k) == 1))
 
 
 def coarse_grain(
@@ -28,8 +26,11 @@ def coarse_grain(
     Only pair-structured groupoids are accepted; on those the quotient is
     again a pair groupoid over the block labels.
     """
-    by_pair = _pair_transitions(g)
-    if by_pair is None:
+    # the transition of each (target, source) pair; the pair structure holds
+    # exactly when there are k*k distinct pairs and k*k transitions
+    by_pair = {(g.target[e], g.source[e]): e for e in g.elements}
+    k = len(g.outcomes)
+    if not len(by_pair) == len(g.elements) == k * k:
         raise ValueError("coarse graining requires a pair-structured groupoid "
                          "(exactly one transition per ordered outcome pair)")
     if ell.groupoid != g:

@@ -285,15 +285,21 @@ class QuantizationScan:
     The pinned-gauge vertex factors do not depend on mu, so model (built at
     mu = 0) carries them once; the candidate at grid point i is
     dataclasses.replace(model, mu=mu[i]), which is solve_unitary_gammas'
-    model there.  feasible and min_residual are that solve's verdict and
-    joint residual, bit for bit.
+    model there.  feasible_mask[i] and min_residual[i] are that solve's
+    verdict and joint residual, bit for bit.  feasible is the verdict on the
+    whole scan, one bool like GammaSolution.feasible: some grid point admits
+    a unitary step.
     """
 
     model: PropagatorModel
     mu: np.ndarray
     mu_tau_over_hbar: np.ndarray
     min_residual: np.ndarray
-    feasible: np.ndarray
+    feasible_mask: np.ndarray
+
+    @property
+    def feasible(self) -> bool:
+        return bool(self.feasible_mask.any())
 
 
 def quantization_scan(

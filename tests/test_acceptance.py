@@ -311,9 +311,9 @@ def test_criterion_07_quantization_detection():
     grid = np.linspace(0.0, 2.0 * math.pi, 721)
     start = time.perf_counter()
     scan_zero = quantization_scan(0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 0.0, 0.0, 1.0, grid)
-    feasible_zero = np.flatnonzero(scan_zero.feasible).tolist()
+    feasible_zero = np.flatnonzero(scan_zero.feasible_mask).tolist()
     scan_pi = quantization_scan(0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 0.0, math.pi, 1.0, grid)
-    feasible_pi = np.flatnonzero(scan_pi.feasible).tolist()
+    feasible_pi = np.flatnonzero(scan_pi.feasible_mask).tolist()
     elapsed = time.perf_counter() - start
     _criterion(
         7,

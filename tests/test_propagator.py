@@ -173,17 +173,25 @@ def scan_models(scan):
 def test_quantization_scan_small_grid():
     grid = np.linspace(0.0, 2 * math.pi, 9)
     scan = quantization_scan(0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 0.0, 0.0, SQRT2, grid)
-    feas = np.flatnonzero(scan.feasible).tolist()
+    feas = np.flatnonzero(scan.feasible_mask).tolist()
     assert feas == [2, 6]  # pi/2 and 3 pi/2
     assert all(r > 1e-3 for i, r in enumerate(scan.min_residual.tolist()) if i not in feas)
     assert scan.mu[2] == pytest.approx(math.pi / 2)
     assert scan.mu_tau_over_hbar.tobytes() == grid.tobytes()
 
 
+def test_scan_verdict_is_one_bool_over_the_grid():
+    grid = np.linspace(0.0, 2 * math.pi, 9)
+    on = quantization_scan(0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 0.0, 0.0, SQRT2, grid)
+    off = quantization_scan(0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 0.0, 0.0, SQRT2, grid[[1, 3, 5]])
+    assert on.feasible is True and off.feasible is False
+    assert bool(on.feasible) == bool(on.feasible_mask.any())
+
+
 def test_quantization_scan_parity_shift():
     grid = np.linspace(0.0, 2 * math.pi, 9)
     scan = quantization_scan(0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 0.0, math.pi, SQRT2, grid)
-    feas = np.flatnonzero(scan.feasible).tolist()
+    feas = np.flatnonzero(scan.feasible_mask).tolist()
     assert feas == [0, 4, 8]  # 0, pi, 2 pi
 
 
@@ -213,7 +221,7 @@ def test_scan_feasible_iff_radicand_and_phase_gap():
     for seed in range(20):
         args, radicand = _seeded_scan_params(seed)
         scan = quantization_scan(*args)
-        for model, feasible in zip(scan_models(scan), scan.feasible.tolist()):
+        for model, feasible in zip(scan_models(scan), scan.feasible_mask.tolist()):
             gap = unitarity_residuals(model).global_phase_gap
             assert feasible == (radicand >= 0.0 and gap <= 1e-10)
             n_feasible += feasible
@@ -225,7 +233,7 @@ def test_negative_radicand_residual_is_its_magnitude():
         args, radicand = _seeded_scan_params(seed)
         assert radicand < 0.0
         scan = quantization_scan(*args)
-        assert not scan.feasible.any()
+        assert scan.feasible is False and not scan.feasible_mask.any()
         v_plus, v_minus, delta_, p, tau, hbar, lam, sigma, gauge, _ = args
         for mu, min_residual, model in zip(scan.mu.tolist(), scan.min_residual.tolist(), scan_models(scan)):
             assert min_residual == pytest.approx(-radicand, abs=1e-12)
@@ -248,7 +256,7 @@ def test_scan_matches_single_solves_bit_for_bit():
             sol = solve_unitary_gammas(
                 v_plus, v_minus, mu, delta_, p, tau, hbar, lam=lam, sigma=sigma, gauge=gauge
             )
-            assert type(sol.feasible) is bool and sol.feasible == scan.feasible[i]
+            assert type(sol.feasible) is bool and sol.feasible == scan.feasible_mask[i]
             assert repr(scan.min_residual[i].item()) == repr(sol.min_residual) == repr(sol.report.max_residual)
             assert dataclasses.replace(scan.model, mu=scan.mu[i]) == sol.model
             assert sol.u.tobytes() == us[i].tobytes() == qubit_propagator(sol.model).tobytes()
@@ -286,15 +294,15 @@ def test_residuals_follow_the_fixed_order_bit_for_bit(seed):
 
 def test_scan_of_an_empty_grid_is_empty():
     scan = quantization_scan(0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 0.0, 0.0, SQRT2, np.zeros(0))
-    columns = (scan.mu, scan.mu_tau_over_hbar, scan.min_residual, scan.feasible)
+    columns = (scan.mu, scan.mu_tau_over_hbar, scan.min_residual, scan.feasible_mask)
     assert [c.shape for c in columns] == [(0,)] * 4
-    assert scan.feasible.dtype == bool
+    assert scan.feasible_mask.dtype == bool and scan.feasible is False
 
 
 def test_scan_result_is_read_only_and_leaves_the_grid_alone():
     grid = np.linspace(0.0, 1.0, 5)
     scan = quantization_scan(0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 0.0, 0.0, SQRT2, grid)
-    for column in (scan.mu, scan.mu_tau_over_hbar, scan.min_residual, scan.feasible):
+    for column in (scan.mu, scan.mu_tau_over_hbar, scan.min_residual, scan.feasible_mask):
         with pytest.raises(ValueError):
             column[0] = 0
     with pytest.raises(dataclasses.FrozenInstanceError):
