@@ -97,7 +97,7 @@ def convolve(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """
     a._check_same(b)
     g = a.groupoid
-    law, n = g._law, len(g.elements)
+    law, n = g.compose_table, len(g.elements)
     beta = np.array([law.index[k] for k in a.coefficients], dtype=np.intp)
     alpha = np.array([law.index[k] for k in b.coefficients], dtype=np.intp)
     ca = np.array(list(a.coefficients.values()), dtype=complex)
@@ -311,7 +311,10 @@ def element_from_lines(g: FiniteGroupoid, text: str) -> AlgebraElement:
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected two comma-separated reals")
         try:
-            coeffs[name] = complex(float(parts[0]), float(parts[1]))
+            re, im = float(parts[0]), float(parts[1])
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise ValueError(f"line {lineno}: expected finite reals, got {value.strip()!r}")
+        coeffs[name] = complex(re, im)
     return AlgebraElement(g, coeffs)

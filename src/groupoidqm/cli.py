@@ -347,7 +347,10 @@ def _build_lagrangian(cfg: RunConfig, g: FiniteGroupoid) -> QLagrangian | None:
             text = Path(arg).read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"cannot read weight file {arg!r}: {exc}") from None
-        a = element_from_lines(g, text)
+        try:
+            a = element_from_lines(g, text)
+        except ValueError as exc:
+            raise ConfigError(f"bad weight file {arg!r}: {exc}") from None
         return QLagrangian(g, {e: a[e] for e in g.elements})
     raise ConfigError(f"unknown pair_lagrangian kind {kind!r}")
 
@@ -358,14 +361,12 @@ def _build_bias(cfg: RunConfig, g: FiniteGroupoid) -> OutcomeBias:
     return OutcomeBias.uniform(g)
 
 
-_A2 = build_a2()
-
-
 def _require_a2(cfg: RunConfig, command: str) -> FiniteGroupoid:
-    g = _build_groupoid(cfg)
-    if cfg.groupoid_spec != "a2" and g != _A2:
+    """a2 itself: the qubit step matrix is fixed to its (-, +) outcome order,
+    so a groupoid file is rejected even when it describes a2."""
+    if cfg.groupoid_spec != "a2":
         raise ConfigError(f"{command} command requires a2")
-    return g
+    return build_a2()
 
 
 def _step_from_config(cfg: RunConfig) -> tuple[PropagatorModel, np.ndarray, UnitarityReport | None]:
@@ -419,7 +420,9 @@ def cmd_validate(cfg: RunConfig) -> tuple[int, str]:
             lines.append(str(failure))
     try:
         ell = _build_lagrangian(cfg, g)
-    except ValueError as exc:
+    except ConfigError:
+        raise
+    except ValueError as exc:  # QLagrangian's self-adjointness check
         lines.append(f"lagrangian = violation: {exc}")
         ok = False
     else:

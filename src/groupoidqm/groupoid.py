@@ -8,18 +8,18 @@ composition table.  ``compose_table[(beta, alpha)] = gamma`` encodes
 same reading: the cell at (row, column) holds row ∘ column, with "∗" marking
 non-composable pairs.
 
-Every groupoid also holds its composition law as an ``(E+1) x (E+1)`` int32
+Every groupoid holds its composition law as one ``(E+1) x (E+1)`` int32
 table over element indices 0..E-1 in declaration order, in which E means
-"undefined" and absorbs.  Pair groupoids are built on that table, and their
-``compose_table`` is a read-only view of it; groupoids built from label dicts
-derive it on first use.
+"undefined" and absorbs.  Pair groupoids build that table by index
+arithmetic; a label mapping given to the constructor is converted to it once.
+``compose_table`` is always a read-only mapping view of the table, and every
+reader (validation, rendering, equality, convolution) reads that one form.
 """
 
 from __future__ import annotations
 
 from collections.abc import ItemsView
 from dataclasses import dataclass
-from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -104,11 +104,9 @@ class _ComposeTable(Mapping):
     @classmethod
     def from_mapping(cls, elements: tuple[str, ...], mapping: Mapping[tuple[str, str], str]) -> "_ComposeTable":
         n = len(elements)
-        index = dict(zip(elements, range(n)))
-        table = np.full((n + 1, n + 1), n, dtype=np.int32)
-        if mapping:
-            b, a, c = zip(*((index[b], index[a], index[c]) for (b, a), c in mapping.items()))
-            table[b, a] = c
+        index, stride = dict(zip(elements, range(n))), n + 1
+        table = np.full((stride, stride), n, dtype=np.int32)
+        table.flat[[index[b] * stride + index[a] for b, a in mapping]] = [index[c] for c in mapping.values()]
         return cls(elements, table)
 
     def __getitem__(self, key: tuple[str, str]) -> str:
@@ -158,6 +156,8 @@ class FiniteGroupoid:
     The constructor enforces referential integrity only (every label used is
     declared); the algebraic axioms are checked by :func:`validate_axioms` so
     that deliberately broken tables can still be represented and diagnosed.
+    ``compose_table`` may be passed as any label mapping; it is held as the
+    read-only integer table view.
     """
 
     outcomes: tuple[str, ...]
@@ -198,7 +198,7 @@ class FiniteGroupoid:
             for (b, a), c in table.items():
                 if b not in eset or a not in eset or c not in eset:
                     raise ValueError(f"compose table mentions undeclared elements: ({b!r}, {a!r}) -> {c!r}")
-            table = MappingProxyType(dict(table))
+            table = _ComposeTable.from_mapping(elements, table)
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "source", MappingProxyType(dict(self.source)))
@@ -206,13 +206,6 @@ class FiniteGroupoid:
         object.__setattr__(self, "unit_of", MappingProxyType(dict(self.unit_of)))
         object.__setattr__(self, "inverse", MappingProxyType(dict(self.inverse)))
         object.__setattr__(self, "compose_table", table)
-
-    @cached_property
-    def _law(self) -> _ComposeTable:
-        """The composition law on element indices; derived on first use from a label dict."""
-        if isinstance(self.compose_table, _ComposeTable):
-            return self.compose_table
-        return _ComposeTable.from_mapping(self.elements, self.compose_table)
 
     def __eq__(self, other) -> bool:
         """Structural equality; label declaration order is irrelevant."""
@@ -233,12 +226,9 @@ class FiniteGroupoid:
     def _same_law(self, other: "FiniteGroupoid") -> bool:
         """Equal compose tables, given equal element sets in any order."""
         mine, theirs = self.compose_table, other.compose_table
-        if not (isinstance(mine, _ComposeTable) or isinstance(theirs, _ComposeTable)):
-            return mine == theirs
-        n, index = len(self.elements), self._law.index
         # perm[j]: the index in self of other's element j; E stays E.
-        perm = np.array([index[e] for e in other.elements] + [n], dtype=np.intp)
-        return bool(np.array_equal(self._law.table[np.ix_(perm, perm)], perm[other._law.table]))
+        perm = np.array([mine.index[e] for e in other.elements] + [len(self.elements)], dtype=np.intp)
+        return bool(np.array_equal(mine.table[np.ix_(perm, perm)], perm[theirs.table]))
 
     def __hash__(self):
         return hash((frozenset(self.outcomes), frozenset(self.elements)))
@@ -263,15 +253,11 @@ class FiniteGroupoid:
         return self.unit_of[outcome]
 
 
-def build_a2() -> FiniteGroupoid:
-    """The four-element groupoid on outcomes (-, +).
-
-    ``alpha`` maps + to -; the outcome order (-, +) fixes the basis order used
-    by every matrix representation downstream.
-    """
-    source = {UNIT_PLUS: OUT_PLUS, UNIT_MINUS: OUT_MINUS, ALPHA: OUT_PLUS, ALPHA_INV: OUT_MINUS}
-    target = {UNIT_PLUS: OUT_PLUS, UNIT_MINUS: OUT_MINUS, ALPHA: OUT_MINUS, ALPHA_INV: OUT_PLUS}
-    table = {
+# a2's composition law, converted once; the table is read-only, so every a2 shares it.
+_A2_ELEMENTS = (UNIT_PLUS, UNIT_MINUS, ALPHA, ALPHA_INV)
+_A2_LAW = _ComposeTable.from_mapping(
+    _A2_ELEMENTS,
+    {
         (UNIT_PLUS, UNIT_PLUS): UNIT_PLUS,
         (UNIT_PLUS, ALPHA_INV): ALPHA_INV,
         (UNIT_MINUS, UNIT_MINUS): UNIT_MINUS,
@@ -280,15 +266,24 @@ def build_a2() -> FiniteGroupoid:
         (ALPHA, ALPHA_INV): UNIT_MINUS,
         (ALPHA_INV, UNIT_MINUS): ALPHA_INV,
         (ALPHA_INV, ALPHA): UNIT_PLUS,
-    }
+    },
+)
+
+
+def build_a2() -> FiniteGroupoid:
+    """The four-element groupoid on outcomes (-, +).
+
+    ``alpha`` maps + to -; the outcome order (-, +) fixes the basis order used
+    by every matrix representation downstream.
+    """
     return FiniteGroupoid(
         outcomes=(OUT_MINUS, OUT_PLUS),
-        elements=(UNIT_PLUS, UNIT_MINUS, ALPHA, ALPHA_INV),
-        source=source,
-        target=target,
+        elements=_A2_ELEMENTS,
+        source={UNIT_PLUS: OUT_PLUS, UNIT_MINUS: OUT_MINUS, ALPHA: OUT_PLUS, ALPHA_INV: OUT_MINUS},
+        target={UNIT_PLUS: OUT_PLUS, UNIT_MINUS: OUT_MINUS, ALPHA: OUT_MINUS, ALPHA_INV: OUT_PLUS},
         unit_of={OUT_PLUS: UNIT_PLUS, OUT_MINUS: UNIT_MINUS},
         inverse={UNIT_PLUS: UNIT_PLUS, UNIT_MINUS: UNIT_MINUS, ALPHA: ALPHA_INV, ALPHA_INV: ALPHA},
-        compose_table=table,
+        compose_table=_A2_LAW,
     )
 
 
@@ -348,10 +343,10 @@ def validate_axioms(g: FiniteGroupoid) -> ValidationReport:
     number of elements sharing a target.  The row holds the a's with
     target(a) == source(b) in element order, then the filler index E, which
     is masked out; a groupoid whose every outcome ends W elements (every pair
-    groupoid) pads nothing.  The table (4(E+1)^2 bytes) belongs to the
-    groupoid and is built at most once; validation adds the E x E boolean
-    masks, O(P) index arrays, the O x W padded rows (O outcomes) and one
-    chunk of at most max(_ASSOC_CHUNK, W) slots.  Witnesses come in element
+    groupoid) pads nothing.  The table (4(E+1)^2 bytes) is built with the
+    groupoid; validation adds the E x E boolean masks, O(P) index arrays, the
+    O x W padded rows (O outcomes) and one chunk of at most
+    max(_ASSOC_CHUNK, W) slots.  Witnesses come in element
     order: (beta, alpha) cells, units, inverses, then (c, b, a) triples, and
     are formatted only where a check fails.
     """
@@ -362,7 +357,7 @@ def validate_axioms(g: FiniteGroupoid) -> ValidationReport:
 
     n = len(g.elements)
     names = g.elements + (None,)  # the undefined index n prints as None
-    index, T = g._law.index, g._law.table
+    index, T = g.compose_table.index, g.compose_table.table
     outcome = {o: i for i, o in enumerate(g.outcomes)}
     src = np.array([outcome[g.source[e]] for e in g.elements] + [-1], dtype=np.int32)
     tgt = np.array([outcome[g.target[e]] for e in g.elements] + [-1], dtype=np.int32)
@@ -463,7 +458,7 @@ def multiplication_table(g: FiniteGroupoid) -> str:
     cells = np.array(names + [NOT_COMPOSABLE.ljust(width + 2)], dtype=f"<U{width + 2}")
     step = max(1, _TABLE_CHUNK // n)
     for lo in range(0, n, step):
-        grid = cells[g._law.table[lo : lo + step, :n]].view(f"<U{(width + 2) * n}")
+        grid = cells[g.compose_table.table[lo : lo + step, :n]].view(f"<U{(width + 2) * n}")
         lines += [(b + row).rstrip() for b, row in zip(names[lo : lo + step], grid.ravel().tolist())]
     lines.append("")  # the final newline, without copying the joined text
     return "\n".join(lines)
@@ -486,7 +481,7 @@ def groupoid_to_text(g: FiniteGroupoid) -> str:
         seen.add(inv)
         lines.append(f"inverse: {e} {inv}")
     names, n = g.elements, len(g.elements)
-    for b, row in enumerate(g._law.table[:n, :n].tolist()):
+    for b, row in enumerate(g.compose_table.table[:n, :n].tolist()):
         lines.extend(f"compose: {names[b]} {names[a]} = {names[c]}" for a, c in enumerate(row) if c != n)
     return "\n".join(lines) + "\n"
 
@@ -593,12 +588,6 @@ def build_from_table(text: str) -> FiniteGroupoid:
         for name in (b, a, c):
             if name not in eset:
                 raise GroupoidParseError(f"compose line mentions unknown element {name}")
-        if source[b] != target[a]:
-            raise GroupoidParseError(f"({b}, {a}) is not composable but a composition is declared")
-    for b in elements:
-        for a in elements:
-            if source[b] == target[a] and (b, a) not in table:
-                raise GroupoidParseError(f"missing composition for ({b}, {a})")
 
     g = FiniteGroupoid(
         outcomes=tuple(outcomes),

@@ -35,7 +35,7 @@ class QLagrangian:
             raise ValueError(f"lagrangian has values for unknown elements {sorted(extra)}")
         for a in g.elements:
             gap = abs(vals[a] - vals[g.inverse[a]].conjugate())
-            if gap > SELF_ADJOINT_TOL:
+            if not gap <= SELF_ADJOINT_TOL:  # a NaN gap fails too
                 raise ValueError(
                     f"lagrangian is not self-adjoint at {a}: "
                     f"l({a}) = {vals[a]}, conj(l({g.inverse[a]})) = {vals[g.inverse[a]].conjugate()}"

@@ -11,6 +11,7 @@ from groupoidqm import (
     ALPHA_INV,
     AlgebraElement,
     DensityMatrix,
+    QLagrangian,
     StateVector,
     UNIT_MINUS,
     UNIT_PLUS,
@@ -270,6 +271,20 @@ def test_element_serialization_round_trip():
 def test_element_from_lines_rejects_unknown_name():
     with pytest.raises(ValueError, match="unknown element"):
         element_from_lines(A2, "nope = 1,0\n")
+
+
+@pytest.mark.parametrize("value", ["nan,0", "0,inf", "-inf,1", "1,NaN"])
+def test_element_from_lines_rejects_non_finite_parts(value):
+    with pytest.raises(ValueError, match=r"^line 2: expected finite reals"):
+        element_from_lines(A2, f"{ALPHA} = 1,0\n{UNIT_PLUS} = {value}\n")
+
+
+@pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(math.inf, 0.0), complex(0.0, math.nan)])
+def test_non_finite_weight_is_not_self_adjoint(z):
+    values = {e: 0j for e in A2.elements}
+    values[UNIT_PLUS] = z
+    with pytest.raises(ValueError, match="not self-adjoint at 1\\+"):
+        QLagrangian(A2, values)
 
 
 def test_scalar_and_linear_ops():

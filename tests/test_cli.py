@@ -186,6 +186,34 @@ def test_validate_weight_file(tmp_path, capsys):
     assert "not self-adjoint" in out
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("file:{missing}", "cannot read weight file"),
+        ("file:{unknown}", "bad weight file"),
+        ("file:{nan}", "line 1: expected finite reals, got 'nan,0'"),
+        ("file:{inf}", "line 2: expected finite reals, got '0,inf'"),
+        ("bogus:1", "unknown pair_lagrangian kind 'bogus'"),
+        ("constant", "pair_lagrangian must be kind:value"),
+        ("constant:nan", "bad constant weight 'nan'"),
+    ],
+)
+def test_validate_reports_lagrangian_config_errors_as_errors(tmp_path, capsys, spec, message):
+    files = {"missing": tmp_path / "missing.weights"}
+    for name, text in (
+        ("unknown", "nope = 1,0\n"),
+        ("nan", "(x1,x1) = nan,0\n(x2,x2) = 0,0\n(x1,x2) = 0,0\n(x2,x1) = 0,0\n"),
+        ("inf", "(x1,x1) = 0,0\n(x2,x2) = 0,inf\n(x1,x2) = 0,0\n(x2,x1) = 0,0\n"),
+    ):
+        files[name] = tmp_path / f"{name}.weights"
+        files[name].write_text(text, encoding="utf-8")
+    cfg = cfg_file(tmp_path, f"groupoid = pair:2\npair_lagrangian = {spec.format(**files)}\n")
+    rc, out, err = run(capsys, "validate", "-c", cfg)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_validate_broken_groupoid_file(tmp_path, capsys):
     text = groupoid_to_text(build_a2()).replace(
         "compose: alpha^-1 alpha = 1+", "compose: alpha^-1 alpha = 1-"
@@ -254,6 +282,21 @@ def test_propagator_requires_a2(tmp_path, capsys):
     )
     assert rc == 1
     assert "propagator command requires a2" in err
+
+
+@pytest.mark.parametrize("outcomes", ["- +", "+ -"])
+@pytest.mark.parametrize("argv", [["propagator"], ["evolve", "--state", "1,0;0,0"]], ids=lambda a: a[0])
+def test_qubit_commands_reject_a2_groupoid_files(tmp_path, capsys, outcomes, argv):
+    # The qubit step matrix is fixed to a2's (-, +) order, so a groupoid file
+    # equal to a2 is still rejected: its outcome order is the file's, not a2's.
+    text = groupoid_to_text(build_a2()).replace("outcomes: - +", f"outcomes: {outcomes}")
+    gfile = tmp_path / "a2.g"
+    gfile.write_text(text, encoding="utf-8")
+    assert cli._build_groupoid(RunConfig(groupoid_spec=str(gfile))) == build_a2()
+    rc, out, err = run(capsys, *argv, "-c", cfg_file(tmp_path, f"groupoid = {gfile}\n"))
+    assert rc == 1
+    assert out == ""
+    assert f"{argv[0]} command requires a2" in err
 
 
 def test_propagator_infeasible_exits_2(tmp_path, capsys):

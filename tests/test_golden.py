@@ -2,7 +2,7 @@
 
 Each tests/golden/NAME.cfg starts with a '# args: COMMAND [OPTIONS]' line;
 NAME.out is the stdout of 'groupoidqm COMMAND -c NAME.cfg [OPTIONS]'.  The
-CI workflow diffs one pair through the installed console script as well.
+CI workflow also diffs every pair through the installed console script.
 """
 
 from pathlib import Path

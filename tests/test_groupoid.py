@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -257,6 +258,13 @@ def test_build_from_table_missing_composition():
         line for line in GROUP_Z2.splitlines() if line != "compose: s s = e"
     )
     with pytest.raises(GroupoidParseError, match=r"missing composition for \(s, s\)"):
+        build_from_table(text)
+
+
+def test_build_from_table_rejects_non_composable_compose_line():
+    # e loops at o and u at p, so e ∘ u does not chain.
+    text = Z3_BESIDE_UNIT + "compose: e u = u\n"
+    with pytest.raises(GroupoidParseError, match=r"\(e, u\) is not composable but the table defines it"):
         build_from_table(text)
 
 
@@ -640,18 +648,17 @@ def test_pair_compose_table_is_a_read_only_mapping():
 
 
 def test_groupoid_tables_are_built_once_and_read_only():
-    a2 = build_a2()
-    assert "_law" not in vars(a2)  # dict-born groupoids build their table on first use
-    for g in (build_pair_groupoid(3), a2, build_from_table(GROUP_Z2)):
-        law = g._law
-        assert g._law is law
+    for g in (build_pair_groupoid(3), build_a2(), build_from_table(GROUP_Z2)):
+        law = g.compose_table
+        assert isinstance(law, groupoid_module._ComposeTable) and g.compose_table is law
         assert law.table.shape == (len(g.elements) + 1,) * 2 and law.table.dtype == np.int32
         with pytest.raises(ValueError):
             law.table[0, 0] = 0
         with pytest.raises(ValueError):
             law.table[-1] = 0
-    pair = build_pair_groupoid(2)
-    assert pair._law is pair.compose_table
+        # A table over the same elements is taken as it is, not rebuilt.
+        rebuilt = replace(g, source=dict(g.source))
+        assert rebuilt.compose_table is law and rebuilt == g
 
 
 @pytest.mark.parametrize("spec", [1, 2, 4, ("p", "q", "r")], ids=str)
