@@ -141,11 +141,10 @@ def fundamental_rep(a: AlgebraElement) -> np.ndarray:
     shared by several transitions add up in coefficient order.
     """
     g = a.groupoid
-    idx = {o: i for i, o in enumerate(g.outcomes)}
+    index = g.compose_table.index
+    ids = np.array([index[el] for el in a.coefficients], dtype=np.intp)
     m = np.zeros((len(g.outcomes), len(g.outcomes)), dtype=complex)
-    rows = np.array([idx[g.target[el]] for el in a.coefficients], dtype=np.intp)
-    cols = np.array([idx[g.source[el]] for el in a.coefficients], dtype=np.intp)
-    np.add.at(m, (rows, cols), np.array(list(a.coefficients.values()), dtype=complex))
+    np.add.at(m, (g.target.array[ids], g.source.array[ids]), np.array(list(a.coefficients.values()), dtype=complex))
     return m
 
 
@@ -295,7 +294,10 @@ def element_to_lines(a: AlgebraElement) -> str:
 
 
 def element_from_lines(g: FiniteGroupoid, text: str) -> AlgebraElement:
-    """Parse the 'NAME = re,im' serialization produced by element_to_lines."""
+    """Parse the 'NAME = re,im' serialization produced by element_to_lines.
+
+    Each element may be named once; a second line for it is an error.
+    """
     coeffs: dict[str, complex] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -307,6 +309,8 @@ def element_from_lines(g: FiniteGroupoid, text: str) -> AlgebraElement:
         name = name.strip()
         if name not in g.source:
             raise ValueError(f"line {lineno}: unknown element {name!r}")
+        if name in coeffs:
+            raise ValueError(f"line {lineno}: duplicate element {name!r}")
         parts = value.strip().split(",")
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected two comma-separated reals")

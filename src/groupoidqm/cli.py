@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .groupoid import (
+    MAX_ELEMENTS,
     FiniteGroupoid,
     GroupoidParseError,
     OutcomePartition,
@@ -201,7 +202,15 @@ def parse_config(text: str) -> RunConfig:
 
     fields: dict[str, object] = {}
     if "groupoid" in entries:
-        fields["groupoid_spec"] = entries["groupoid"].value
+        raw = entries["groupoid"]
+        fields["groupoid_spec"] = raw.value
+        size = _pair_size(raw.value, raw.line, raw.column)
+        if size is not None and size * size > MAX_ELEMENTS:
+            raise ConfigError(
+                f"pair:{size} has {size * size} elements, at most {MAX_ELEMENTS} are allowed",
+                raw.line,
+                raw.column,
+            )
     for key, attr in _FLOAT_KEYS.items():
         if key in entries:
             fields[attr] = _as_float(entries[key])
@@ -299,16 +308,23 @@ def _fmt_c(z: complex) -> str:
     return f"{_fmt(z.real)},{_fmt(z.imag)}"
 
 
+def _pair_size(spec: str, line: int | None = None, column: int | None = None) -> int | None:
+    """N of a 'pair:N' groupoid spec; None for any other spec."""
+    if not spec.startswith("pair:"):
+        return None
+    tail = spec[len("pair:"):]
+    try:
+        return int(tail, 10)
+    except ValueError:
+        raise ConfigError(f"bad pair groupoid size {tail!r}", line, column) from None
+
+
 def _build_groupoid(cfg: RunConfig) -> FiniteGroupoid:
     spec = cfg.groupoid_spec
     if spec == "a2":
         return build_a2()
-    if spec.startswith("pair:"):
-        tail = spec[len("pair:"):]
-        try:
-            n = int(tail, 10)
-        except ValueError:
-            raise ConfigError(f"bad pair groupoid size {tail!r}") from None
+    n = _pair_size(spec)
+    if n is not None:
         return build_pair_groupoid(n)
     try:
         text = Path(spec).read_text(encoding="utf-8")
@@ -332,16 +348,13 @@ def _build_lagrangian(cfg: RunConfig, g: FiniteGroupoid) -> QLagrangian | None:
             r = _finite(arg)
         except ValueError:
             raise ConfigError(f"bad constant weight {arg!r}") from None
-        return QLagrangian(g, {e: complex(r, 0.0) for e in g.elements})
+        return QLagrangian(g, np.full(len(g.elements), complex(r, 0.0)))
     if kind == "index_diff":
         try:
             s = _finite(arg)
         except ValueError:
             raise ConfigError(f"bad index_diff scale {arg!r}") from None
-        idx = {o: i for i, o in enumerate(g.outcomes)}
-        return QLagrangian(
-            g, {e: 1j * s * (idx[g.target[e]] - idx[g.source[e]]) for e in g.elements}
-        )
+        return QLagrangian(g, _index_diff_weights(g, s))
     if kind == "file":
         try:
             text = Path(arg).read_text(encoding="utf-8")
@@ -353,6 +366,22 @@ def _build_lagrangian(cfg: RunConfig, g: FiniteGroupoid) -> QLagrangian | None:
             raise ConfigError(f"bad weight file {arg!r}: {exc}") from None
         return QLagrangian(g, {e: a[e] for e in g.elements})
     raise ConfigError(f"unknown pair_lagrangian kind {kind!r}")
+
+
+def _index_diff_weights(g: FiniteGroupoid, s: float) -> np.ndarray:
+    """1j * s * (i_target - i_source) per element, with the bits of that Python expression.
+
+    ``1j * s`` is a Python complex c; times the integer d, CPython (through
+    3.13) forms (c.real*d - c.imag*0.0, c.real*0.0 + c.imag*d), signed zeros
+    included, and overflows to inf without raising.
+    """
+    c = 1j * s
+    d = (g.target.array - g.source.array).astype(float)
+    w = np.empty(len(d), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w.real = c.real * d - c.imag * 0.0
+        w.imag = c.real * 0.0 + c.imag * d
+    return w
 
 
 def _build_bias(cfg: RunConfig, g: FiniteGroupoid) -> OutcomeBias:

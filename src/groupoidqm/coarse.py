@@ -2,18 +2,25 @@
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import accumulate, chain
+from operator import add
+
 import numpy as np
 
-from .groupoid import FiniteGroupoid, OutcomePartition, build_pair_groupoid, pair_element
+from .groupoid import FiniteGroupoid, OutcomePartition, build_pair_groupoid
 from .lagrangian import QLagrangian
+
+
+def _pair_slots(g: FiniteGroupoid) -> np.ndarray:
+    """target * k + source per element, k being the outcome count."""
+    return g.target.array * len(g.outcomes) + g.source.array
 
 
 def is_principal(g: FiniteGroupoid) -> bool:
     """True when there is exactly one transition per ordered outcome pair."""
     k = len(g.outcomes)
-    idx = {o: i for i, o in enumerate(g.outcomes)}
-    pairs = [idx[g.target[e]] * k + idx[g.source[e]] for e in g.elements]
-    return bool(np.all(np.bincount(pairs, minlength=k * k) == 1))
+    return bool(np.all(np.bincount(_pair_slots(g), minlength=k * k) == 1))
 
 
 def coarse_grain(
@@ -24,13 +31,16 @@ def coarse_grain(
     The block-to-block weight is the arithmetic mean of the fine-grained
     weights over every cross transition, which keeps the result self-adjoint.
     Only pair-structured groupoids are accepted; on those the quotient is
-    again a pair groupoid over the block labels.
+    again a pair groupoid over the block labels.  Each block sum adds the
+    weights, gathered from the Lagrangian's array, left to right: target
+    outcomes in block order, then source outcomes in block order.
     """
     # the transition of each (target, source) pair; the pair structure holds
-    # exactly when there are k*k distinct pairs and k*k transitions
-    by_pair = {(g.target[e], g.source[e]): e for e in g.elements}
+    # exactly when there are k*k transitions and every pair has one
     k = len(g.outcomes)
-    if not len(by_pair) == len(g.elements) == k * k:
+    at = np.full(k * k, -1, dtype=np.intp)
+    at[_pair_slots(g)] = np.arange(len(g.elements))
+    if not (len(g.elements) == k * k and at.min() >= 0):
         raise ValueError("coarse graining requires a pair-structured groupoid "
                          "(exactly one transition per ordered outcome pair)")
     if ell.groupoid != g:
@@ -40,12 +50,15 @@ def coarse_grain(
     labels = tuple(partition.block_label(b) for b in partition.blocks)
     quotient = build_pair_groupoid(labels)
 
-    values: dict[str, complex] = {}
-    for bt, lt in zip(partition.blocks, labels):
-        for bs, ls in zip(partition.blocks, labels):
-            total = 0j
-            for y in bt:
-                for x in bs:
-                    total += ell[by_pair[(y, x)]]
-            values[pair_element(lt, ls)] = total / (len(bt) * len(bs))
-    return quotient, QLagrangian(quotient, values)
+    # rows[i][j]: the weight of (order[i], order[j]), outcomes taken block by block
+    outcome = g.unit_of.index  # outcome label -> index
+    order = np.array([outcome[o] for b in partition.blocks for o in b], dtype=np.intp)
+    rows = ell.values.array[at.reshape(k, k)[np.ix_(order, order)]].tolist()
+    ends = list(accumulate(len(b) for b in partition.blocks))
+    spans = list(zip([0, *ends], ends))
+    values = [
+        reduce(add, chain.from_iterable(row[s0:s1] for row in rows[t0:t1]), 0j) / ((t1 - t0) * (s1 - s0))
+        for t0, t1 in spans
+        for s0, s1 in spans
+    ]
+    return quotient, QLagrangian(quotient, np.array(values))

@@ -8,12 +8,15 @@ composition table.  ``compose_table[(beta, alpha)] = gamma`` encodes
 same reading: the cell at (row, column) holds row ∘ column, with "∗" marking
 non-composable pairs.
 
-Every groupoid holds its composition law as one ``(E+1) x (E+1)`` int32
-table over element indices 0..E-1 in declaration order, in which E means
-"undefined" and absorbs.  Pair groupoids build that table by index
-arithmetic; a label mapping given to the constructor is converted to it once.
-``compose_table`` is always a read-only mapping view of the table, and every
-reader (validation, rendering, equality, convolution) reads that one form.
+Every groupoid holds its structure as read-only integer arrays over element
+indices 0..E-1 and outcome indices 0..O-1, both in declaration order: the
+source and target outcome of each element, the inverse of each element, the
+unit of each outcome, and the composition law as one ``(E+1) x (E+1)`` int32
+table in which E means "undefined" and absorbs.  Pair groupoids build these
+arrays by index arithmetic; label mappings given to the constructor are
+converted to them once.  ``source``, ``target``, ``inverse``, ``unit_of`` and
+``compose_table`` are always read-only mapping views of the arrays, and every
+reader (validation, rendering, equality, convolution) reads the arrays.
 """
 
 from __future__ import annotations
@@ -39,6 +42,10 @@ ALPHA_INV = "alpha^-1"
 _ASSOC_CHUNK = 4096
 # Table cells rendered per step; bounds multiplication_table's fixed-width buffer.
 _TABLE_CHUNK = 8192
+# Elements per groupoid, checked before any table is built.  The compose table
+# is 4(E+1)^2 bytes; at the ceiling (pair:32) the CLI's `table` command peaks at
+# ~49 MiB under tracemalloc (mostly the rendered text) and `validate` at ~9 MiB.
+MAX_ELEMENTS = 1024
 
 
 class GroupoidParseError(ValueError):
@@ -85,6 +92,53 @@ class ValidationReport:
         return "\n".join(str(f) for f in self.failures)
 
 
+def _index(labels: tuple[str, ...]) -> dict[str, int]:
+    return dict(zip(labels, range(len(labels))))
+
+
+class _IndexMap(Mapping):
+    """Read-only ``keys[i] -> labels[array[i]]`` mapping over an integer array.
+
+    ``index`` maps each key to its position i.  Without ``labels`` the values
+    are the array's own entries, as Python scalars.  Keys iterate in order.
+    The array is checked to index ``labels`` once, here; it is read-only, so
+    every groupoid given this view can take it as it is.
+    """
+
+    __slots__ = ("keys_", "index", "labels", "array")
+
+    def __init__(self, keys: tuple[str, ...], index: dict[str, int], labels: tuple[str, ...] | None, array: np.ndarray):
+        if array.shape != (len(keys),):
+            raise ValueError(f"expected {len(keys)} entries, got shape {array.shape}")
+        # A negative entry wraps to a huge unsigned one, so one maximum bounds both ends.
+        if labels is not None and array.size and array.astype(np.uintp).max() >= len(labels):
+            raise ValueError("index array points outside its labels")
+        array.setflags(write=False)
+        self.keys_, self.index, self.labels, self.array = keys, index, labels, array
+
+    def __getitem__(self, key: str):
+        value = self.array.item(self.index[key])
+        return value if self.labels is None else self.labels[value]
+
+    def __contains__(self, key) -> bool:
+        return key in self.index
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.keys_)
+
+    def __reversed__(self) -> Iterator[str]:
+        return reversed(self.keys_)
+
+    def __len__(self) -> int:
+        return len(self.keys_)
+
+    def items(self) -> "_Items":
+        return _Items(self)
+
+    def __repr__(self) -> str:
+        return f"_IndexMap({dict(self)!r})"
+
+
 class _ComposeTable(Mapping):
     """Read-only ``(beta, alpha) -> gamma`` mapping over an integer compose table.
 
@@ -95,19 +149,21 @@ class _ComposeTable(Mapping):
 
     __slots__ = ("elements", "index", "table")
 
-    def __init__(self, elements: tuple[str, ...], table: np.ndarray):
+    def __init__(self, elements: tuple[str, ...], index: dict[str, int], table: np.ndarray):
         table.setflags(write=False)
         self.elements = elements
-        self.index = dict(zip(elements, range(len(elements))))
+        self.index = index
         self.table = table
 
     @classmethod
-    def from_mapping(cls, elements: tuple[str, ...], mapping: Mapping[tuple[str, str], str]) -> "_ComposeTable":
+    def from_mapping(
+        cls, elements: tuple[str, ...], index: dict[str, int], mapping: Mapping[tuple[str, str], str]
+    ) -> "_ComposeTable":
         n = len(elements)
-        index, stride = dict(zip(elements, range(n))), n + 1
+        stride = n + 1
         table = np.full((stride, stride), n, dtype=np.int32)
         table.flat[[index[b] * stride + index[a] for b, a in mapping]] = [index[c] for c in mapping.values()]
-        return cls(elements, table)
+        return cls(elements, index, table)
 
     def __getitem__(self, key: tuple[str, str]) -> str:
         try:
@@ -135,15 +191,15 @@ class _ComposeTable(Mapping):
     def __len__(self) -> int:
         return len(self._defined()[0])
 
-    def items(self) -> "_ComposeItems":
-        return _ComposeItems(self)
+    def items(self) -> "_Items":
+        return _Items(self)
 
     def __repr__(self) -> str:
         return f"_ComposeTable({dict(self)!r})"
 
 
-class _ComposeItems(ItemsView):
-    """Items of a _ComposeTable; reversible, like a dict's."""
+class _Items(ItemsView):
+    """Items of an _IndexMap or a _ComposeTable; reversible, like a dict's."""
 
     def __reversed__(self) -> Iterator[tuple[tuple[str, str], str]]:
         return ((key, self._mapping[key]) for key in reversed(self._mapping))
@@ -156,8 +212,12 @@ class FiniteGroupoid:
     The constructor enforces referential integrity only (every label used is
     declared); the algebraic axioms are checked by :func:`validate_axioms` so
     that deliberately broken tables can still be represented and diagnosed.
-    ``compose_table`` may be passed as any label mapping; it is held as the
-    read-only integer table view.
+    The structure maps may be passed as any label mappings.  Each is held as
+    a read-only integer array behind a mapping view: ``source.array`` and
+    ``target.array`` give each element's outcome index, ``inverse.array``
+    each element's inverse index, ``unit_of.array`` each outcome's unit index,
+    and ``compose_table.table`` the int32 composition table.  A view over the
+    same labels, such as another groupoid's, is taken as it is.
     """
 
     outcomes: tuple[str, ...]
@@ -171,41 +231,49 @@ class FiniteGroupoid:
     def __post_init__(self):
         outcomes = tuple(self.outcomes)
         elements = tuple(self.elements)
+        if len(elements) > MAX_ELEMENTS:
+            raise ValueError(f"{len(elements)} elements, more than MAX_ELEMENTS = {MAX_ELEMENTS}")
         if len(set(outcomes)) != len(outcomes):
             raise ValueError("duplicate outcome labels")
-        if len(set(elements)) != len(elements):
+        law = self.compose_table
+        held = isinstance(law, _ComposeTable) and law.elements == elements
+        eindex = law.index if held else _index(elements)
+        if len(eindex) != len(elements):
             raise ValueError("duplicate element labels")
         if not outcomes:
             raise ValueError("a groupoid needs at least one outcome")
-        eset, oset = set(elements), set(outcomes)
-        for name, mapping in (("source", self.source), ("target", self.target)):
-            if set(mapping) != eset:
-                raise ValueError(f"{name} map must cover exactly the elements")
-            bad = [e for e in elements if mapping[e] not in oset]
-            if bad:
-                raise ValueError(f"{name} of {bad[0]!r} is not a declared outcome")
-        if set(self.unit_of) != oset:
-            raise ValueError("unit_of must cover exactly the outcomes")
-        if any(self.unit_of[o] not in eset for o in outcomes):
-            raise ValueError("unit_of points at an undeclared element")
-        if set(self.inverse) != eset:
-            raise ValueError("inverse map must cover exactly the elements")
-        if any(self.inverse[e] not in eset for e in elements):
-            raise ValueError("inverse points at an undeclared element")
-        table = self.compose_table
-        # A _ComposeTable over these elements holds only their indices and E.
-        if not (isinstance(table, _ComposeTable) and table.elements == elements):
-            for (b, a), c in table.items():
-                if b not in eset or a not in eset or c not in eset:
+        oindex = _index(outcomes)
+
+        def view(mapping, keys, index, labels, label_index, cover, undeclared) -> _IndexMap:
+            if isinstance(mapping, _IndexMap) and mapping.keys_ == keys and mapping.labels == labels:
+                return mapping
+            if set(mapping) != index.keys():
+                raise ValueError(cover)
+            found = [label_index.get(mapping[k], -1) for k in keys]
+            if -1 in found:
+                raise ValueError(undeclared.format(keys[found.index(-1)]))
+            return _IndexMap(keys, index, labels, np.array(found, dtype=np.intp))
+
+        source = view(self.source, elements, eindex, outcomes, oindex,
+                      "source map must cover exactly the elements", "source of {!r} is not a declared outcome")
+        target = view(self.target, elements, eindex, outcomes, oindex,
+                      "target map must cover exactly the elements", "target of {!r} is not a declared outcome")
+        unit_of = view(self.unit_of, outcomes, oindex, elements, eindex,
+                       "unit_of must cover exactly the outcomes", "unit_of points at an undeclared element")
+        inverse = view(self.inverse, elements, eindex, elements, eindex,
+                       "inverse map must cover exactly the elements", "inverse points at an undeclared element")
+        if not held:
+            for (b, a), c in law.items():
+                if b not in eindex or a not in eindex or c not in eindex:
                     raise ValueError(f"compose table mentions undeclared elements: ({b!r}, {a!r}) -> {c!r}")
-            table = _ComposeTable.from_mapping(elements, table)
+            law = _ComposeTable.from_mapping(elements, eindex, law)
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "source", MappingProxyType(dict(self.source)))
-        object.__setattr__(self, "target", MappingProxyType(dict(self.target)))
-        object.__setattr__(self, "unit_of", MappingProxyType(dict(self.unit_of)))
-        object.__setattr__(self, "inverse", MappingProxyType(dict(self.inverse)))
-        object.__setattr__(self, "compose_table", table)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "unit_of", unit_of)
+        object.__setattr__(self, "inverse", inverse)
+        object.__setattr__(self, "compose_table", law)
 
     def __eq__(self, other) -> bool:
         """Structural equality; label declaration order is irrelevant."""
@@ -213,22 +281,25 @@ class FiniteGroupoid:
             return NotImplemented
         if self is other:
             return True
+        if set(self.outcomes) != set(other.outcomes) or set(self.elements) != set(other.elements):
+            return False
+        # operm[j], perm[j]: the index in self of other's outcome j, element j.
+        oindex, index = self.unit_of.index, self.compose_table.index
+        operm = np.array([oindex[o] for o in other.outcomes], dtype=np.intp)
+        perm = np.array([index[e] for e in other.elements], dtype=np.intp)
         return (
-            set(self.outcomes) == set(other.outcomes)
-            and set(self.elements) == set(other.elements)
-            and dict(self.source) == dict(other.source)
-            and dict(self.target) == dict(other.target)
-            and dict(self.unit_of) == dict(other.unit_of)
-            and dict(self.inverse) == dict(other.inverse)
-            and self._same_law(other)
+            np.array_equal(self.source.array[perm], operm[other.source.array])
+            and np.array_equal(self.target.array[perm], operm[other.target.array])
+            and np.array_equal(self.unit_of.array[operm], perm[other.unit_of.array])
+            and np.array_equal(self.inverse.array[perm], perm[other.inverse.array])
+            and self._same_law(other, perm)
         )
 
-    def _same_law(self, other: "FiniteGroupoid") -> bool:
-        """Equal compose tables, given equal element sets in any order."""
-        mine, theirs = self.compose_table, other.compose_table
-        # perm[j]: the index in self of other's element j; E stays E.
-        perm = np.array([mine.index[e] for e in other.elements] + [len(self.elements)], dtype=np.intp)
-        return bool(np.array_equal(mine.table[np.ix_(perm, perm)], perm[theirs.table]))
+    def _same_law(self, other: "FiniteGroupoid", perm: np.ndarray) -> bool:
+        """Equal compose tables, given perm from other's element indices to self's."""
+        perm = np.append(perm, len(self.elements))  # E stays E
+        mine, theirs = self.compose_table.table, other.compose_table.table
+        return bool(np.array_equal(mine[np.ix_(perm, perm)], perm[theirs]))
 
     def __hash__(self):
         return hash((frozenset(self.outcomes), frozenset(self.elements)))
@@ -253,11 +324,15 @@ class FiniteGroupoid:
         return self.unit_of[outcome]
 
 
-# a2's composition law, converted once; the table is read-only, so every a2 shares it.
-_A2_ELEMENTS = (UNIT_PLUS, UNIT_MINUS, ALPHA, ALPHA_INV)
-_A2_LAW = _ComposeTable.from_mapping(
-    _A2_ELEMENTS,
-    {
+# a2, converted once; it is immutable, so every build_a2() returns this one value.
+_A2 = FiniteGroupoid(
+    outcomes=(OUT_MINUS, OUT_PLUS),
+    elements=(UNIT_PLUS, UNIT_MINUS, ALPHA, ALPHA_INV),
+    source={UNIT_PLUS: OUT_PLUS, UNIT_MINUS: OUT_MINUS, ALPHA: OUT_PLUS, ALPHA_INV: OUT_MINUS},
+    target={UNIT_PLUS: OUT_PLUS, UNIT_MINUS: OUT_MINUS, ALPHA: OUT_MINUS, ALPHA_INV: OUT_PLUS},
+    unit_of={OUT_PLUS: UNIT_PLUS, OUT_MINUS: UNIT_MINUS},
+    inverse={UNIT_PLUS: UNIT_PLUS, UNIT_MINUS: UNIT_MINUS, ALPHA: ALPHA_INV, ALPHA_INV: ALPHA},
+    compose_table={
         (UNIT_PLUS, UNIT_PLUS): UNIT_PLUS,
         (UNIT_PLUS, ALPHA_INV): ALPHA_INV,
         (UNIT_MINUS, UNIT_MINUS): UNIT_MINUS,
@@ -276,15 +351,7 @@ def build_a2() -> FiniteGroupoid:
     ``alpha`` maps + to -; the outcome order (-, +) fixes the basis order used
     by every matrix representation downstream.
     """
-    return FiniteGroupoid(
-        outcomes=(OUT_MINUS, OUT_PLUS),
-        elements=_A2_ELEMENTS,
-        source={UNIT_PLUS: OUT_PLUS, UNIT_MINUS: OUT_MINUS, ALPHA: OUT_PLUS, ALPHA_INV: OUT_MINUS},
-        target={UNIT_PLUS: OUT_PLUS, UNIT_MINUS: OUT_MINUS, ALPHA: OUT_MINUS, ALPHA_INV: OUT_PLUS},
-        unit_of={OUT_PLUS: UNIT_PLUS, OUT_MINUS: UNIT_MINUS},
-        inverse={UNIT_PLUS: UNIT_PLUS, UNIT_MINUS: UNIT_MINUS, ALPHA: ALPHA_INV, ALPHA_INV: ALPHA},
-        compose_table=_A2_LAW,
-    )
+    return _A2
 
 
 def pair_element(target_label: str, source_label: str) -> str:
@@ -293,7 +360,7 @@ def pair_element(target_label: str, source_label: str) -> str:
 
 
 def _check_label(label: str) -> str:
-    if not label or any(ch.isspace() for ch in label) or "," in label:
+    if label.split() != [label] or "," in label:  # empty, or holds whitespace
         raise ValueError(f"label {label!r} must be non-empty, without whitespace or commas")
     return label
 
@@ -302,11 +369,13 @@ def build_pair_groupoid(labels_or_size: int | Sequence[str]) -> FiniteGroupoid:
     """Pair groupoid over given outcome labels (or x1..xn for an integer size).
 
     There is exactly one transition (y,x): x -> y per ordered outcome pair,
-    composing as (z,y) ∘ (y,x) = (z,x).
+    composing as (z,y) ∘ (y,x) = (z,x).  At most MAX_ELEMENTS transitions,
+    which is checked before any label or array is built.
     """
     if isinstance(labels_or_size, int):
         if labels_or_size < 1:
             raise ValueError("pair groupoid size must be at least 1")
+        _check_pair_size(labels_or_size)
         labels = tuple(f"x{i}" for i in range(1, labels_or_size + 1))
     else:
         labels = tuple(_check_label(str(x)) for x in labels_or_size)
@@ -314,23 +383,33 @@ def build_pair_groupoid(labels_or_size: int | Sequence[str]) -> FiniteGroupoid:
             raise ValueError("pair groupoid needs at least one outcome label")
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate outcome labels")
-    # Element (y,x) has index y*n + x.  (z,y) ∘ (y,x) = (z,x): row b = z*n + y is
-    # defined on the n columns a = y*n + x, where it holds z*n + x.
+        _check_pair_size(len(labels))
+    # Element (y,x) has index k = y*n + x: source x = k % n, target y = k // n,
+    # inverse (x,y), and the unit of x is (x,x) = x*(n + 1).  (z,y) ∘ (y,x) = (z,x):
+    # for each y, rows z*n + y and columns y*n + x form an n x n block holding z*n + x.
     n = len(labels)
-    elements = tuple(pair_element(y, x) for y in labels for x in labels)
-    b = np.arange(n * n)[:, None]
-    x = np.arange(n)
+    heads, tails = [f"({y}," for y in labels], [f"{x})" for x in labels]
+    elements = tuple([h + t for h in heads for t in tails])  # pair_element(y, x), in halves
+    index = _index(elements)
+    k = np.arange(n * n)
+    source, target = k % n, k // n
     table = np.full((n * n + 1, n * n + 1), n * n, dtype=np.int32)
-    table[b, b % n * n + x] = b // n * n + x
+    for y in range(n):
+        table[y : n * n : n, y * n : y * n + n] = k.reshape(n, n)
     return FiniteGroupoid(
         outcomes=labels,
         elements=elements,
-        source=dict(zip(elements, labels * n)),
-        target=dict(zip(elements, (y for y in labels for _ in labels))),
-        unit_of={x: elements[i * n + i] for i, x in enumerate(labels)},
-        inverse={e: elements[k % n * n + k // n] for k, e in enumerate(elements)},
-        compose_table=_ComposeTable(elements, table),
+        source=_IndexMap(elements, index, labels, source),
+        target=_IndexMap(elements, index, labels, target),
+        unit_of=_IndexMap(labels, _index(labels), elements, k[:n] * (n + 1)),
+        inverse=_IndexMap(elements, index, elements, source * n + target),
+        compose_table=_ComposeTable(elements, index, table),
     )
+
+
+def _check_pair_size(n: int) -> None:
+    if n * n > MAX_ELEMENTS:
+        raise ValueError(f"pair groupoid of size {n} has {n * n} elements, more than MAX_ELEMENTS = {MAX_ELEMENTS}")
 
 
 def validate_axioms(g: FiniteGroupoid) -> ValidationReport:
@@ -357,12 +436,9 @@ def validate_axioms(g: FiniteGroupoid) -> ValidationReport:
 
     n = len(g.elements)
     names = g.elements + (None,)  # the undefined index n prints as None
-    index, T = g.compose_table.index, g.compose_table.table
-    outcome = {o: i for i, o in enumerate(g.outcomes)}
-    src = np.array([outcome[g.source[e]] for e in g.elements] + [-1], dtype=np.int32)
-    tgt = np.array([outcome[g.target[e]] for e in g.elements] + [-1], dtype=np.int32)
-    unit = np.array([index[g.unit_of[o]] for o in g.outcomes], dtype=np.intp)
-    inv = np.array([index[g.inverse[e]] for e in g.elements], dtype=np.intp)
+    T = g.compose_table.table
+    src, tgt = np.append(g.source.array, -1), np.append(g.target.array, -1)  # index n ends -1
+    unit, inv = g.unit_of.array, g.inverse.array
     defined = T[:n, :n] != n
     composable = src[:n, None] == tgt[None, :n]  # [b, a]: source(b) == target(a)
     # The composable (b, a), row-major, and b ∘ a read from the flat table, in
@@ -529,6 +605,8 @@ def build_from_table(text: str) -> FiniteGroupoid:
             name, src, tgt = tokens
             if name in source:
                 raise GroupoidParseError(f"element {name} declared twice", lineno)
+            if len(elements) == MAX_ELEMENTS:
+                raise GroupoidParseError(f"more than MAX_ELEMENTS = {MAX_ELEMENTS} elements", lineno)
             elements.append(name)
             source[name] = src
             target[name] = tgt

@@ -240,7 +240,8 @@ def normalization(w: History, bias: OutcomeBias) -> float:
     return math.sqrt(bias[w.start_outcome] * bias[w.end_outcome])
 
 
-def _amplitude(bias: OutcomeBias, start: str, end: str, s: complex, hbar: float) -> complex:
+def _amplitude(bias, start, end, s: complex, hbar: float) -> complex:
+    """sqrt(bias[start] bias[end]) exp(i s / hbar); bias is indexed by outcome label or by index."""
     return math.sqrt(bias[start] * bias[end]) * cmath.exp(1j * s / hbar)
 
 
@@ -318,15 +319,17 @@ def enumerate_histories(
 def single_step_matrix(
     g: FiniteGroupoid, ell: QLagrangian, bias: OutcomeBias, tau: float, hbar: float
 ) -> np.ndarray:
-    """One-step propagation matrix: entry [end, start] sums the one-step amplitudes."""
+    """One-step propagation matrix: entry [end, start] sums the one-step amplitudes.
+
+    Transitions sharing an entry add up in element order.
+    """
     if hbar <= 0:
         raise ValueError("hbar must be positive")
-    idx = {o: i for i, o in enumerate(g.outcomes)}
+    p = [bias[o] for o in g.outcomes]
     n = len(g.outcomes)
     m = np.zeros((n, n), dtype=complex)
-    for e in g.elements:
-        a, b = g.source[e], g.target[e]
-        m[idx[b], idx[a]] += _amplitude(bias, a, b, ell[e] * tau, hbar)
+    for a, b, w in zip(g.source.array.tolist(), g.target.array.tolist(), ell.values.array.tolist()):
+        m[b, a] += _amplitude(p, a, b, w * tau, hbar)
     return m
 
 

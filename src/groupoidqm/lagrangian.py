@@ -7,7 +7,9 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
-from .groupoid import ALPHA, ALPHA_INV, UNIT_MINUS, UNIT_PLUS, FiniteGroupoid, build_a2
+import numpy as np
+
+from .groupoid import FiniteGroupoid, _IndexMap, build_a2
 
 SELF_ADJOINT_TOL = 1e-12
 BIAS_SUM_TOL = 1e-12
@@ -18,7 +20,12 @@ class QLagrangian:
     """Complex weight per transition, constrained by l(a) = conj(l(inverse(a))).
 
     The constraint makes the induced algebra element an observable and keeps
-    history actions compatible with orientation reversal.
+    history actions compatible with orientation reversal.  ``values`` may be
+    given as a label mapping or as an array of weights in the groupoid's
+    element order.  It is held as one read-only complex128 array,
+    ``values.array``, and ``values`` is its mapping view; the constraint is
+    one comparison of that array with its conjugate permuted by
+    ``groupoid.inverse.array``.
     """
 
     groupoid: FiniteGroupoid
@@ -26,21 +33,35 @@ class QLagrangian:
 
     def __post_init__(self):
         g = self.groupoid
-        vals = {k: complex(v) for k, v in self.values.items()}
-        missing = set(g.elements) - set(vals)
-        if missing:
-            raise ValueError(f"lagrangian missing values for {sorted(missing)}")
-        extra = set(vals) - set(g.elements)
-        if extra:
-            raise ValueError(f"lagrangian has values for unknown elements {sorted(extra)}")
-        for a in g.elements:
-            gap = abs(vals[a] - vals[g.inverse[a]].conjugate())
-            if not gap <= SELF_ADJOINT_TOL:  # a NaN gap fails too
-                raise ValueError(
-                    f"lagrangian is not self-adjoint at {a}: "
-                    f"l({a}) = {vals[a]}, conj(l({g.inverse[a]})) = {vals[g.inverse[a]].conjugate()}"
-                )
-        object.__setattr__(self, "values", MappingProxyType(vals))
+        values = self.values
+        if isinstance(values, np.ndarray):
+            w = np.array(values, dtype=complex)
+            if w.shape != (len(g.elements),):
+                raise ValueError(f"lagrangian needs {len(g.elements)} weights, got shape {w.shape}")
+        else:
+            vals = {k: complex(v) for k, v in values.items()}
+            missing = set(g.elements) - set(vals)
+            if missing:
+                raise ValueError(f"lagrangian missing values for {sorted(missing)}")
+            extra = set(vals) - set(g.elements)
+            if extra:
+                raise ValueError(f"lagrangian has values for unknown elements {sorted(extra)}")
+            w = np.array([vals[e] for e in g.elements], dtype=complex)
+        inv = g.inverse.array
+        mate = w[inv].conj()
+        with np.errstate(all="ignore"):
+            gap = w - mate
+            ok = np.abs(gap) <= SELF_ADJOINT_TOL  # a NaN gap fails too
+        if not ok.all():
+            i = int(ok.argmin())  # the first failing element
+            a, ia = g.elements[i], g.elements[inv[i]]
+            if math.isfinite(gap[i].real) and math.isfinite(gap[i].imag):
+                abs(gap.item(i))  # an overflowing modulus raises, as Python's abs does
+            raise ValueError(
+                f"lagrangian is not self-adjoint at {a}: "
+                f"l({a}) = {w.item(i)}, conj(l({ia})) = {mate.item(i)}"
+            )
+        object.__setattr__(self, "values", _IndexMap(g.elements, g.compose_table.index, None, w))
 
     def __getitem__(self, element: str) -> complex:
         return self.values[element]
@@ -51,14 +72,9 @@ def qubit_lagrangian(v_plus: float, v_minus: float, mu: float, delta: float) -> 
     return QLagrangian(build_a2(), _qubit_weights(v_plus, v_minus, mu, delta))
 
 
-def _qubit_weights(v_plus: float, v_minus: float, mu: float, delta: float) -> dict[str, complex]:
-    """The values of qubit_lagrangian, by a2 element label."""
-    return {
-        UNIT_PLUS: complex(-v_plus, 0.0),
-        UNIT_MINUS: complex(-v_minus, 0.0),
-        ALPHA: complex(mu, delta),
-        ALPHA_INV: complex(mu, -delta),
-    }
+def _qubit_weights(v_plus: float, v_minus: float, mu: float, delta: float) -> np.ndarray:
+    """The values of qubit_lagrangian, in a2's element order (1+, 1-, alpha, alpha^-1)."""
+    return np.array([complex(-v_plus, 0.0), complex(-v_minus, 0.0), complex(mu, delta), complex(mu, -delta)])
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,16 @@ from groupoidqm import (
 )
 from groupoidqm import cli, coarse, lagrangian
 from groupoidqm.coarse import is_principal
-from groupoidqm.cli import MAX_SWEEP_POINTS, SWEEP_HEADER, ConfigError, RunConfig, _fmt, main, parse_config
+from groupoidqm.cli import (
+    MAX_ELEMENTS,
+    MAX_SWEEP_POINTS,
+    SWEEP_HEADER,
+    ConfigError,
+    RunConfig,
+    _fmt,
+    main,
+    parse_config,
+)
 
 PI_HALF = format(math.pi / 2, ".17g")
 SQRT2 = format(math.sqrt(2.0), ".17g")
@@ -142,6 +151,54 @@ def test_sweep_points_ceiling_is_a_parse_error(tmp_path, capsys):
     assert str(exc.value) == message
     rc, out, err = run(capsys, "sweep", "-c", cfg_file(tmp_path, block + f"sweep_points = {MAX_SWEEP_POINTS + 1}\n"))
     assert (rc, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_pair_size_ceiling_is_a_parse_error(tmp_path, capsys):
+    # pair:33 is only parsed, so no label or table of it is built.
+    assert parse_config("groupoid = pair:32\n").groupoid_spec == "pair:32"
+    assert MAX_ELEMENTS == 32 * 32
+    message = "line 2, column 12: pair:33 has 1089 elements, at most 1024 are allowed"
+    with pytest.raises(ConfigError) as exc:
+        parse_config("# over the ceiling\ngroupoid = pair:33\n")
+    assert str(exc.value) == message
+    cfg = cfg_file(tmp_path, "# over the ceiling\ngroupoid = pair:33\n")
+    for argv in (("table",), ("validate",), ("coarse-grain", "--partition", "x1")):
+        assert run(capsys, argv[0], "-c", cfg, *argv[1:]) == (1, "", f"error: {message}\n")
+    with pytest.raises(ConfigError, match=r"^line 1, column 12: bad pair groupoid size 'x'$"):
+        parse_config("groupoid = pair:x")
+
+
+def test_groupoid_file_past_the_ceiling_exits_1(tmp_path, capsys):
+    gfile = tmp_path / "many.g"
+    gfile.write_text("outcomes: o\n" + "".join(f"element: e{i} o o\n" for i in range(MAX_ELEMENTS + 1)),
+                     encoding="utf-8")
+    rc, out, err = run(capsys, "validate", "-c", cfg_file(tmp_path, f"groupoid = {gfile}\n"))
+    assert (rc, out, err) == (1, "", f"error: line {MAX_ELEMENTS + 2}: more than MAX_ELEMENTS = 1024 elements\n")
+
+
+def test_commands_at_the_element_ceiling_stay_within_the_stated_memory(tmp_path, capsys):
+    import tracemalloc
+
+    cfg = cfg_file(tmp_path, "groupoid = pair:32\npair_lagrangian = index_diff:0.3\n")
+    peaks = {}
+    for command, stated_mib in (("validate", 9), ("table", 49)):
+        tracemalloc.start()
+        try:
+            rc, out, _ = run(capsys, command, "-c", cfg)
+            peaks[command] = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert rc == 0 and out
+        assert peaks[command] <= 1.25 * stated_mib, peaks
+
+
+def test_weight_file_naming_an_element_twice_exits_1(tmp_path, capsys):
+    weights = tmp_path / "twice.weights"
+    weights.write_text("(x1,x1) = 1,0\n(x1,x1) = 5,0\n", encoding="utf-8")
+    cfg = cfg_file(tmp_path, f"groupoid = pair:2\npair_lagrangian = file:{weights}\n")
+    message = f"error: bad weight file {str(weights)!r}: line 2: duplicate element '(x1,x1)'\n"
+    for argv in (("validate",), ("pathsum", "--steps", "1")):
+        assert run(capsys, argv[0], "-c", cfg, *argv[1:]) == (1, "", message)
 
 
 def test_validate_a2(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 from dataclasses import replace
@@ -696,3 +697,32 @@ def test_pair_groupoid_retained_memory_is_bounded():
         tracemalloc.stop()
     assert len(g.elements) == 256
     assert retained <= 0.5 * 2**20
+
+
+def test_element_ceiling_is_checked_before_anything_is_built():
+    side = math.isqrt(groupoid_module.MAX_ELEMENTS)
+    assert side * side == groupoid_module.MAX_ELEMENTS == 1024
+    assert len(build_pair_groupoid(side).elements) == groupoid_module.MAX_ELEMENTS
+    labels = tuple(f"o{i}" for i in range(side + 1))
+    names = tuple(f"e{i}" for i in range(groupoid_module.MAX_ELEMENTS + 1))
+    maps = dict(source=dict.fromkeys(names, "o"), target=dict.fromkeys(names, "o"), unit_of={"o": "e0"},
+                inverse={e: e for e in names}, compose_table={})
+    tracemalloc.start()
+    try:
+        for spec in (side + 1, labels):
+            with pytest.raises(ValueError, match=r"size 33 has 1089 elements, more than MAX_ELEMENTS = 1024"):
+                build_pair_groupoid(spec)
+        with pytest.raises(ValueError, match=r"1025 elements, more than MAX_ELEMENTS = 1024"):
+            FiniteGroupoid(outcomes=("o",), elements=names, **maps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024  # the 33x33 labels alone would take more; the table 4.5 MB
+
+
+def test_build_from_table_rejects_an_element_past_the_ceiling():
+    count = groupoid_module.MAX_ELEMENTS
+    text = "outcomes: o\n" + "".join(f"element: e{i} o o\n" for i in range(count + 1))
+    with pytest.raises(GroupoidParseError) as exc:
+        build_from_table(text)
+    assert str(exc.value) == f"line {count + 2}: more than MAX_ELEMENTS = {count} elements"
