@@ -205,7 +205,7 @@ def parse_config(text: str) -> RunConfig:
         raw = entries["groupoid"]
         fields["groupoid_spec"] = raw.value
         size = _pair_size(raw.value, raw.line, raw.column)
-        if size is not None and size * size > MAX_ELEMENTS:
+        if size is not None and size >= 1 and size * size > MAX_ELEMENTS:  # size < 1 fails at build
             raise ConfigError(
                 f"pair:{size} has {size * size} elements, at most {MAX_ELEMENTS} are allowed",
                 raw.line,

@@ -53,7 +53,7 @@ def coarse_grain(
     # rows[i][j]: the weight of (order[i], order[j]), outcomes taken block by block
     outcome = g.unit_of.index  # outcome label -> index
     order = np.array([outcome[o] for b in partition.blocks for o in b], dtype=np.intp)
-    rows = ell.values.array[at.reshape(k, k)[np.ix_(order, order)]].tolist()
+    rows = ell.weights_on(g)[at.reshape(k, k)[np.ix_(order, order)]].tolist()
     ends = list(accumulate(len(b) for b in partition.blocks))
     spans = list(zip([0, *ends], ends))
     values = [

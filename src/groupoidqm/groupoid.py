@@ -360,7 +360,7 @@ def pair_element(target_label: str, source_label: str) -> str:
 
 
 def _check_label(label: str) -> str:
-    if label.split() != [label] or "," in label:  # empty, or holds whitespace
+    if not label or any(ch.isspace() for ch in label) or "," in label:
         raise ValueError(f"label {label!r} must be non-empty, without whitespace or commas")
     return label
 
@@ -388,8 +388,7 @@ def build_pair_groupoid(labels_or_size: int | Sequence[str]) -> FiniteGroupoid:
     # inverse (x,y), and the unit of x is (x,x) = x*(n + 1).  (z,y) ∘ (y,x) = (z,x):
     # for each y, rows z*n + y and columns y*n + x form an n x n block holding z*n + x.
     n = len(labels)
-    heads, tails = [f"({y}," for y in labels], [f"{x})" for x in labels]
-    elements = tuple([h + t for h in heads for t in tails])  # pair_element(y, x), in halves
+    elements = tuple(pair_element(y, x) for y in labels for x in labels)
     index = _index(elements)
     k = np.arange(n * n)
     source, target = k % n, k // n

@@ -328,7 +328,7 @@ def single_step_matrix(
     p = [bias[o] for o in g.outcomes]
     n = len(g.outcomes)
     m = np.zeros((n, n), dtype=complex)
-    for a, b, w in zip(g.source.array.tolist(), g.target.array.tolist(), ell.values.array.tolist()):
+    for a, b, w in zip(g.source.array.tolist(), g.target.array.tolist(), ell.weights_on(g).tolist()):
         m[b, a] += _amplitude(p, a, b, w * tau, hbar)
     return m
 

@@ -66,6 +66,17 @@ class QLagrangian:
     def __getitem__(self, element: str) -> complex:
         return self.values[element]
 
+    def weights_on(self, g: FiniteGroupoid) -> np.ndarray:
+        """The weights in g's element order, g being equal to ``groupoid``.
+
+        Equal groupoids may declare their elements in different orders, so
+        the array is re-indexed by label unless the two orders agree.
+        """
+        if g.elements == self.groupoid.elements:
+            return self.values.array
+        index = self.values.index
+        return self.values.array[[index[e] for e in g.elements]]
+
 
 def qubit_lagrangian(v_plus: float, v_minus: float, mu: float, delta: float) -> QLagrangian:
     """Weights on the two-outcome groupoid: units carry -V, the flips mu ± i delta."""

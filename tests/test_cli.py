@@ -166,6 +166,9 @@ def test_pair_size_ceiling_is_a_parse_error(tmp_path, capsys):
         assert run(capsys, argv[0], "-c", cfg, *argv[1:]) == (1, "", f"error: {message}\n")
     with pytest.raises(ConfigError, match=r"^line 1, column 12: bad pair groupoid size 'x'$"):
         parse_config("groupoid = pair:x")
+    # a size below 1 keeps its own message, however large its square
+    cfg = cfg_file(tmp_path, "groupoid = pair:-40\n")
+    assert run(capsys, "validate", "-c", cfg) == (1, "", "error: pair groupoid size must be at least 1\n")
 
 
 def test_groupoid_file_past_the_ceiling_exits_1(tmp_path, capsys):

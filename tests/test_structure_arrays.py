@@ -26,6 +26,7 @@ from groupoidqm import (
     coarse_grain,
     fundamental_rep,
     is_principal,
+    n_step_path_sum,
     pair_element,
     single_step_matrix,
 )
@@ -424,6 +425,32 @@ def test_consumers_read_the_arrays_bit_for_bit(case, tau, hbar):
     assert got.tobytes() == want.tobytes()
     a = AlgebraElement(g, dict(reversed(list(values.items()))))
     assert fundamental_rep(a).tobytes() == _reference_rep(a).tobytes()
+
+
+@PROPERTY
+@given(coarse_cases(), st.randoms(use_true_random=False))
+def test_lagrangian_on_an_equal_groupoid_in_another_order_is_read_by_label(case, rnd):
+    g, partition, ell = case
+    outcomes = list(g.outcomes)
+    rnd.shuffle(outcomes)
+    other = build_pair_groupoid(tuple(outcomes))  # equal to g, elements declared in another order
+    assert other == g
+    moved = QLagrangian(other, dict(ell.values))
+    assert moved.weights_on(g).tobytes() == ell.values.array.tobytes()
+    assert moved.weights_on(other) is moved.values.array
+    bias = OutcomeBias.uniform(g)
+    verdict = _outcome(lambda: _reference_single_step(g, moved, bias, 0.7, 1.3))  # 1e300 weights overflow
+    assert _outcome(lambda: single_step_matrix(g, moved, bias, 0.7, 1.3)) == verdict
+    if verdict is None:
+        want = _reference_single_step(g, moved, bias, 0.7, 1.3)
+        assert single_step_matrix(g, moved, bias, 0.7, 1.3).tobytes() == want.tobytes()
+        assert n_step_path_sum(g, moved, bias, 0.7, 1.3, 1).tobytes() == want.tobytes()
+    verdict = _outcome(lambda: coarse_grain(g, partition, ell))
+    assert _outcome(lambda: coarse_grain(g, partition, moved)) == verdict
+    if verdict is None:
+        want = _reference_coarse_values(g, partition, moved)
+        _, got = coarse_grain(g, partition, moved)
+        assert [bits(got[e]) for e in want] == [bits(z) for z in want.values()]
 
 
 def test_index_views_reject_arrays_outside_their_labels():
