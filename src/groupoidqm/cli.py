@@ -37,12 +37,12 @@ from .histories import fixed_order_matmul, n_step_path_sum
 from .propagator import (
     PropagatorModel,
     UnitarityReport,
+    _step_report,
     evolve_state,
     power_propagator,
     qubit_propagator,
     quantization_scan,
     solve_unitary_gammas,
-    unitarity_residuals,
 )
 
 SWEEP_HEADER = (
@@ -467,8 +467,8 @@ def cmd_table(cfg: RunConfig) -> tuple[int, str]:
 def cmd_propagator(cfg: RunConfig, power: int | None) -> tuple[int, str]:
     g = _require_a2(cfg, "propagator")
     model, u, report = _step_from_config(cfg)
-    if report is None:
-        report = unitarity_residuals(model)
+    if report is None:  # the step matrix is already built: take its residuals, do not rebuild it
+        report = _step_report(model, u)
     lines = _matrix_lines("U", u, g.outcomes)
     if cfg.gamma_mode == "solve":
         lines += [

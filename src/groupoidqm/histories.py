@@ -19,6 +19,7 @@ to zero modulo the grid span.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -31,6 +32,10 @@ from .lagrangian import OutcomeBias, QLagrangian
 DEFAULT_HISTORY_CAP = 10_000_000
 _TIME_TOL = 1e-9
 _COUNT_LIMIT = 10**18  # counts saturate above max(cap, this); being >= 0 they stay exact below
+# One matrix of at most this side is multiplied on Python floats, anything
+# larger, and every stack, on float64 arrays: the side where each costs less
+# (timings in CHANGES.md).
+_SCALAR_MAX_SIDE = 5
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -340,7 +345,8 @@ def _product(a, b):
     the complex product as CPython forms it, (xr yr - xi yi) + (xr yi + xi yr) i.
     Every multiply and add is a ufunc of its own, so nothing fuses and nothing
     goes through BLAS: the bits are those of the same loop over Python floats,
-    on any machine.  Leading axes are stacks of matrices, broadcast as by @.
+    _scalar_product, on any machine.  _fixed_order takes this one for stacks
+    and larger sides.  Leading axes are stacks of matrices, broadcast as by @.
     """
     (ar, ai), (br, bi) = a, b
     re = im = None
@@ -352,35 +358,88 @@ def _product(a, b):
     return re, im
 
 
-def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+def _scalar_product(a, b):
+    """_product on (re, im) pairs of nested lists of Python floats: the same terms, order and bits.
+
+    Each Python float operation is rounded on its own, so nothing fuses here
+    either; for one small matrix this loop costs less than _product's ufunc
+    calls.
+    """
+    (ar, ai), (br, bi) = a, b
+    columns = list(zip(zip(*br), zip(*bi)))
+    re, im = [], []
+    for xr_row, xi_row in zip(ar, ai):
+        re_row, im_row = [], []
+        for yr_col, yi_col in columns:
+            terms = zip(xr_row, xi_row, yr_col, yi_col)
+            xr, xi, yr, yi = next(terms)
+            sr, si = xr * yr - xi * yi, xr * yi + xi * yr
+            for xr, xi, yr, yi in terms:
+                sr, si = sr + (xr * yr - xi * yi), si + (xr * yi + xi * yr)
+            re_row.append(sr)
+            im_row.append(si)
+        re.append(re_row)
+        im.append(im_row)
+    return re, im
+
+
+def _power(product, base, n: int):
+    """base^n for n >= 1 by repeated squaring with the given product.
+
+    The result is multiplied on the right by each of base, base^2, base^4, ...
+    whose bit of n is set, lowest bit first: O(log n) products.
+    """
+    result = None
+    while n:
+        if n & 1:
+            result = base if result is None else product(result, base)
+        n >>= 1
+        if n:
+            base = product(base, base)
+    return result
+
+
+def _complex(re, im) -> np.ndarray:
+    """The complex array with parts re and im: float64 arrays or nested lists of Python floats."""
+    re = np.asarray(re)
     z = np.empty(re.shape, dtype=complex)
     z.real, z.imag = re, im
     return z
 
 
+def _fixed_order(evaluate, *ms: np.ndarray) -> np.ndarray:
+    """evaluate(product, *parts) for complex matrices ms, on Python floats or float64 arrays.
+
+    One matrix each of at most _SCALAR_MAX_SIDE rows and columns goes through
+    _scalar_product, anything else (stacks, larger sides) through _product;
+    both give the same bits.  A result that is not finite is evaluated again
+    on arrays, so an overflow meets numpy's floating-point error handling
+    (np.errstate) as it does there.
+    """
+    if all(m.ndim == 2 and max(m.shape) <= _SCALAR_MAX_SIDE for m in ms):
+        re, im = evaluate(_scalar_product, *[(m.real.tolist(), m.imag.tolist()) for m in ms])
+        if all(map(math.isfinite, itertools.chain(*re, *im))):
+            return _complex(re, im)
+    return _complex(*evaluate(_product, *[(m.real, m.imag) for m in ms]))
+
+
 def fixed_order_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b for complex matrices or stacks of them, summed in the fixed order of _product."""
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    return _complex(*_product((a.real, a.imag), (b.real, b.imag)))
+    return _fixed_order(lambda product, x, y: product(x, y), a, b)
 
 
 def fixed_order_power(m: np.ndarray, n: int) -> np.ndarray:
-    """m^n by repeated squaring, every product in the fixed order of _product.
+    """m^n by repeated squaring (_power), every product in the fixed order of _product.
 
-    The result is multiplied on the right by each of m, m^2, m^4, ... whose
-    bit of n is set, lowest bit first: O(log n) products.  m^0 is the identity.
+    O(log n) products; m^0 is the identity.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    base, result = (m.real, m.imag), None
-    while n:
-        if n & 1:
-            result = base if result is None else _product(result, base)
-        n >>= 1
-        if n:
-            base = _product(base, base)
-    return np.eye(len(m), dtype=complex) if result is None else _complex(*result)
+    if n == 0:
+        return np.eye(len(m), dtype=complex)
+    return _fixed_order(lambda product, base: _power(product, base, n), m)
 
 
 def n_step_path_sum(

@@ -22,14 +22,12 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groupoid import OUT_MINUS, OUT_PLUS
-from .lagrangian import qubit_bias
 from .algebra import StateVector
-from .histories import _amplitude, fixed_order_matmul, fixed_order_power
+from .histories import _amplitude, _complex, _scalar_product, fixed_order_matmul, fixed_order_power
 
 FEASIBLE_TOL = 1e-10
 
@@ -113,24 +111,45 @@ class SignCase(enum.Enum):
     IV = (-1.0, -1.0)
 
 
-def _step_matrices(m: PropagatorModel, mus: list[float]) -> np.ndarray:
-    """The (len(mus), 2, 2) step matrices of model m with mu set to each of mus.
+def _kernel(m: PropagatorModel, mus: list[float]) -> tuple[complex, complex, list[complex], list[complex]]:
+    """K[-][-] and K[+][+] of model m, and K[-][+] and K[+][-] with mu set to each of mus.
 
-    Each kernel entry is the one-step amplitude of histories.single_step_matrix
+    Each entry is the one-step amplitude of histories.single_step_matrix
     (units weighted -V, the flips mu ± i delta), so with unit vertex factors a
     step matrix is the one-step path sum bit for bit.  Only the two flip
     entries depend on mu; they are written out as histories._amplitude
     evaluates them, with sqrt(p+ p-) taken once.
     """
-    bias, tau, hbar, delta = qubit_bias(m.p_plus), m.tau, m.hbar, m.delta
+    bias, tau, hbar, delta = (m.p_minus, m.p_plus), m.tau, m.hbar, m.delta  # qubit_bias, by index (-, +)
     # single_step_matrix adds each amplitude onto a zero entry, hence the 0j +
+    k_pp = 0j + _amplitude(bias, 1, 1, complex(-m.v_plus, 0.0) * tau, hbar)
+    k_mm = 0j + _amplitude(bias, 0, 0, complex(-m.v_minus, 0.0) * tau, hbar)
+    root, exp = math.sqrt(bias[1] * bias[0]), cmath.exp
+    k_mp = [0j + root * exp(1j * (complex(mu, delta) * tau) / hbar) for mu in mus]
+    k_pm = [0j + root * exp(1j * (complex(mu, -delta) * tau) / hbar) for mu in mus]
+    return k_mm, k_pp, k_mp, k_pm
+
+
+def _vertex_times(g, k):
+    """(re, im) of g * k as CPython forms a complex product: (gr kr - gi ki) + (gr ki + gi kr) i.
+
+    g and k are Python complex numbers or complex arrays.  Every multiply and
+    add is rounded on its own (a Python float operation or a float64 ufunc),
+    so the bits do not depend on whether numpy's complex multiply fuses them.
+    """
+    return g.real * k.real - g.imag * k.imag, g.real * k.imag + g.imag * k.real
+
+
+def _step_matrices(m: PropagatorModel, mus: list[float]) -> np.ndarray:
+    """The (len(mus), 2, 2) step matrices of model m with mu set to each of mus.
+
+    Entry by entry the vertex factor times the _kernel entry, as _vertex_times
+    forms it: qubit_propagator's bits at every mu.
+    """
+    k_mm, k_pp, k_mp, k_pm = _kernel(m, mus)
     kernel = np.empty((len(mus), 2, 2), dtype=complex)
-    kernel[:, 1, 1] = 0j + _amplitude(bias, OUT_PLUS, OUT_PLUS, complex(-m.v_plus, 0.0) * tau, hbar)
-    kernel[:, 0, 0] = 0j + _amplitude(bias, OUT_MINUS, OUT_MINUS, complex(-m.v_minus, 0.0) * tau, hbar)
-    root, exp = math.sqrt(bias[OUT_PLUS] * bias[OUT_MINUS]), cmath.exp
-    kernel[:, 0, 1] = [0j + root * exp(1j * (complex(mu, delta) * tau) / hbar) for mu in mus]
-    kernel[:, 1, 0] = [0j + root * exp(1j * (complex(mu, -delta) * tau) / hbar) for mu in mus]
-    return np.array(m.gammas, dtype=complex).reshape(2, 2) * kernel
+    kernel[:, 0, 0], kernel[:, 0, 1], kernel[:, 1, 0], kernel[:, 1, 1] = k_mm, k_mp, k_pm, k_pp
+    return _complex(*_vertex_times(np.array(m.gammas, dtype=complex).reshape(2, 2), kernel))
 
 
 def qubit_propagator(model: PropagatorModel) -> np.ndarray:
@@ -138,25 +157,48 @@ def qubit_propagator(model: PropagatorModel) -> np.ndarray:
 
     With unit vertex factors this reproduces the one-step path sum bit for
     bit, because the kernel is computed through the same amplitude
-    arithmetic.
+    arithmetic.  One point is evaluated on Python floats, with the formulas
+    and bits of _step_matrices; an entry that is not finite is evaluated
+    again there, so an overflow meets numpy's floating-point error handling.
     """
-    return _step_matrices(model, [model.mu])[0]
+    k_mm, k_pp, (k_mp,), (k_pm,) = _kernel(model, [model.mu])
+    (re_mm, im_mm), (re_mp, im_mp), (re_pm, im_pm), (re_pp, im_pp) = map(
+        _vertex_times, model.gammas, (k_mm, k_mp, k_pm, k_pp)
+    )
+    re, im = [[re_mm, re_mp], [re_pm, re_pp]], [[im_mm, im_mp], [im_pm, im_pp]]
+    if not all(map(math.isfinite, (*re[0], *re[1], *im[0], *im[1]))):
+        return _step_matrices(model, [model.mu])[0]
+    return _complex(re, im)
 
 
 def _residuals(u: np.ndarray) -> np.ndarray:
     """|U U* - 1| then |U* U - 1|, entries row by row, for a (..., 2, 2) stack: shape (..., 8).
 
-    The products are histories.fixed_order_matmul and the magnitudes np.hypot,
-    as abs() of a complex scalar, so no residual depends on the BLAS build.
+    The products are those of histories.fixed_order_matmul, on Python floats
+    for one matrix and on float64 arrays for a stack, with the same bits; the
+    magnitudes are np.hypot, as abs() of a complex scalar.  So no residual
+    depends on the BLAS build.  A point whose gaps are not finite is evaluated
+    again as a stack, so an overflow meets numpy's floating-point error
+    handling.
     """
+    if u.ndim == 2:
+        up = u.real.tolist(), u.imag.tolist()
+        uh = [list(col) for col in zip(*up[0])], [[-x for x in col] for col in zip(*up[1])]
+        re, im = [], []
+        for pr, pi in (_scalar_product(up, uh), _scalar_product(uh, up)):
+            for i in range(2):
+                re += [x - (i == j) for j, x in enumerate(pr[i])]
+                im += pi[i]
+        if all(map(math.isfinite, re + im)):
+            return np.hypot(re, im)
     uh = u.conj().swapaxes(-1, -2)
     gap = np.stack([fixed_order_matmul(u, uh), fixed_order_matmul(uh, u)], axis=-3) - np.eye(2)
     return np.hypot(gap.real, gap.imag).reshape(*u.shape[:-2], 8)
 
 
-def _report(model: PropagatorModel, residuals: np.ndarray) -> UnitarityReport:
-    """The report on model, whose step matrix has the given _residuals."""
-    r = tuple(residuals.tolist())
+def _step_report(model: PropagatorModel, u: np.ndarray) -> UnitarityReport:
+    """The report on model, whose step matrix is u."""
+    r = tuple(_residuals(u).tolist())
     growth = math.exp(2.0 * model.delta * model.tau / model.hbar)
     pm = abs(model.gamma_pm)
     relation1_gap = abs(abs(model.gamma_mp) / pm - growth) if pm else math.inf
@@ -178,7 +220,7 @@ def _report(model: PropagatorModel, residuals: np.ndarray) -> UnitarityReport:
 
 def unitarity_residuals(model: PropagatorModel) -> UnitarityReport:
     """Evaluate all eight unitarity equations and the derived gap quantities."""
-    return _report(model, _residuals(qubit_propagator(model)))
+    return _step_report(model, qubit_propagator(model))
 
 
 @dataclass(frozen=True)
@@ -201,10 +243,10 @@ def _check_solve_args(p_plus: float, tau: float, hbar: float, gauge: float) -> N
         raise ValueError("tau and hbar must be positive")
 
 
-def _solve_grid(
+def _pinned_model(
     v_plus: float,
     v_minus: float,
-    mus: list[float],
+    mu: float,
     delta: float,
     p_plus: float,
     tau: float,
@@ -212,35 +254,28 @@ def _solve_grid(
     lam: float,
     sigma: float,
     gauge: float,
-    feasible_tol: float,
-) -> tuple[PropagatorModel, np.ndarray, np.ndarray, np.ndarray]:
-    """The pinned-gauge candidate, its step matrix at each mu and the algebraic verdict there.
+) -> tuple[PropagatorModel, float]:
+    """The pinned-gauge candidate at mu and its radicand s.
 
     The candidate meets the structural relations exactly, and the only
     freedom they leave, the sign of the real G_pp, changes neither
     orthogonality nor the phase gap, so no search can do better.  With s < 0
     it takes G_pp = G_mm = 0, whose residual is |s|.  Its vertex factors do
-    not depend on mu, so one model, built at mu = 0, stands for every point;
-    u[k] equals qubit_propagator of that model with mu = mus[k], bit for bit.
-    Returns the model, the (len(mus), 2, 2) step matrices, their
-    (len(mus), 8) _residuals and the boolean verdicts.
+    not depend on mu.
     """
     p_minus = 1.0 - p_plus
     growth = math.exp(2.0 * delta * tau / hbar)
     s = 1.0 - gauge * gauge * p_plus * p_minus * growth
     g_pp = math.sqrt(max(s, 0.0)) / p_plus
     model = PropagatorModel(
-        v_plus, v_minus, 0.0, delta, p_plus, tau, hbar,
+        v_plus, v_minus, mu, delta, p_plus, tau, hbar,
         gamma_mm=g_pp * (p_plus / p_minus) * cmath.exp(1j * sigma / hbar),
         gamma_mp=gauge * growth * cmath.exp(-1j * lam / hbar),
         gamma_pm=complex(gauge, 0.0),
         gamma_pp=complex(g_pp, 0.0),
         lam=lam, sigma=sigma,
     )
-    u = _step_matrices(model, mus)
-    residuals = _residuals(u)
-    feasible = np.logical_and(s >= 0.0, residuals.max(axis=-1) <= feasible_tol)
-    return model, u, residuals, feasible
+    return model, s
 
 
 def solve_unitary_gammas(
@@ -270,12 +305,11 @@ def solve_unitary_gammas(
     unitarity_residuals(model).
     """
     _check_solve_args(p_plus, tau, hbar, gauge)
-    model, u, residuals, feasible = _solve_grid(
-        v_plus, v_minus, [mu], delta, p_plus, tau, hbar, lam, sigma, gauge, feasible_tol
-    )
-    model = replace(model, mu=mu)
-    report = _report(model, residuals[0])
-    return GammaSolution(bool(feasible[0]), model, report, report.max_residual, u[0])
+    model, s = _pinned_model(v_plus, v_minus, mu, delta, p_plus, tau, hbar, lam, sigma, gauge)
+    u = qubit_propagator(model)
+    report = _step_report(model, u)
+    feasible = s >= 0.0 and all(r <= feasible_tol for r in report.residuals)
+    return GammaSolution(feasible, model, report, report.max_residual, u)
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,10 +359,9 @@ def quantization_scan(
     _check_solve_args(p_plus, tau, hbar, gauge)
     xs = np.array(grid, dtype=float)  # a copy: the caller's grid stays writable
     mus = xs * hbar / tau
-    model, _, residuals, feasible = _solve_grid(
-        v_plus, v_minus, mus.tolist(), delta, p_plus, tau, hbar, lam, sigma, gauge, feasible_tol
-    )
-    columns = (mus, xs, residuals.max(axis=-1), feasible)
+    model, s = _pinned_model(v_plus, v_minus, 0.0, delta, p_plus, tau, hbar, lam, sigma, gauge)
+    worst = _residuals(_step_matrices(model, mus.tolist())).max(axis=-1)
+    columns = (mus, xs, worst, np.logical_and(s >= 0.0, worst <= feasible_tol))
     for column in columns:
         column.flags.writeable = False
     return QuantizationScan(model, *columns)

@@ -21,7 +21,7 @@ from groupoidqm import (
     qubit_propagator,
     solve_unitary_gammas,
 )
-from groupoidqm import cli, coarse, lagrangian
+from groupoidqm import cli, coarse, lagrangian, propagator
 from groupoidqm.coarse import is_principal
 from groupoidqm.cli import (
     MAX_ELEMENTS,
@@ -542,8 +542,23 @@ def test_solve_mode_reuses_the_solution(tmp_path, capsys, monkeypatch, argv):
         raise AssertionError("the step was rebuilt after solving")
 
     monkeypatch.setattr(cli, "qubit_propagator", rebuilt)
-    monkeypatch.setattr(cli, "unitarity_residuals", rebuilt)
+    monkeypatch.setattr(cli, "_step_report", rebuilt)
     assert run(capsys, argv[0], "-c", cfg, *argv[1:]) == (0, out, err)
+
+
+@pytest.mark.parametrize("text", ["mu = 0.3\n", "gamma_mode = explicit\ngamma_mm = 0.5,-1\nmu = 0.3\n"])
+def test_propagator_builds_its_step_matrix_once(tmp_path, capsys, monkeypatch, text):
+    calls = []
+    kernel = propagator._kernel
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(propagator, "_kernel", counted)
+    rc, out, err = run(capsys, "propagator", "-c", cfg_file(tmp_path, text))
+    assert rc == 0 and err == ""
+    assert len(calls) == 1
 
 
 def test_sweep_rows_at_an_overflowing_gauge(tmp_path, capsys):
@@ -812,6 +827,7 @@ def test_non_finite_solve_input_is_a_parse_error(tmp_path, capsys):
         "gamma_mode = solve\ndelta = 400\n",  # exp(2 delta tau / hbar) overflows
         "delta = 1e300\n",  # the one-step kernel overflows
         "delta = 400\n",  # |U|^2 overflows in the residuals
+        "gamma_mode = solve\ngauge = 1e200\n",  # infeasible, but |U|^2 overflows before the verdict
         "gamma_mode = explicit\ngamma_pm = 0,0\n",  # relation 1 undefined
     ],
 )

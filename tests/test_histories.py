@@ -42,6 +42,8 @@ from groupoidqm import (
     unit_history,
 )
 
+from groupoidqm.histories import _SCALAR_MAX_SIDE, _complex, _product, fixed_order_matmul, fixed_order_power
+
 A2 = build_a2()
 # pair:2 on x1, x2 beside a trivial outcome y: out-degrees 2, 1, 2
 MIXED = build_from_table(
@@ -373,6 +375,12 @@ def fixed_order_models():
     ell = QLagrangian(g, {e: 0.3 * (idx[g.target[e]] + idx[g.source[e]]) + 0.5j * (idx[g.target[e]] - idx[g.source[e]])
                           for e in g.elements})
     yield g, ell, OutcomeBias(dict(zip(g.outcomes, (0.2, 0.3, 0.5))))
+    g = build_pair_groupoid(_SCALAR_MAX_SIDE + 1)  # past the bound: products on float64 arrays
+    idx = {o: i for i, o in enumerate(g.outcomes)}
+    ell = QLagrangian(g, {e: 0.3 * (idx[g.target[e]] + idx[g.source[e]]) + 0.05 * idx[g.target[e]] * idx[g.source[e]]
+                          for e in g.elements})  # real phases: no entry of a power outgrows the bias
+    k = len(g.outcomes)
+    yield g, ell, OutcomeBias({o: (i + 1) / (k * (k + 1) // 2) for i, o in enumerate(g.outcomes)})
 
 
 @pytest.mark.parametrize("g, ell, bias", list(fixed_order_models()))
@@ -388,6 +396,18 @@ def test_products_follow_the_fixed_order_bit_for_bit(g, ell, bias):
             assert repr(power_propagator(u, n).tolist()) == repr(want)
             moved = evolve_state(u, StateVector(tuple(psi)), n).amplitudes
             assert repr(list(moved)) == repr([row[0] for row in python_matmul(want, [[z] for z in psi])])
+
+
+def test_small_products_that_overflow_meet_numpy_error_handling():
+    # a product on Python floats overflows silently; it is evaluated again on arrays
+    m = np.full((2, 2), complex(1e200, -1e200))
+    with np.errstate(over="raise", invalid="raise"):
+        for product in (lambda: fixed_order_matmul(m, m), lambda: fixed_order_power(m, 2)):
+            with pytest.raises(FloatingPointError):
+                product()
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _complex(*_product((m.real, m.imag), (m.real, m.imag)))
+        assert fixed_order_matmul(m, m).tobytes() == fixed_order_power(m, 2).tobytes() == want.tobytes()
 
 
 def lexicographic_walks(g, start, end, n_steps):

@@ -264,6 +264,57 @@ def test_scan_matches_single_solves_bit_for_bit():
     assert n_feasible >= 50
 
 
+def python_step(m, mu):
+    """The step matrix of model m at mu over Python floats, entry by entry from the module docstring.
+
+    K[b][a] = sqrt(p_a p_b) exp(i ell tau / hbar), ell being -V on the units and
+    mu ± i delta on the flips, added onto zero as in the one-step path sum; then
+    G * K as CPython forms a complex product, written out in float operations so
+    that nothing fuses.
+    """
+    p = (1.0 - m.p_plus, m.p_plus)  # (-, +)
+    ell = ((complex(-m.v_minus, 0.0), complex(mu, m.delta)), (complex(mu, -m.delta), complex(-m.v_plus, 0.0)))
+    gammas = ((m.gamma_mm, m.gamma_mp), (m.gamma_pm, m.gamma_pp))
+    rows = []
+    for b in range(2):
+        row = []
+        for a in range(2):
+            k = 0j + math.sqrt(p[a] * p[b]) * cmath.exp(1j * (ell[b][a] * m.tau) / m.hbar)
+            g = gammas[b][a]
+            row.append(complex(g.real * k.real - g.imag * k.imag, g.real * k.imag + g.imag * k.real))
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("seed", [1, 2, 7, 8])
+def test_step_matrix_is_the_python_formula_bit_for_bit(seed):
+    # solve-mode vertex factors are complex, so every entry's product has four nonzero terms
+    args, _ = _seeded_scan_params(seed)
+    v_plus, v_minus, delta_, p, tau, hbar, lam, sigma, gauge, _ = args
+    scan = quantization_scan(*args)
+    for mu, u in zip(scan.mu.tolist(), _step_matrices(scan.model, scan.mu.tolist())):
+        want = repr(python_step(scan.model, mu))
+        assert repr(u.tolist()) == want
+        sol = solve_unitary_gammas(v_plus, v_minus, mu, delta_, p, tau, hbar, lam=lam, sigma=sigma, gauge=gauge)
+        assert repr(sol.u.tolist()) == repr(qubit_propagator(sol.model).tolist()) == want
+    m = PropagatorModel(v_plus, v_minus, 0.4, delta_, p, tau, hbar, 1 - 2j, -0.5 + 0.25j, 3j - 0.1, 0.25 - 1.5j)
+    assert repr(qubit_propagator(m).tolist()) == repr(python_step(m, 0.4))
+
+
+def test_point_residuals_that_overflow_meet_numpy_error_handling():
+    # the entry or |U|^2 passes the float range; the point is evaluated again on arrays, where numpy raises
+    m = PropagatorModel(0.0, 0.0, 0.3, 0.0, 0.5, 1.0, 1.0, gamma_mm=complex(1e200, 1e200))
+    big_flip = PropagatorModel(0.0, 0.0, 0.3, -400.0, 0.5, 1.0, 1.0, gamma_mp=1e200)  # G_mp exp(400) overflows
+    with np.errstate(over="raise", invalid="raise"):
+        with pytest.raises(FloatingPointError):
+            unitarity_residuals(m)
+        with pytest.raises(FloatingPointError):
+            qubit_propagator(big_flip)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = qubit_propagator(m)
+        assert _residuals(u).tobytes() == _residuals(u[None])[0].tobytes()
+
+
 def python_residuals(u):
     """|U U* - 1| then |U* U - 1| over Python complex numbers, each entry's terms summed left to right."""
     uh = [[u[j][i].conjugate() for j in range(2)] for i in range(2)]
