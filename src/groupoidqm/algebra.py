@@ -158,29 +158,31 @@ def element_from_matrix(g: FiniteGroupoid, matrix: np.ndarray, tol: float = 1e-1
     n = len(g.outcomes)
     if matrix.shape != (n, n):
         raise ValueError(f"matrix shape {matrix.shape} does not match {n} outcomes")
-    by_pair: dict[tuple[str, str], str] = {}
-    for e in g.elements:
-        key = (g.target[e], g.source[e])
-        if key in by_pair:
-            raise ValueError(
-                "fundamental representation is not injective for this groupoid: "
-                f"both {by_pair[key]} and {e} map {key[1]} -> {key[0]}"
-            )
-        by_pair[key] = e
+    cell = g.target.array * n + g.source.array  # each element's flat [target, source] index
+    cells, first = np.unique(cell, return_index=True)
+    if len(cells) < len(cell):
+        later = np.ones(len(cell), dtype=bool)
+        later[first] = False
+        e = int(np.flatnonzero(later)[0])  # the first element whose cell an earlier one carries
+        bt, bs = divmod(int(cell[e]), n)
+        raise ValueError(
+            "fundamental representation is not injective for this groupoid: "
+            f"both {g.elements[int(first[cells == cell[e]][0])]} and {g.elements[e]} "
+            f"map {g.outcomes[bs]} -> {g.outcomes[bt]}"
+        )
     scale = max(1.0, float(np.max(np.abs(matrix))))
-    idx = {o: i for i, o in enumerate(g.outcomes)}
-    coeffs: dict[str, complex] = {}
-    for bt in g.outcomes:
-        for bs in g.outcomes:
-            entry = matrix[idx[bt], idx[bs]]
-            el = by_pair.get((bt, bs))
-            if el is not None:
-                coeffs[el] = complex(entry)
-            elif abs(entry) > tol * scale:
-                raise ValueError(
-                    f"matrix entry at ({bt}, {bs}) = {entry} has no transition to carry it"
-                )
-    return AlgebraElement(g, coeffs)
+    owner = np.full(n * n, -1, dtype=np.intp)
+    owner[cell] = np.arange(len(cell))
+    flat = matrix.ravel()
+    stray = np.flatnonzero((owner < 0) & (np.abs(flat) > tol * scale))
+    if stray.size:
+        bt, bs = divmod(int(stray[0]), n)
+        raise ValueError(
+            f"matrix entry at ({g.outcomes[bt]}, {g.outcomes[bs]}) = {matrix[bt, bs]} has no transition to carry it"
+        )
+    held = np.flatnonzero(owner >= 0)  # row-major, as the coefficients are keyed
+    names = g.elements
+    return AlgebraElement(g, {names[k]: z for k, z in zip(owner[held].tolist(), flat[held].tolist())})
 
 
 def operator_norm(a: AlgebraElement) -> float:

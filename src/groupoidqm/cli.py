@@ -9,20 +9,17 @@ vertex factor) is an exit-1 error, never printed.
 
 from __future__ import annotations
 
-import argparse
 import cmath
-import functools
 import math
 import sys
 from dataclasses import dataclass
-from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .groupoid import (
     MAX_ELEMENTS,
     FiniteGroupoid,
-    GroupoidParseError,
     OutcomePartition,
     build_a2,
     build_from_table,
@@ -84,18 +81,6 @@ class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
-
-
-@dataclass(frozen=True)
-class _Raw:
-    value: str
-    line: int
-    column: int
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """One run's worth of parameters, straight from a flat key=value file."""
@@ -121,8 +106,9 @@ class RunConfig:
     pair_lagrangian: str | None = None
 
 
-def _parse_entries(text: str) -> dict[str, _Raw]:
-    entries: dict[str, _Raw] = {}
+def _parse_entries(text: str) -> dict[str, tuple[str, int, int]]:
+    """key -> (value, line, column of the value), all 1-based."""
+    entries: dict[str, tuple[str, int, int]] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         stripped = raw_line.strip()
         if not stripped or stripped.startswith("#"):
@@ -137,37 +123,37 @@ def _parse_entries(text: str) -> dict[str, _Raw]:
             raise ConfigError(f"duplicate key {name!r}", lineno, 1)
         lead = len(value) - len(value.lstrip())
         column = len(key) + 2 + lead
-        entries[name] = _Raw(value.strip(), lineno, column)
+        entries[name] = (value.strip(), lineno, column)
     return entries
 
 
-def _as_float(raw: _Raw) -> float:
+def _as_float(value: str, line: int, column: int) -> float:
     try:
-        x = float(raw.value)
+        x = float(value)
     except ValueError:
-        raise ConfigError(f"expected a real number, got {raw.value!r}", raw.line, raw.column) from None
+        raise ConfigError(f"expected a real number, got {value!r}", line, column) from None
     if not math.isfinite(x):
-        raise ConfigError(f"expected a finite number, got {raw.value!r}", raw.line, raw.column)
+        raise ConfigError(f"expected a finite number, got {value!r}", line, column)
     return x
 
 
-def _as_int(raw: _Raw) -> int:
+def _as_int(value: str, line: int, column: int) -> int:
     try:
-        return int(raw.value, 10)
+        return int(value, 10)
     except ValueError:
-        raise ConfigError(f"expected an integer, got {raw.value!r}", raw.line, raw.column) from None
+        raise ConfigError(f"expected an integer, got {value!r}", line, column) from None
 
 
-def _as_complex(raw: _Raw) -> complex:
-    parts = raw.value.split(",")
+def _as_complex(value: str, line: int, column: int) -> complex:
+    parts = value.split(",")
     if len(parts) != 2:
-        raise ConfigError(f"expected 're,im', got {raw.value!r}", raw.line, raw.column)
+        raise ConfigError(f"expected 're,im', got {value!r}", line, column)
     try:
         z = complex(float(parts[0]), float(parts[1]))
     except ValueError:
-        raise ConfigError(f"expected 're,im', got {raw.value!r}", raw.line, raw.column) from None
+        raise ConfigError(f"expected 're,im', got {value!r}", line, column) from None
     if not cmath.isfinite(z):
-        raise ConfigError(f"expected finite 're,im', got {raw.value!r}", raw.line, raw.column)
+        raise ConfigError(f"expected finite 're,im', got {value!r}", line, column)
     return z
 
 
@@ -196,71 +182,58 @@ _ALL_KEYS = (
 def parse_config(text: str) -> RunConfig:
     """Parse the flat key=value format; positions are reported on errors."""
     entries = _parse_entries(text)
-    for name, raw in entries.items():
+    for name, (_, line, _) in entries.items():
         if name not in _ALL_KEYS:
-            raise ConfigError(f"unknown key {name!r}", raw.line, 1)
+            raise ConfigError(f"unknown key {name!r}", line, 1)
 
     fields: dict[str, object] = {}
     if "groupoid" in entries:
-        raw = entries["groupoid"]
-        fields["groupoid_spec"] = raw.value
-        size = _pair_size(raw.value, raw.line, raw.column)
+        value, line, column = entries["groupoid"]
+        fields["groupoid_spec"] = value
+        size = _pair_size(value, line, column)
         if size is not None and size >= 1 and size * size > MAX_ELEMENTS:  # size < 1 fails at build
             raise ConfigError(
                 f"pair:{size} has {size * size} elements, at most {MAX_ELEMENTS} are allowed",
-                raw.line,
-                raw.column,
+                line,
+                column,
             )
     for key, attr in _FLOAT_KEYS.items():
         if key in entries:
-            fields[attr] = _as_float(entries[key])
+            fields[attr] = _as_float(*entries[key])
     for key in _COMPLEX_KEYS:
         if key in entries:
-            fields[key] = _as_complex(entries[key])
+            fields[key] = _as_complex(*entries[key])
     if "steps" in entries:
-        raw = entries["steps"]
-        n = _as_int(raw)
+        n = _as_int(*entries["steps"])
         if n < 0:
-            raise ConfigError(f"steps must be non-negative, got {n}", raw.line, raw.column)
+            raise ConfigError(f"steps must be non-negative, got {n}", *entries["steps"][1:])
         fields["steps"] = n
     if "gamma_mode" in entries:
-        raw = entries["gamma_mode"]
-        if raw.value not in ("unit", "explicit", "solve"):
-            raise ConfigError(
-                f"gamma_mode must be unit, explicit or solve, got {raw.value!r}",
-                raw.line,
-                raw.column,
-            )
-        fields["gamma_mode"] = raw.value
+        value, line, column = entries["gamma_mode"]
+        if value not in ("unit", "explicit", "solve"):
+            raise ConfigError(f"gamma_mode must be unit, explicit or solve, got {value!r}", line, column)
+        fields["gamma_mode"] = value
     if "pair_lagrangian" in entries:
-        fields["pair_lagrangian"] = entries["pair_lagrangian"].value
+        fields["pair_lagrangian"] = entries["pair_lagrangian"][0]
 
     present = [k for k in _SWEEP_KEYS if k in entries]
     if present:
         missing = [k for k in _SWEEP_KEYS if k not in entries]
         if missing:
-            raw = entries[present[0]]
             raise ConfigError(
-                f"sweep block incomplete, missing {', '.join(missing)}", raw.line, 1
+                f"sweep block incomplete, missing {', '.join(missing)}", entries[present[0]][1], 1
             )
-        raw = entries["sweep_parameter"]
-        if raw.value != "mu_tau_over_hbar":
-            raise ConfigError(
-                f"unsupported sweep parameter {raw.value!r}", raw.line, raw.column
-            )
-        points_raw = entries["sweep_points"]
-        points = _as_int(points_raw)
+        value, line, column = entries["sweep_parameter"]
+        if value != "mu_tau_over_hbar":
+            raise ConfigError(f"unsupported sweep parameter {value!r}", line, column)
+        points = _as_int(*entries["sweep_points"])
         if not 2 <= points <= MAX_SWEEP_POINTS:
             bound = "at least 2" if points < 2 else f"at most {MAX_SWEEP_POINTS}"
-            raise ConfigError(
-                f"sweep_points must be {bound}, got {points}",
-                points_raw.line,
-                points_raw.column,
-            )
+            raise ConfigError(f"sweep_points must be {bound}, got {points}", *entries["sweep_points"][1:])
         fields["sweep"] = (
-            raw.value,
-            _as_float(entries["sweep_from"]),
-            _as_float(entries["sweep_to"]),
+            value,
+            _as_float(*entries["sweep_from"]),
+            _as_float(*entries["sweep_to"]),
             points,
         )
 
@@ -271,21 +244,22 @@ def parse_config(text: str) -> RunConfig:
         ("p_plus", "p_plus", 0.0 <= cfg.p_plus <= 0.5, "in [0, 1/2]"),
     ):
         if not ok:
-            raw = entries.get(key)
-            raise ConfigError(
-                f"{key} must be {want}, got {getattr(cfg, attr)}",
-                raw.line if raw else None,
-                raw.column if raw else None,
-            )
+            _, line, column = entries.get(key, (None, None, None))
+            raise ConfigError(f"{key} must be {want}, got {getattr(cfg, attr)}", line, column)
     return cfg
 
 
-def load_config(path: str) -> RunConfig:
+def _read_text(path: str, what: str) -> str:
+    """A UTF-8 file's text; an unreadable or undecodable file is a ConfigError naming it."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from None
-    return parse_config(text)
+        with open(path, "rb", buffering=0) as fh:  # bytes: splitlines reads every line ending itself
+            return fh.read().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path!r}: {exc}") from None
+
+
+def load_config(path: str) -> RunConfig:
+    return parse_config(_read_text(path, "config"))
 
 
 def _finite(text: str) -> float:
@@ -326,11 +300,7 @@ def _build_groupoid(cfg: RunConfig) -> FiniteGroupoid:
     n = _pair_size(spec)
     if n is not None:
         return build_pair_groupoid(n)
-    try:
-        text = Path(spec).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read groupoid file {spec!r}: {exc}") from None
-    return build_from_table(text)
+    return build_from_table(_read_text(spec, "groupoid file"))
 
 
 def _build_lagrangian(cfg: RunConfig, g: FiniteGroupoid) -> QLagrangian | None:
@@ -356,10 +326,7 @@ def _build_lagrangian(cfg: RunConfig, g: FiniteGroupoid) -> QLagrangian | None:
             raise ConfigError(f"bad index_diff scale {arg!r}") from None
         return QLagrangian(g, _index_diff_weights(g, s))
     if kind == "file":
-        try:
-            text = Path(arg).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError(f"cannot read weight file {arg!r}: {exc}") from None
+        text = _read_text(arg, "weight file")
         try:
             a = element_from_lines(g, text)
         except ValueError as exc:
@@ -595,81 +562,129 @@ def cmd_coarse_grain(cfg: RunConfig, partition_spec: str) -> tuple[int, str]:
     return 0, multiplication_table(quotient) + _text(["", "lagrangian:", *weights])
 
 
-@functools.cache
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="groupoidqm", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+class _Option(NamedTuple):
+    short: str  # '' when the option has no short spelling
+    long: str
+    dest: str | None
+    convert: type
+    required: bool
+    metavar: str
 
-    def common(p: _Parser) -> None:
-        p.add_argument("-c", "--config", required=True, help="key=value config file")
-        p.add_argument("--out", default=None, help="write output to this file")
+    def __str__(self) -> str:
+        return f"{self.short}/{self.long}" if self.short else self.long
 
-    common(sub.add_parser("validate", help="check groupoid axioms and weight self-adjointness"))
-    common(sub.add_parser("table", help="print the multiplication table"))
-    p = sub.add_parser("propagator", help="print the one-step matrix and unitarity report")
-    common(p)
-    p.add_argument("--power", type=int, default=None, help="also print the N-th power")
-    p = sub.add_parser("pathsum", help="sum over histories as an outcome-indexed CSV")
-    common(p)
-    p.add_argument("--steps", type=int, default=None, help="number of steps (overrides config)")
-    p.add_argument("--check-semigroup", default=None, metavar="N1+N2",
-                   help="verify the N1+N2 factorization")
-    common(sub.add_parser("sweep", help="unitarity feasibility scan as CSV"))
-    p = sub.add_parser("evolve", help="apply N propagation steps to a state")
-    common(p)
-    p.add_argument("--state", required=True, help="initial state 're,im;re,im'")
-    p.add_argument("--steps", type=int, default=None, help="number of steps (overrides config)")
-    p = sub.add_parser("coarse-grain", help="quotient a pair groupoid by an outcome partition")
-    common(p)
-    p.add_argument("--partition", required=True, help="blocks as 'x1,x2|x3,x4'")
-    return parser
+
+# Every command takes -c/--config and --out; a command's runner gets the values
+# of its own options in table order.  This one table drives parsing, usage
+# errors and --help.
+_HELP = _Option("-h", "--help", None, str, False, "")
+_CONFIG = _Option("-c", "--config", "config", str, True, "FILE")
+_OUT = _Option("", "--out", "out", str, False, "FILE")
+_STEPS = _Option("", "--steps", "steps", int, False, "N")
+_COMMANDS = {
+    "validate": (cmd_validate, "check groupoid axioms and weight self-adjointness", ()),
+    "table": (cmd_table, "print the multiplication table", ()),
+    "propagator": (cmd_propagator, "print the one-step matrix and unitarity report",
+                   (_Option("", "--power", "power", int, False, "N"),)),
+    "pathsum": (cmd_pathsum, "sum over histories as an outcome-indexed CSV",
+                (_STEPS, _Option("", "--check-semigroup", "check_semigroup", str, False, "N1+N2"))),
+    "sweep": (cmd_sweep, "unitarity feasibility scan as CSV", ()),
+    "evolve": (cmd_evolve, "apply N propagation steps to a state",
+               (_Option("", "--state", "state", str, True, "'re,im;re,im'"), _STEPS)),
+    "coarse-grain": (cmd_coarse_grain, "quotient a pair groupoid by an outcome partition",
+                     (_Option("", "--partition", "partition", str, True, "'x1,x2|x3,x4'"),)),
+}
+
+
+def _parse_argv(argv: list[str]) -> tuple[str, dict[str, object]] | None:
+    """The command and its options' values (None when absent), or None for -h/--help.
+
+    Accepts '--opt value', '--opt=value', '-c FILE', '-cFILE' and a unique prefix
+    of a long option; the last of a repeated option wins.  The token after an
+    option is always its value, so a value may begin with '-'.
+    """
+    command = argv[0] if argv else ""
+    if command not in _COMMANDS:
+        if command == "-h" or len(command) > 2 and "--help".startswith(command):
+            return None
+        raise _UsageError(f"expected a command ({', '.join(_COMMANDS)}), got {command!r}")
+    options = (_HELP, _CONFIG, _OUT, *_COMMANDS[command][2])
+    values = {option.dest: None for option in options[1:]}
+    i = 1
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        if token.startswith("--"):
+            name, eq, value = token.partition("=")
+            hits = [o for o in options if o.long == name] or [o for o in options if o.long.startswith(name)]
+            if len(hits) != 1:
+                if hits:
+                    raise _UsageError(f"ambiguous option: {name} could match {', '.join(o.long for o in hits)}")
+                raise _UsageError(f"unrecognized arguments: {token}")
+            option, value = hits[0], value if eq else None
+        else:
+            option = next((o for o in options if o.short and token[:2] == o.short), None)
+            if option is None:
+                raise _UsageError(f"unrecognized arguments: {token}")
+            value = token[2:].removeprefix("=") if len(token) > 2 else None  # '-c=FILE' is '-c FILE'
+        if option is _HELP:
+            return None
+        if value is None:
+            if i == len(argv):
+                raise _UsageError(f"argument {option}: expected one argument")
+            value, i = argv[i], i + 1
+        try:
+            values[option.dest] = option.convert(value)
+        except ValueError:
+            raise _UsageError(f"argument {option}: invalid {option.convert.__name__} value: {value!r}") from None
+    missing = [str(o) for o in options if o.required and values[o.dest] is None]
+    if missing:
+        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+    return command, values
+
+
+def _usage() -> str:
+    lines = ["usage: groupoidqm COMMAND -c/--config FILE [--out FILE] [options]", "", "commands:"]
+    for command, (_, summary, own) in _COMMANDS.items():
+        spelled = [f"{o} {o.metavar}" if o.required else f"[{o} {o.metavar}]" for o in (_CONFIG, _OUT, *own)]
+        lines += [f"  {command} {' '.join(spelled)}", f"      {summary}"]
+    return _text(lines)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if "--state" in argv[:-1]:
-        # argparse reads a value such as '-1,0;0,0' as an option unless attached with '='
-        i = argv.index("--state")
-        argv[i : i + 2] = [f"--state={argv[i + 1]}"]
     try:
-        args = parser.parse_args(argv)
+        parsed = _parse_argv(sys.argv[1:] if argv is None else argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if parsed is None:
+        sys.stdout.write(_usage())
+        return 0
+    command, options = parsed
+    run, _, own = _COMMANDS[command]
     try:
-        cfg = load_config(args.config)
+        cfg = load_config(options["config"])
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            if args.command == "validate":
-                rc, text = cmd_validate(cfg)
-            elif args.command == "table":
-                rc, text = cmd_table(cfg)
-            elif args.command == "propagator":
-                rc, text = cmd_propagator(cfg, args.power)
-            elif args.command == "pathsum":
-                rc, text = cmd_pathsum(cfg, args.steps, args.check_semigroup)
-            elif args.command == "sweep":
-                rc, text = cmd_sweep(cfg)
-            elif args.command == "evolve":
-                rc, text = cmd_evolve(cfg, args.state, args.steps)
-            else:
-                rc, text = cmd_coarse_grain(cfg, args.partition)
+            rc, text = run(cfg, *[options[o.dest] for o in own])
     except InfeasibleModel as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except GroupoidParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError, GroupoidParseError and bad values alike
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ArithmeticError as exc:
         print(f"error: arithmetic out of floating-point range ({exc})", file=sys.stderr)
         return 1
-    if args.out is not None:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
+    out = options["out"]
+    if out is None:
         sys.stdout.write(text)
+        return rc
+    try:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write output {out!r}: {exc}", file=sys.stderr)
+        return 1
     return rc
 
 

@@ -1,5 +1,6 @@
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -389,6 +390,72 @@ def test_fundamental_rep_matches_label_loop_bit_for_bit():
     shared = AlgebraElement(Z3_BESIDE_UNIT, {"s": 1e16, "r": 1.0, "e": -1e16})
     assert fundamental_rep(shared).tobytes() == _reference_rep(shared).tobytes()
     assert fundamental_rep(shared)[0, 0] == 0  # (1e16 + 1) - 1e16 in coefficient order
+
+
+def _reference_element_from_matrix(g, matrix, tol=1e-12):
+    """The label loop element_from_matrix replaced, verbatim: the oracle for coefficients and messages."""
+    matrix = np.asarray(matrix, dtype=complex)
+    n = len(g.outcomes)
+    if matrix.shape != (n, n):
+        raise ValueError(f"matrix shape {matrix.shape} does not match {n} outcomes")
+    by_pair: dict[tuple[str, str], str] = {}
+    for e in g.elements:
+        key = (g.target[e], g.source[e])
+        if key in by_pair:
+            raise ValueError(
+                "fundamental representation is not injective for this groupoid: "
+                f"both {by_pair[key]} and {e} map {key[1]} -> {key[0]}"
+            )
+        by_pair[key] = e
+    scale = max(1.0, float(np.max(np.abs(matrix))))
+    idx = {o: i for i, o in enumerate(g.outcomes)}
+    coeffs: dict[str, complex] = {}
+    for bt in g.outcomes:
+        for bs in g.outcomes:
+            entry = matrix[idx[bt], idx[bs]]
+            el = by_pair.get((bt, bs))
+            if el is not None:
+                coeffs[el] = complex(entry)
+            elif abs(entry) > tol * scale:
+                raise ValueError(
+                    f"matrix entry at ({bt}, {bs}) = {entry} has no transition to carry it"
+                )
+    return AlgebraElement(g, coeffs)
+
+
+# Z2 x pair(a, b) beside c: t_b and u_b both carry b -> b, but the first
+# element whose cell an earlier one carries is g_ab (after f_ab), not u_b
+Z2_PAIR = build_from_table((Path(__file__).parent / "golden" / "z2_pair.groupoid").read_text(encoding="utf-8"))
+
+
+def _outcome(call):
+    try:
+        return "ok", _bits(call())
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def test_element_from_matrix_matches_label_loop():
+    rng = np.random.default_rng(20261019)
+    groupoids = [A2, MIXED, Z3_BESIDE_UNIT, Z2_PAIR, *(build_pair_groupoid(n) for n in (1, 2, 3, 5))]
+    seen = set()
+    for case in range(800):
+        g = groupoids[case % len(groupoids)]
+        n = len(g.outcomes)
+        m = fundamental_rep(_seeded_element(g, rng))
+        stray = rng.choice(("none", "below tol", "above tol", "large", "nan", "shape"))
+        if stray == "shape":
+            m = np.zeros((n, n + 1), dtype=complex)
+        elif stray != "none":  # at one cell, or at two for a large stray: the first one is the witness
+            edge = 1e-12 * max(1.0, float(np.abs(m).max()))
+            for i, j in rng.integers(n, size=(2 if stray == "large" else 1, 2)):
+                m[i, j] += {"below tol": 0.5 * edge, "above tol": 2 * edge, "large": 0.5 - 2j, "nan": complex("nan")}[stray]
+        got = _outcome(lambda: element_from_matrix(g, m))
+        assert got == _outcome(lambda: _reference_element_from_matrix(g, m))
+        seen.add(got[0] if got[0] == "ok" else " ".join(got[1].split()[:2]))
+    assert seen == {"ok", "matrix shape", "fundamental representation", "matrix entry"}
+    with pytest.raises(ValueError, match=r"both f_ab and g_ab map b -> a$"):
+        element_from_matrix(Z2_PAIR, np.zeros((3, 3)))
 
 
 def test_convolve_overflow_matches_complex_multiply_without_warnings():

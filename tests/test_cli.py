@@ -4,12 +4,17 @@ Each command is driven through main(argv) exactly as the console script
 would run it, asserting exit codes and the frozen output formats.
 """
 
+import argparse
 import cmath
+import contextlib
+import io
 import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupoidqm import (
     FiniteGroupoid,
@@ -640,27 +645,149 @@ def test_propagator_report_near_the_float_range(tmp_path, capsys):
         assert float(grab(out, key)) == pytest.approx(2.5e199, rel=1e-15)
 
 
-def test_parser_is_built_once(tmp_path, capsys):
-    cfg = cfg_file(tmp_path, SOLVE_SQRT2)
-    commands = [
-        ("propagator", "-c", cfg, "--power", "two"),
-        ("propagator", "-c", cfg, "--power", "2"),
-        ("evolve", "-c", cfg),
-    ]
+class _OracleUsageError(Exception):
+    pass
 
-    def session(fresh):
-        results = []
-        for argv in commands:
-            if fresh:
-                cli._build_parser.cache_clear()
-            results.append(run(capsys, *argv))
-        return results
 
-    cli._build_parser.cache_clear()
-    reused = session(fresh=False)
-    assert cli._build_parser.cache_info().misses == 1
-    assert [rc for rc, _, _ in reused] == [1, 0, 1]
-    assert reused == session(fresh=True)
+class _OracleParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _OracleUsageError(message)
+
+
+def _argparse_oracle() -> argparse.ArgumentParser:
+    """The argparse parser the table-driven one replaced, verbatim: the oracle for argv."""
+    parser = _OracleParser(prog="groupoidqm", description=cli.__doc__)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_OracleParser)
+
+    def common(p: _OracleParser) -> None:
+        p.add_argument("-c", "--config", required=True, help="key=value config file")
+        p.add_argument("--out", default=None, help="write output to this file")
+
+    common(sub.add_parser("validate", help="check groupoid axioms and weight self-adjointness"))
+    common(sub.add_parser("table", help="print the multiplication table"))
+    p = sub.add_parser("propagator", help="print the one-step matrix and unitarity report")
+    common(p)
+    p.add_argument("--power", type=int, default=None, help="also print the N-th power")
+    p = sub.add_parser("pathsum", help="sum over histories as an outcome-indexed CSV")
+    common(p)
+    p.add_argument("--steps", type=int, default=None, help="number of steps (overrides config)")
+    p.add_argument("--check-semigroup", default=None, metavar="N1+N2",
+                   help="verify the N1+N2 factorization")
+    common(sub.add_parser("sweep", help="unitarity feasibility scan as CSV"))
+    p = sub.add_parser("evolve", help="apply N propagation steps to a state")
+    common(p)
+    p.add_argument("--state", required=True, help="initial state 're,im;re,im'")
+    p.add_argument("--steps", type=int, default=None, help="number of steps (overrides config)")
+    p = sub.add_parser("coarse-grain", help="quotient a pair groupoid by an outcome partition")
+    common(p)
+    p.add_argument("--partition", required=True, help="blocks as 'x1,x2|x3,x4'")
+    return parser
+
+
+ORACLE = _argparse_oracle()
+
+
+def _oracle_parse(argv):
+    try:
+        return vars(ORACLE.parse_args(argv))
+    except _OracleUsageError:
+        return "usage error"
+
+
+def _new_parse(argv):
+    try:
+        command, values = cli._parse_argv(argv)
+    except cli._UsageError:
+        return "usage error"
+    return {"command": command, **values}
+
+
+# Mostly well-formed values; each kind of bad one now and then.  A value of
+# exactly '--' is left out: argparse takes it for its end-of-options marker
+# even when attached ('--out=--' sets out to []).
+_INT_VALUES = st.one_of(st.integers(-20, 20).map(str), st.sampled_from(["two", "", "1.5", " 3", "+4", "-x"]))
+_STR_VALUES = st.text(alphabet="-=,;|+ ./abcx0123456789", max_size=8).filter(lambda v: v != "--")
+_LONGS = {o.long: o for options in ((cli._CONFIG, cli._OUT), *(c[2] for c in cli._COMMANDS.values())) for o in options}
+
+
+@st.composite
+def _argv(draw):
+    """(argv, the same argv with every separate value attached by '=', the values)."""
+    command = draw(st.sampled_from([*cli._COMMANDS] * 3 + ["bogus", "tabl", "", "-x"]))
+    own = [o.long for o in cli._COMMANDS.get(command, (None, None, ()))[2]]
+    raw, attached, values = [command], [command], []
+    kinds = ["-c"] * draw(st.sampled_from([0, 1, 1, 1, 2]))
+    kinds += draw(st.lists(st.sampled_from(["-c", "own", "own", "own", "own", "long", "unknown", "stray"]), max_size=4))
+    for kind in draw(st.permutations(kinds)):
+        if kind == "stray":  # a positional token where an option belongs
+            token = draw(st.sampled_from(["x", "table", "", "-", "-7", "--bogus"]))
+            raw.append(token)
+            attached.append(token)
+            continue
+        if kind == "unknown":
+            name = draw(st.sampled_from(["--bogus", "--outfile", "-x"]))
+            value = draw(_STR_VALUES)
+        else:
+            pool = own + ["--out"] if kind == "own" else sorted(_LONGS)
+            name = "--config" if kind == "-c" else draw(st.sampled_from(pool))
+            value = draw(_INT_VALUES if _LONGS[name].convert is int else _STR_VALUES)
+            if draw(st.booleans()):
+                name = name[: draw(st.integers(3, len(name)))]  # a prefix, unique or not
+            if kind == "-c" and draw(st.booleans()):
+                name = "-c"
+        values.append(value)
+        form = draw(st.sampled_from(["separate", "separate", "equals", "glued"]))
+        if form == "glued" and name == "-c" and value:
+            raw.append("-c" + value)
+            attached.append("-c" + value)
+        elif form == "equals":
+            raw.append(f"{name}={value}")
+            attached.append(f"{name}={value}")
+        else:
+            raw += [name, value]
+            attached.append(f"{name}={value}")
+    if draw(st.integers(0, 5)) == 0:  # a trailing option without its value
+        name = draw(st.sampled_from(["-c", "--out", "--pow", "--steps", "--state", "--partition"]))
+        raw.append(name)
+        attached.append(name)
+    return raw, attached, values
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_argv())
+def test_argv_parser_matches_argparse(generated):
+    raw, attached, values = generated
+    got = _new_parse(raw)
+    # The one deliberate difference: argparse reads a separate value that
+    # begins with '-' (other than a negative number) as the next option and
+    # fails with "expected one argument"; the table parser always takes the
+    # token after an option as its value, as argparse reads '--opt=value'.
+    assert got == _oracle_parse(attached)
+    if not any(v.startswith("-") for v in values):
+        assert got == _oracle_parse(raw)
+    if got == "usage error":
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(raw)
+        assert (rc, out.getvalue()) == (1, "")
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+def test_argv_values_may_begin_with_a_minus():
+    assert _new_parse(["evolve", "--state", "-1,0;0,0", "-c", "--out"]) == {
+        "command": "evolve", "config": "--out", "out": None, "state": "-1,0;0,0", "steps": None,
+    }
+    assert _oracle_parse(["evolve", "--state", "-1,0;0,0", "-c", "x"]) == "usage error"
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["--he"], ["table", "-h"], ["evolve", "-c", "x", "--help"]])
+def test_help_lists_every_command_and_option(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, err) == (0, "")
+    for command, (_, summary, own) in cli._COMMANDS.items():
+        assert f"  {command} " in out and summary in out
+        for option in (cli._CONFIG, cli._OUT, *own):
+            assert str(option) in out
 
 
 @pytest.mark.parametrize("argv", [("propagator",), ("evolve", "--state", "1,0;0,0")])
@@ -781,6 +908,24 @@ def test_out_file_and_stdout_agree(tmp_path, capsys):
     assert rc == rc2 == 0
     assert out2 == ""
     assert dest.read_text(encoding="utf-8") == out
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_out_is_an_error_line(tmp_path, capsys, where):
+    cfg = cfg_file(tmp_path, "groupoid = a2\n")
+    dest = tmp_path / "no" / "t.txt" if where == "missing directory" else tmp_path
+    rc, out, err = run(capsys, "table", "-c", cfg, "--out", str(dest))
+    assert (rc, out) == (1, "")
+    assert err.startswith(f"error: cannot write output {str(dest)!r}: ") and err.count("\n") == 1
+
+
+def test_config_that_is_not_utf8_names_the_file(tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes("# caf\xe9\ngroupoid = a2\n".encode("latin-1"))
+    rc, out, err = run(capsys, "table", "-c", str(path))
+    assert (rc, out) == (1, "")
+    assert err.startswith(f"error: cannot read config {str(path)!r}: 'utf-8' codec can't decode")
+    assert err.count("\n") == 1
 
 
 def test_usage_errors_exit_1(tmp_path, capsys):
