@@ -30,7 +30,7 @@ from .groupoid import (
 from .lagrangian import OutcomeBias, QLagrangian, _qubit_weights, qubit_bias
 from .algebra import StateVector, element_from_lines
 from .coarse import coarse_grain, is_principal
-from .histories import fixed_order_matmul, n_step_path_sum
+from .histories import fixed_order_matmul, fixed_order_power, single_step_matrix
 from .propagator import (
     PropagatorModel,
     UnitarityReport,
@@ -47,8 +47,9 @@ SWEEP_HEADER = (
     "gamma_mm_re,gamma_mm_im,gamma_pm_re,gamma_pm_im,"
     "gamma_mp_re,gamma_mp_im,gamma_pp_re,gamma_pp_im"
 )
-# A sweep holds every point at once, ~0.45 kB each at its tracemalloc peak
-# (scan arrays, per-point complex amplitudes, CSV text), so this caps it near 45 MB.
+# A sweep holds every point at once.  At this cap its tracemalloc peak is ~41-45 MB
+# (with the gamma columns' width), nearly all of it CSV text: the row strings and
+# the joined output; the scan itself peaks near 22 MB and keeps ~2.5 MB.
 MAX_SWEEP_POINTS = 100_000
 
 
@@ -471,7 +472,8 @@ def cmd_pathsum(cfg: RunConfig, steps: int | None, check_semigroup: str | None) 
     n = cfg.steps if steps is None else steps
     if n < 1:
         raise ConfigError(f"pathsum requires steps >= 1, got {n}")
-    m = n_step_path_sum(g, ell, bias, cfg.tau, cfg.hbar, n)
+    k = single_step_matrix(g, ell, bias, cfg.tau, cfg.hbar)  # n_step_path_sum's K, built once for every power
+    m = fixed_order_power(k, n)
     lines = ["row,col,re,im"]
     for i, b in enumerate(g.outcomes):
         for j, a in enumerate(g.outcomes):
@@ -486,8 +488,8 @@ def cmd_pathsum(cfg: RunConfig, steps: int | None, check_semigroup: str | None) 
             raise ConfigError(f"--check-semigroup expects 'N1+N2', got {check_semigroup!r}")
         if n1 + n2 != n:
             raise ConfigError(f"--check-semigroup {n1}+{n2} does not add up to steps = {n}")
-        m1 = n_step_path_sum(g, ell, bias, cfg.tau, cfg.hbar, n1)
-        m2 = n_step_path_sum(g, ell, bias, cfg.tau, cfg.hbar, n2)
+        m1 = fixed_order_power(k, n1)
+        m2 = m1 if n2 == n1 else fixed_order_power(k, n2)
         gap = m - fixed_order_matmul(m2, m1)
         deviation = float(np.hypot(gap.real, gap.imag).max())
         lines.append(f"semigroup_deviation = {_fmt(deviation)}")

@@ -245,9 +245,20 @@ def normalization(w: History, bias: OutcomeBias) -> float:
     return math.sqrt(bias[w.start_outcome] * bias[w.end_outcome])
 
 
+def _exp(z: complex) -> complex:
+    """cmath.exp(z); a z that is not finite (an action or a clock ratio that overflowed) is an OverflowError.
+
+    cmath.exp would return nan for some such z and raise ValueError for
+    others; either way the cause is the float range, so it is reported as such.
+    """
+    if not cmath.isfinite(z):
+        raise OverflowError(f"exponent {z} is not finite")
+    return cmath.exp(z)
+
+
 def _amplitude(bias, start, end, s: complex, hbar: float) -> complex:
     """sqrt(bias[start] bias[end]) exp(i s / hbar); bias is indexed by outcome label or by index."""
-    return math.sqrt(bias[start] * bias[end]) * cmath.exp(1j * s / hbar)
+    return math.sqrt(bias[start] * bias[end]) * _exp(1j * s / hbar)
 
 
 def history_amplitude(

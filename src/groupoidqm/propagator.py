@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import StateVector
-from .histories import _amplitude, _complex, _scalar_product, fixed_order_matmul, fixed_order_power
+from .histories import _amplitude, _complex, _exp, _scalar_product, fixed_order_matmul, fixed_order_power
 
 FEASIBLE_TOL = 1e-10
 
@@ -111,45 +111,45 @@ class SignCase(enum.Enum):
     IV = (-1.0, -1.0)
 
 
-def _kernel(m: PropagatorModel, mus: list[float]) -> tuple[complex, complex, list[complex], list[complex]]:
-    """K[-][-] and K[+][+] of model m, and K[-][+] and K[+][-] with mu set to each of mus.
+def _diagonal_kernel(m: PropagatorModel) -> tuple[complex, complex]:
+    """K[-][-] and K[+][+] of model m: the one-step amplitudes of histories.single_step_matrix on the units.
 
-    Each entry is the one-step amplitude of histories.single_step_matrix
-    (units weighted -V, the flips mu ± i delta), so with unit vertex factors a
-    step matrix is the one-step path sum bit for bit.  Only the two flip
-    entries depend on mu; they are written out as histories._amplitude
-    evaluates them, with sqrt(p+ p-) taken once.
+    The units are weighted -V, so neither entry depends on mu.
     """
-    bias, tau, hbar, delta = (m.p_minus, m.p_plus), m.tau, m.hbar, m.delta  # qubit_bias, by index (-, +)
+    bias, tau, hbar = (m.p_minus, m.p_plus), m.tau, m.hbar  # qubit_bias, by index (-, +)
     # single_step_matrix adds each amplitude onto a zero entry, hence the 0j +
     k_pp = 0j + _amplitude(bias, 1, 1, complex(-m.v_plus, 0.0) * tau, hbar)
     k_mm = 0j + _amplitude(bias, 0, 0, complex(-m.v_minus, 0.0) * tau, hbar)
-    root, exp = math.sqrt(bias[1] * bias[0]), cmath.exp
-    k_mp = [0j + root * exp(1j * (complex(mu, delta) * tau) / hbar) for mu in mus]
-    k_pm = [0j + root * exp(1j * (complex(mu, -delta) * tau) / hbar) for mu in mus]
-    return k_mm, k_pp, k_mp, k_pm
+    return k_mm, k_pp
 
 
-def _vertex_times(g, k):
+def _kernel(m: PropagatorModel) -> tuple[complex, complex, complex, complex]:
+    """K[-][-], K[-][+], K[+][-] and K[+][+] of model m, on Python complex numbers.
+
+    Each entry is the one-step amplitude of histories.single_step_matrix
+    (units weighted -V, the flips mu ± i delta), so with unit vertex factors a
+    step matrix is the one-step path sum bit for bit.  The flips are written
+    out as histories._amplitude evaluates them, with sqrt(p+ p-) taken once;
+    every exponential is cmath.exp, through histories._exp, so an exponent
+    that is not finite is an OverflowError.  quantization_scan takes the
+    flips of a whole grid from numpy's complex exp instead (see _scan_step).
+    """
+    k_mm, k_pp = _diagonal_kernel(m)
+    root, tau, hbar = math.sqrt(m.p_plus * m.p_minus), m.tau, m.hbar
+    k_mp = 0j + root * _exp(1j * (complex(m.mu, m.delta) * tau) / hbar)
+    k_pm = 0j + root * _exp(1j * (complex(m.mu, -m.delta) * tau) / hbar)
+    return k_mm, k_mp, k_pm, k_pp
+
+
+def _vertex_times(g, k_re, k_im):
     """(re, im) of g * k as CPython forms a complex product: (gr kr - gi ki) + (gr ki + gi kr) i.
 
-    g and k are Python complex numbers or complex arrays.  Every multiply and
-    add is rounded on its own (a Python float operation or a float64 ufunc),
-    so the bits do not depend on whether numpy's complex multiply fuses them.
+    g is a Python complex number or a complex array, k_re and k_im are k's
+    parts as Python floats or float64 arrays.  Every multiply and add is
+    rounded on its own (a Python float operation or a float64 ufunc), so the
+    bits do not depend on whether numpy's complex multiply fuses them.
     """
-    return g.real * k.real - g.imag * k.imag, g.real * k.imag + g.imag * k.real
-
-
-def _step_matrices(m: PropagatorModel, mus: list[float]) -> np.ndarray:
-    """The (len(mus), 2, 2) step matrices of model m with mu set to each of mus.
-
-    Entry by entry the vertex factor times the _kernel entry, as _vertex_times
-    forms it: qubit_propagator's bits at every mu.
-    """
-    k_mm, k_pp, k_mp, k_pm = _kernel(m, mus)
-    kernel = np.empty((len(mus), 2, 2), dtype=complex)
-    kernel[:, 0, 0], kernel[:, 0, 1], kernel[:, 1, 0], kernel[:, 1, 1] = k_mm, k_mp, k_pm, k_pp
-    return _complex(*_vertex_times(np.array(m.gammas, dtype=complex).reshape(2, 2), kernel))
+    return g.real * k_re - g.imag * k_im, g.real * k_im + g.imag * k_re
 
 
 def qubit_propagator(model: PropagatorModel) -> np.ndarray:
@@ -157,43 +157,88 @@ def qubit_propagator(model: PropagatorModel) -> np.ndarray:
 
     With unit vertex factors this reproduces the one-step path sum bit for
     bit, because the kernel is computed through the same amplitude
-    arithmetic.  One point is evaluated on Python floats, with the formulas
-    and bits of _step_matrices; an entry that is not finite is evaluated
-    again there, so an overflow meets numpy's floating-point error handling.
+    arithmetic.  The point is evaluated on Python floats; when an entry is
+    not finite, the vertex products are formed again on float64 arrays (the
+    one overflow fallback), so the overflow meets numpy's floating-point
+    error handling.
     """
-    k_mm, k_pp, (k_mp,), (k_pm,) = _kernel(model, [model.mu])
-    (re_mm, im_mm), (re_mp, im_mp), (re_pm, im_pm), (re_pp, im_pp) = map(
-        _vertex_times, model.gammas, (k_mm, k_mp, k_pm, k_pp)
-    )
+    gammas, kernel = model.gammas, _kernel(model)
+    (re_mm, im_mm), (re_mp, im_mp), (re_pm, im_pm), (re_pp, im_pp) = [
+        _vertex_times(g, k.real, k.imag) for g, k in zip(gammas, kernel)
+    ]
     re, im = [[re_mm, re_mp], [re_pm, re_pp]], [[im_mm, im_mp], [im_pm, im_pp]]
     if not all(map(math.isfinite, (*re[0], *re[1], *im[0], *im[1]))):
-        return _step_matrices(model, [model.mu])[0]
+        k = np.array(kernel)
+        return _complex(*_vertex_times(np.array(gammas), k.real, k.imag)).reshape(2, 2)
     return _complex(re, im)
 
 
-def _residuals(u: np.ndarray) -> np.ndarray:
-    """|U U* - 1| then |U* U - 1|, entries row by row, for a (..., 2, 2) stack: shape (..., 8).
+def _scan_step(model: PropagatorModel, mus: np.ndarray) -> tuple[list[list], list[list]]:
+    """(re, im) of the step matrices of model with mu set to each of mus, as 2x2 nested lists.
 
-    The products are those of histories.fixed_order_matmul, on Python floats
-    for one matrix and on float64 arrays for a stack, with the same bits; the
-    magnitudes are np.hypot, as abs() of a complex scalar.  So no residual
-    depends on the BLAS build.  A point whose gaps are not finite is evaluated
-    again as a stack, so an overflow meets numpy's floating-point error
-    handling.
+    The diagonal does not depend on mu and is qubit_propagator's, on Python
+    floats; each flip entry is a float64 column over mus.  Position i of a
+    column has qubit_propagator's bits at mu = mus[i]: the exponents are
+    _kernel's, formed in the same operations, and both flips come from one
+    np.exp over a (2, P) complex array, then sqrt(p+ p-) and the vertex
+    factors are applied in separate float64 ufuncs, since numpy's complex
+    multiply may fuse.  That np.exp is glibc's cexp, which computes
+    exp(x) cos y and exp(x) sin y through libm as cmath.exp does for
+    x <= 708.39 (above it cmath.exp takes exp(x - 1) e).  A flip that
+    reaches the step has |x| below ~373: for delta > 0, _pinned_model's
+    exp(2 delta tau / hbar) overflows once x passes ~355; for delta < 0 the
+    flip with x > 0 meets G_mp = gauge exp(2 delta tau / hbar), which is
+    exactly 0 once x passes ~373.
     """
-    if u.ndim == 2:
-        up = u.real.tolist(), u.imag.tolist()
-        uh = [list(col) for col in zip(*up[0])], [[-x for x in col] for col in zip(*up[1])]
-        re, im = [], []
-        for pr, pi in (_scalar_product(up, uh), _scalar_product(uh, up)):
-            for i in range(2):
-                re += [x - (i == j) for j, x in enumerate(pr[i])]
-                im += pi[i]
-        if all(map(math.isfinite, re + im)):
-            return np.hypot(re, im)
-    uh = u.conj().swapaxes(-1, -2)
-    gap = np.stack([fixed_order_matmul(u, uh), fixed_order_matmul(uh, u)], axis=-3) - np.eye(2)
-    return np.hypot(gap.real, gap.imag).reshape(*u.shape[:-2], 8)
+    tau, hbar = model.tau, model.hbar
+    (re_mm, im_mm), (re_pp, im_pp) = [
+        _vertex_times(g, k.real, k.imag)
+        for g, k in zip((model.gamma_mm, model.gamma_pp), _diagonal_kernel(model))
+    ]
+    z = np.empty((2, len(mus)), dtype=complex)  # the exponents of K[-][+] and K[+][-]
+    z.real[0], z.real[1], z.imag = -(model.delta * tau) / hbar, (model.delta * tau) / hbar, mus * tau / hbar
+    finite = np.isfinite(z)
+    if not finite.all():
+        raise OverflowError(f"exponent {complex(z[~finite][0])} is not finite")
+    np.exp(z, out=z)
+    root = math.sqrt(model.p_plus * model.p_minus)
+    k_re, k_im = root * z.real + 0.0, root * z.imag + 0.0  # 0j + root * exp(...), as _kernel forms it
+    (re_mp, re_pm), (im_mp, im_pm) = _vertex_times(np.array([[model.gamma_mp], [model.gamma_pm]]), k_re, k_im)
+    return [[re_mm, re_mp], [re_pm, re_pp]], [[im_mm, im_mp], [im_pm, im_pp]]
+
+
+def _unitarity_gaps(re: list[list], im: list[list]) -> tuple[list, list]:
+    """(re, im) of the entries of U U* - 1, then of U* U - 1, row by row: eight of each.
+
+    U's parts re and im are 2x2 nested lists, or arrays, whose entries are
+    Python floats or float64 columns, one matrix per column position.  The
+    products are histories._scalar_product's, in _product's fixed order:
+    entry [i, j] sums its terms k = 0, then k = 1, each the complex product
+    (xr yr - xi yi) + (xr yi + xi yr) i, and every multiply and add is
+    rounded on its own.  So a column position has the bits of the same
+    matrix on Python floats, and no residual depends on the BLAS build.
+    """
+    u = re, im
+    uh = [[re[0][0], re[1][0]], [re[0][1], re[1][1]]], [[-im[0][0], -im[1][0]], [-im[0][1], -im[1][1]]]
+    gap_re, gap_im = [], []
+    for pr, pi in (_scalar_product(u, uh), _scalar_product(uh, u)):
+        gap_re += [pr[0][0] - 1.0, pr[0][1], pr[1][0], pr[1][1] - 1.0]
+        gap_im += [*pi[0], *pi[1]]
+    return gap_re, gap_im
+
+
+def _residuals(u: np.ndarray) -> np.ndarray:
+    """|U U* - 1| then |U* U - 1|, entries row by row, of one 2x2 step matrix: shape (8,).
+
+    The gaps are _unitarity_gaps' on Python floats; the magnitudes are
+    np.hypot, as abs() of a complex scalar.  When a gap is not finite, the
+    gaps are formed again on float64 arrays of one element (the one overflow
+    fallback), so the overflow meets numpy's floating-point error handling.
+    """
+    re, im = _unitarity_gaps(u.real.tolist(), u.imag.tolist())
+    if not all(map(math.isfinite, re + im)):
+        re, im = _unitarity_gaps(u.real[..., None], u.imag[..., None])
+    return np.hypot(re, im).reshape(8)
 
 
 def _step_report(model: PropagatorModel, u: np.ndarray) -> UnitarityReport:
@@ -207,6 +252,8 @@ def _step_report(model: PropagatorModel, u: np.ndarray) -> UnitarityReport:
     theta = (model.mu + v_bar) * 2.0 * model.tau / model.hbar - (
         (model.sigma + model.lam) / model.hbar + math.pi
     )
+    if not math.isfinite(theta):  # math.remainder would call it a domain error
+        raise OverflowError(f"phase constraint gap {theta} is not finite")
     return UnitarityReport(
         residuals=r,
         max_residual=max(r),
@@ -269,8 +316,8 @@ def _pinned_model(
     g_pp = math.sqrt(max(s, 0.0)) / p_plus
     model = PropagatorModel(
         v_plus, v_minus, mu, delta, p_plus, tau, hbar,
-        gamma_mm=g_pp * (p_plus / p_minus) * cmath.exp(1j * sigma / hbar),
-        gamma_mp=gauge * growth * cmath.exp(-1j * lam / hbar),
+        gamma_mm=g_pp * (p_plus / p_minus) * _exp(1j * sigma / hbar),
+        gamma_mp=gauge * growth * _exp(-1j * lam / hbar),
         gamma_pm=complex(gauge, 0.0),
         gamma_pp=complex(g_pp, 0.0),
         lam=lam, sigma=sigma,
@@ -320,9 +367,11 @@ class QuantizationScan:
     mu = 0) carries them once; the candidate at grid point i is
     dataclasses.replace(model, mu=mu[i]), which is solve_unitary_gammas'
     model there.  feasible_mask[i] and min_residual[i] are that solve's
-    verdict and joint residual, bit for bit.  feasible is the verdict on the
-    whole scan, one bool like GammaSolution.feasible: some grid point admits
-    a unitary step.
+    verdict and joint residual, bit for bit: the scan takes the flip entries
+    from numpy's complex exp where the solve takes cmath.exp, and the two
+    agree on every flip that can reach a result (_scan_step says why).
+    feasible is the verdict on the whole scan, one bool like
+    GammaSolution.feasible: some grid point admits a unitary step.
     """
 
     model: PropagatorModel
@@ -352,15 +401,21 @@ def quantization_scan(
     """Solve for unitary vertex factors along a grid of mu*tau/hbar values.
 
     Each grid point gets the same algebraic decision as solve_unitary_gammas,
-    but the mu-independent work (radicand, vertex factors, bias, diagonal
-    kernel entries) is done once, the unitarity residuals of all points
-    come from stacked matrix products, and no per-point object is built.
+    with the same bits.  The mu-independent work (radicand, vertex factors,
+    bias, the diagonal of the step) is done once on Python floats, the rest
+    on float64 columns of the grid's length: the flips (_scan_step), the
+    eight gaps of U U* - 1 and U* U - 1 (_unitarity_gaps), their np.hypot
+    and a running np.maximum.  No per-point object and no stack of matrices
+    is built.
     """
     _check_solve_args(p_plus, tau, hbar, gauge)
     xs = np.array(grid, dtype=float)  # a copy: the caller's grid stays writable
     mus = xs * hbar / tau
     model, s = _pinned_model(v_plus, v_minus, 0.0, delta, p_plus, tau, hbar, lam, sigma, gauge)
-    worst = _residuals(_step_matrices(model, mus.tolist())).max(axis=-1)
+    gap_re, gap_im = _unitarity_gaps(*_scan_step(model, mus))
+    worst = np.hypot(gap_re[0], gap_im[0])
+    for re, im in zip(gap_re[1:], gap_im[1:]):
+        np.maximum(worst, np.hypot(re, im), out=worst)
     columns = (mus, xs, worst, np.logical_and(s >= 0.0, worst <= feasible_tol))
     for column in columns:
         column.flags.writeable = False

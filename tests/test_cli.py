@@ -26,7 +26,7 @@ from groupoidqm import (
     qubit_propagator,
     solve_unitary_gammas,
 )
-from groupoidqm import cli, coarse, lagrangian, propagator
+from groupoidqm import cli, coarse, histories, lagrangian, propagator
 from groupoidqm.coarse import is_principal
 from groupoidqm.cli import (
     MAX_ELEMENTS,
@@ -566,6 +566,29 @@ def test_propagator_builds_its_step_matrix_once(tmp_path, capsys, monkeypatch, t
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("split, powers", [("7+7", [14, 7]), ("3+11", [14, 3, 11])])
+def test_pathsum_builds_its_step_matrix_once(tmp_path, capsys, monkeypatch, split, powers):
+    cfg = cfg_file(tmp_path, "steps = 14\nmu = 0.3\ndelta = 0.1\np_plus = 0.35\n")
+    want = run(capsys, "pathsum", "-c", cfg, "--check-semigroup", split)
+    builds, taken = [], []
+    single_step_matrix, fixed_order_power = histories.single_step_matrix, histories.fixed_order_power
+
+    def counted_build(*args):
+        builds.append(args)
+        return single_step_matrix(*args)
+
+    def counted_power(m, n):
+        taken.append(n)
+        return fixed_order_power(m, n)
+
+    for module in (cli, histories):
+        monkeypatch.setattr(module, "single_step_matrix", counted_build)
+        monkeypatch.setattr(module, "fixed_order_power", counted_power)
+    assert run(capsys, "pathsum", "-c", cfg, "--check-semigroup", split) == want
+    assert want[0] == 0 and "semigroup_deviation = " in want[1]
+    assert len(builds) == 1 and taken == powers
+
+
 def test_sweep_rows_at_an_overflowing_gauge(tmp_path, capsys):
     # s < 0 at every point; the candidate's Frobenius norms would pass the float range
     v = dict(_SWEEP_VALUES, p_plus=0.35, gauge=1e100)
@@ -981,3 +1004,26 @@ def test_non_finite_results_exit_1(tmp_path, capsys, text):
     assert rc == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
 
+
+
+_MU_TAU_OVERFLOWS = "p_plus = 0.3\nmu = 1e308\ntau = 10\n"
+
+
+@pytest.mark.parametrize(
+    "text, argv",
+    [
+        (_MU_TAU_OVERFLOWS, ("propagator",)),
+        (_MU_TAU_OVERFLOWS + "gamma_mode = solve\n", ("propagator",)),
+        (_MU_TAU_OVERFLOWS, ("pathsum",)),
+        (_MU_TAU_OVERFLOWS, ("evolve", "--state", "1,0;0,0")),
+        (_MU_TAU_OVERFLOWS + "gamma_mode = solve\n", ("evolve", "--state", "1,0;0,0")),
+        ("gamma_mode = solve\nSigma = 1e10\nhbar = 1e-300\n", ("propagator",)),  # Sigma / hbar overflows
+        ("mu = 1e308\n", ("propagator",)),  # the phase-constraint gap 2 mu tau / hbar overflows
+        ("hbar = 10\nsweep_parameter = mu_tau_over_hbar\nsweep_from = 0\nsweep_to = 1e308\nsweep_points = 3\n",
+         ("sweep",)),
+    ],
+)
+def test_an_overflow_is_one_error_kind_in_every_command(tmp_path, capsys, text, argv):
+    rc, out, err = run(capsys, argv[0], "-c", cfg_file(tmp_path, text), *argv[1:])
+    assert rc == 1 and out == ""
+    assert err.startswith("error: arithmetic out of floating-point range (") and err.count("\n") == 1

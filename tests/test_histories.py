@@ -306,13 +306,14 @@ def test_path_sum_equals_per_history_reference(g, n_max):
         assert np.allclose(ps, reference_path_sum(g, ell, bias, 0.8, 1.1, n), rtol=0, atol=1e-13)
 
 
-def test_path_sum_memory_does_not_grow_with_history_count():
+@pytest.mark.parametrize("steps", [11, 16])  # 4096 and 131072 histories
+def test_path_sum_peak_memory_does_not_grow_with_steps(steps):
     ell = qubit_lagrangian(0.4, -0.9, 1.2, 0.15)
     bias = qubit_bias(0.35)
     n_step_path_sum(A2, ell, bias, 0.8, 1.1, 2)
     tracemalloc.start()
     try:
-        n_step_path_sum(A2, ell, bias, 0.8, 1.1, 11)  # 4096 histories
+        n_step_path_sum(A2, ell, bias, 0.8, 1.1, steps)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -431,19 +432,6 @@ def test_enumeration_order_is_lexicographic(g, n_max):
         for start, end in itertools.product(g.outcomes, repeat=2):
             found = [w.steps() for w in enumerate_histories(g, start, end, n)]
             assert found == lexicographic_walks(g, start, end, n)
-
-
-def test_path_sum_memory_is_bounded_by_the_chunk():
-    ell = qubit_lagrangian(0.4, -0.9, 1.2, 0.15)
-    bias = qubit_bias(0.35)
-    n_step_path_sum(A2, ell, bias, 0.8, 1.1, 2)
-    tracemalloc.start()
-    try:
-        n_step_path_sum(A2, ell, bias, 0.8, 1.1, 16)  # 131072 histories
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 1024
 
 
 def test_long_walks_on_a_trivial_groupoid():

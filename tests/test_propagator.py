@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupoidqm import (
     PropagatorModel,
@@ -22,7 +24,7 @@ from groupoidqm import (
     unitarity_residuals,
 )
 from groupoidqm.histories import fixed_order_matmul
-from groupoidqm.propagator import _residuals, _step_matrices
+from groupoidqm.propagator import _residuals, _scan_step, _unitarity_gaps
 
 SQRT2 = math.sqrt(2.0)
 
@@ -170,6 +172,16 @@ def scan_models(scan):
     return [dataclasses.replace(scan.model, mu=mu) for mu in scan.mu.tolist()]
 
 
+def scan_steps(scan):
+    """The scan's own step matrices, (P, 2, 2), put together from the parts _scan_step gives the scan."""
+    re, im = _scan_step(scan.model, scan.mu)
+    us = np.empty((scan.mu.size, 2, 2), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            us[:, i, j].real, us[:, i, j].imag = re[i][j], im[i][j]
+    return us
+
+
 def test_quantization_scan_small_grid():
     grid = np.linspace(0.0, 2 * math.pi, 9)
     scan = quantization_scan(0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 0.0, 0.0, SQRT2, grid)
@@ -251,7 +263,7 @@ def test_scan_matches_single_solves_bit_for_bit():
         assert radicand > 0.0
         v_plus, v_minus, delta_, p, tau, hbar, lam, sigma, gauge, _ = args
         scan = quantization_scan(*args)
-        us = _step_matrices(scan.model, scan.mu.tolist())  # the scan's own step matrices
+        us = scan_steps(scan)
         for i, mu in enumerate(scan.mu.tolist()):
             sol = solve_unitary_gammas(
                 v_plus, v_minus, mu, delta_, p, tau, hbar, lam=lam, sigma=sigma, gauge=gauge
@@ -292,13 +304,22 @@ def test_step_matrix_is_the_python_formula_bit_for_bit(seed):
     args, _ = _seeded_scan_params(seed)
     v_plus, v_minus, delta_, p, tau, hbar, lam, sigma, gauge, _ = args
     scan = quantization_scan(*args)
-    for mu, u in zip(scan.mu.tolist(), _step_matrices(scan.model, scan.mu.tolist())):
+    for mu, u in zip(scan.mu.tolist(), scan_steps(scan)):
         want = repr(python_step(scan.model, mu))
         assert repr(u.tolist()) == want
         sol = solve_unitary_gammas(v_plus, v_minus, mu, delta_, p, tau, hbar, lam=lam, sigma=sigma, gauge=gauge)
         assert repr(sol.u.tolist()) == repr(qubit_propagator(sol.model).tolist()) == want
     m = PropagatorModel(v_plus, v_minus, 0.4, delta_, p, tau, hbar, 1 - 2j, -0.5 + 0.25j, 3j - 0.1, 0.25 - 1.5j)
     assert repr(qubit_propagator(m).tolist()) == repr(python_step(m, 0.4))
+
+
+def test_scan_step_keeps_the_signs_of_underflowed_flips():
+    # K[+][-] = 0j + root exp(-700 + i y) underflows to signed zeros, which the 0j + makes +0.0
+    # in the solve and so in the scan; K[-][+] ~ exp(700) meets G_mp = 0
+    grid = np.array([2.5, -2.5, 4.0, -4.0])  # each sign of cos and sin
+    scan = quantization_scan(0.0, 0.0, -700.0, 1e-308, 1.0, 1.0, 0.0, 0.0, 1.0, grid)
+    for model, u in zip(scan_models(scan), scan_steps(scan)):
+        assert repr(u.tolist()) == repr(qubit_propagator(model).tolist())
 
 
 def test_point_residuals_that_overflow_meet_numpy_error_handling():
@@ -312,7 +333,9 @@ def test_point_residuals_that_overflow_meet_numpy_error_handling():
             qubit_propagator(big_flip)
     with np.errstate(over="ignore", invalid="ignore"):
         u = qubit_propagator(m)
-        assert _residuals(u).tobytes() == _residuals(u[None])[0].tobytes()
+        uh = u.conj().T
+        gap = np.stack([fixed_order_matmul(u, uh), fixed_order_matmul(uh, u)]) - np.eye(2)
+        assert _residuals(u).tobytes() == np.hypot(gap.real, gap.imag).reshape(8).tobytes()
 
 
 def python_residuals(u):
@@ -334,8 +357,8 @@ def test_residuals_follow_the_fixed_order_bit_for_bit(seed):
     assert fixed_order_matmul(us, us.conj()).tobytes() == b"".join(
         fixed_order_matmul(u, u.conj()).tobytes() for u in us
     )
-    stacked = _residuals(us)
-    for m, u, row in zip(models, us, stacked):
+    re, im = _unitarity_gaps(us.real.transpose(1, 2, 0), us.imag.transpose(1, 2, 0))  # one column per model
+    for m, u, row in zip(models, us, np.hypot(re, im).T):
         report = unitarity_residuals(m)
         assert repr(list(report.residuals)) == repr(row.tolist()) == repr(python_residuals(u.tolist()))
     for mu in scan.mu.tolist():
@@ -373,6 +396,47 @@ def test_scan_retains_bounded_memory_per_point():
         tracemalloc.stop()
     assert scan.mu.size == 20000
     assert retained < 100 * 20000, f"{retained / 20000:.0f} B per point"
+
+
+def test_scan_peak_memory_per_point_is_bounded():
+    # columns of the grid's length only: no per-point complex list and no (P, 2, 2) stack
+    grid = np.linspace(0.0, 2 * math.pi, 20000)
+    tracemalloc.start()
+    try:
+        quantization_scan(0.0, 0.0, 0.1, 0.4, 1.0, 1.0, 0.3, -0.2, 1.5, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 250 * 20000, f"{peak / 20000:.0f} B per point"
+
+
+_GRID_VALUE = st.one_of(st.floats(-20.0, 20.0), st.sampled_from([0.0, -0.0]))
+# delta tau / hbar: ordinary, and near ±354, where exp(2 delta tau / hbar) nears the float range
+_FLIP_EXPONENT = st.one_of(st.floats(-2.0, 2.0), st.floats(350.0, 354.8), st.floats(-354.8, -350.0))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    x=_FLIP_EXPONENT,
+    p=st.one_of(st.just(0.5), st.floats(0.05, 0.5)),
+    s=st.one_of(st.floats(0.05, 0.95), st.floats(-1.5, -0.01)),
+    clock=st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+    phases=st.tuples(*[st.floats(-3.0, 3.0)] * 4),
+    grid=st.lists(_GRID_VALUE, min_size=1, max_size=8),
+)
+def test_scan_rows_are_the_single_solves_bit_for_bit(x, p, s, clock, phases, grid):
+    # the scan's np.exp and the solve's cmath.exp give the same bits wherever the step is finite
+    tau, hbar = clock
+    lam, sigma, v_plus, v_minus = phases
+    delta_ = x * hbar / tau
+    gauge = math.sqrt((1.0 - s) / (p * (1.0 - p))) * math.exp(-x)  # radicand ~s; exp(2x) may be subnormal
+    root = 0.5 * ((sigma + lam) / hbar + math.pi) - 0.5 * tau * (v_plus + v_minus) / hbar
+    grid += [math.remainder(root, math.pi) + k * math.pi for k in (-2, 0, 1)]  # on-grid roots when s > 0
+    scan = quantization_scan(v_plus, v_minus, delta_, p, tau, hbar, lam, sigma, gauge, np.array(grid))
+    for i, mu in enumerate(scan.mu.tolist()):
+        sol = solve_unitary_gammas(v_plus, v_minus, mu, delta_, p, tau, hbar, lam=lam, sigma=sigma, gauge=gauge)
+        assert scan.min_residual[i].tobytes() == np.float64(sol.min_residual).tobytes()
+        assert scan.feasible_mask[i] == sol.feasible
 
 
 def test_solve_and_model_reject_nan_clock():
