@@ -341,7 +341,9 @@ def _index_diff_weights(g: FiniteGroupoid, s: float) -> np.ndarray:
 
     ``1j * s`` is a Python complex c; times the integer d, CPython (through
     3.13) forms (c.real*d - c.imag*0.0, c.real*0.0 + c.imag*d), signed zeros
-    included, and overflows to inf without raising.
+    included.  A weight that overflows is an OverflowError naming its element:
+    the weights are anti-symmetric by construction, so the fault is the scale,
+    not self-adjointness.
     """
     c = 1j * s
     d = (g.target.array - g.source.array).astype(float)
@@ -349,6 +351,10 @@ def _index_diff_weights(g: FiniteGroupoid, s: float) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         w.real = c.real * d - c.imag * 0.0
         w.imag = c.real * 0.0 + c.imag * d
+    finite = np.isfinite(w)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise OverflowError(f"index_diff weight {complex(w[i])} of {g.elements[i]} is not finite")
     return w
 
 

@@ -44,7 +44,7 @@ _ASSOC_CHUNK = 4096
 _TABLE_CHUNK = 8192
 # Elements per groupoid, checked before any table is built.  The compose table
 # is 4(E+1)^2 bytes; at the ceiling (pair:32) the CLI's `table` command peaks at
-# ~49 MiB under tracemalloc (mostly the rendered text) and `validate` at ~9 MiB.
+# ~49 MiB under tracemalloc (mostly the rendered text) and `validate` at ~8.6 MiB.
 MAX_ELEMENTS = 1024
 
 
@@ -416,17 +416,29 @@ def validate_axioms(g: FiniteGroupoid) -> ValidationReport:
 
     The work is two E x E masks over the groupoid's integer compose table, one
     gather of b ∘ a per composable pair (b, a) and O(E) unit and inverse
-    checks.  Associativity then walks P x W slots: each of the P composable
-    pairs (c, b) reads a padded row of W candidate a's, where W is the largest
-    number of elements sharing a target.  The row holds the a's with
-    target(a) == source(b) in element order, then the filler index E, which
-    is masked out; a groupoid whose every outcome ends W elements (every pair
-    groupoid) pads nothing.  The table (4(E+1)^2 bytes) is built with the
-    groupoid; validation adds the E x E boolean masks, O(P) index arrays, the
-    O x W padded rows (O outcomes) and one chunk of at most
-    max(_ASSOC_CHUNK, W) slots.  Witnesses come in element
-    order: (beta, alpha) cells, units, inverses, then (c, b, a) triples, and
-    are formatted only where a check fails.
+    checks.  Associativity is then decided on composable triples (c, b, a):
+    each composable pair (c, b) reads a padded row of W candidate a's, where
+    W is the largest number of elements sharing a target.  The row holds the
+    a's with target(a) == source(b) in element order, then the filler index
+    E, which is masked out; a groupoid whose every outcome ends W elements
+    (every pair groupoid) pads nothing.
+
+    When the domain, endpoint, unit and inverse checks all hold, a
+    certificate decides associativity first (see :func:`_light_certifies`):
+    Light's test on a generating set S, the elements leaving or entering one
+    base outcome per component (2n-1 on pair:n), reads only the triples
+    whose middle factor is in S, |S| x W^2 slots (about 2n^3 on pair:n).  It
+    is a proof, not a sample.  Only when it fails, or an earlier check
+    failed, does the walk read all P x W slots of the P composable pairs
+    (n^4 on pair:n) and list every failing triple.
+
+    The table (4(E+1)^2 bytes) is built with the groupoid; validation adds
+    the E x E boolean masks, O(P) index arrays (the certificate's pairs are
+    a subset of the P), the O x W padded rows (O outcomes) and, on either
+    path, one chunk of at most max(_ASSOC_CHUNK, W) slots at a time.  No
+    result is kept between calls.  Witnesses come in element order:
+    (beta, alpha) cells, units, inverses, then (c, b, a) triples, and are
+    formatted only where a check fails.
     """
     failures: list[AxiomFailure] = []
 
@@ -494,30 +506,72 @@ def validate_axioms(g: FiniteGroupoid) -> ValidationReport:
             fail("inverse-law", f"{a} ∘ {ia} = {names[before[i]]}, expected {names[left_unit[i]]}")
 
     # Row o of `groups` lists the elements with target o in element order, then
-    # the filler n.  Each composable (c, b), the pairs above taken row-major,
-    # reads the row of source(b); a chunk is a run of pairs, so witnesses stay
-    # in (c, b, a) order.
+    # the filler n.
     counts = np.bincount(tgt[:n], minlength=len(g.outcomes))
     by_target = np.argsort(tgt[:n], kind="stable")
     sorted_tgt = tgt[by_target]
-    width = int(counts.max())
-    groups = np.full((len(g.outcomes), width), n, dtype=np.intp)
+    groups = np.full((len(g.outcomes), int(counts.max())), n, dtype=np.intp)
     groups[sorted_tgt, ids - (np.cumsum(counts) - counts)[sorted_tgt]] = by_target
+    if failures or not _light_certifies(T, pair_b, pair_a, made, groups, src, tgt):
+        failures += _associativity_walk(names, T, pair_b, pair_a, made, groups, src)
+    return ValidationReport(tuple(failures))
+
+
+def _misassociated(T, c, b, cb, groups, src) -> Iterator[tuple[int, ...]]:
+    """The composable triples (c, b, a) of compose table T that fail associativity.
+
+    c, b list composable pairs and cb their products c ∘ b; each pair reads
+    the row ``groups[source(b)]`` of candidate a's, the filler E masked out.
+    A triple fails where (c ∘ b) ∘ a and c ∘ (b ∘ a) differ or are undefined
+    (E).  The pairs are read in chunks of at most max(_ASSOC_CHUNK, W) slots
+    for rows of width W, and each failure comes as (c, b, a, (c ∘ b) ∘ a,
+    c ∘ (b ∘ a)) indices in the pairs' order, then a's row order.
+    """
+    n, width = len(T) - 1, groups.shape[1]
+    flat, stride = T.ravel(), n + 1
     step = max(1, _ASSOC_CHUNK // width)
-    for lo in range(0, len(pairs), step):
-        ci, bi = pair_b[lo : lo + step, None], pair_a[lo : lo + step, None]
+    for lo in range(0, len(c), step):
+        ci, bi = c[lo : lo + step, None], b[lo : lo + step, None]
         ai = groups[src[bi[:, 0]]]
-        lefts = flat[made[lo : lo + step, None].astype(np.intp) * stride + ai]
+        lefts = flat[cb[lo : lo + step, None].astype(np.intp) * stride + ai]
         rights = flat[ci * stride + flat[bi * stride + ai]]
         bad = ((lefts != rights) | (lefts == n)) & (ai != n)
         for p, k in zip(*np.divmod(np.flatnonzero(bad), width)):
-            c, b, a = names[ci[p, 0]], names[bi[p, 0]], names[ai[p, k]]
-            left, right = names[lefts[p, k]], names[rights[p, k]]
-            fail(
-                "associativity",
-                f"({c} ∘ {b}) ∘ {a} = {left} but {c} ∘ ({b} ∘ {a}) = {right}",
-            )
-    return ValidationReport(tuple(failures))
+            yield ci[p, 0], bi[p, 0], ai[p, k], lefts[p, k], rights[p, k]
+
+
+def _light_certifies(T, c, b, cb, groups, src, tgt) -> bool:
+    """True only if T is associative: Light's test on a generating set.
+
+    Needs T's domain, endpoints, units and inverses to be right.  Then the
+    sources of the elements ending at an outcome are its whole component, and
+    the largest of them is the component's base.  S is the set of elements
+    leaving or entering a base.  The s that satisfy (x ∘ s) ∘ y == x ∘ (s ∘ y)
+    for every x and y, "undefined" included, are closed under composition
+    (Light, 1949).  So T is associative if every s in S does and S generates
+    T.  For s in S only x with source(x) == target(s) and y with
+    target(y) == source(s) need reading: both sides of every other (x, y)
+    are undefined.  Those are the triples (x, s, y) whose middle factor is
+    in S, |S| x W^2 slots, against the walk's P x W.  S then generates T
+    with no further check: for g: a -> b and k: a -> base in S, the
+    identity at s = k^-1 and the inverse and unit laws give
+    (g ∘ k^-1) ∘ k = g ∘ (k^-1 ∘ k) = g, and g ∘ k^-1 leaves the base.
+    """
+    base = src[groups].max(axis=1)  # the filler's source is -1
+    source, target = src[:-1], tgt[:-1]
+    in_s = (base[source] == source) | (base[target] == target)
+    keep = np.flatnonzero(in_s[b])
+    return next(_misassociated(T, c[keep], b[keep], cb[keep], groups, src), None) is None
+
+
+def _associativity_walk(names, T, c, b, cb, groups, src) -> list[AxiomFailure]:
+    """An associativity failure, with its witness, per composable triple that fails."""
+    failures = []
+    for triple in _misassociated(T, c, b, cb, groups, src):
+        x, y, z, left, right = (names[i] for i in triple)
+        message = f"({x} ∘ {y}) ∘ {z} = {left} but {x} ∘ ({y} ∘ {z}) = {right}"
+        failures.append(AxiomFailure("associativity", message))
+    return failures
 
 
 def multiplication_table(g: FiniteGroupoid) -> str:
@@ -527,13 +581,16 @@ def multiplication_table(g: FiniteGroupoid) -> str:
     names = [f"{e.ljust(width)}  " for e in g.elements]
     header = "".join(["∘".ljust(width + 2), *names]).rstrip()
     lines = [header, "-" * len(header)]
-    # Fixed-width cells by element index, n being the non-composable mark: a
-    # gathered row viewed as one string is the row's cells joined by "  ", plus
-    # trailing blanks that rstrip removes as it would from the joined row.
-    cells = np.array(names + [NOT_COMPOSABLE.ljust(width + 2)], dtype=f"<U{width + 2}")
+    # Row i of `cells` holds the w code points of element i's cell, row n the
+    # non-composable mark.  A gathered table row, viewed as one string, is the
+    # row's cells joined by "  ", plus trailing blanks that rstrip removes as
+    # it would from the joined row.
+    w = width + 2
+    cells = np.array(names + [NOT_COMPOSABLE.ljust(w)], dtype=f"<U{w}").view("<u4").reshape(n + 1, w)
     step = max(1, _TABLE_CHUNK // n)
     for lo in range(0, n, step):
-        grid = cells[g.compose_table.table[lo : lo + step, :n]].view(f"<U{(width + 2) * n}")
+        rows = g.compose_table.table[lo : lo + step, :n]
+        grid = np.take(cells, rows, axis=0).reshape(len(rows), n * w).view(f"<U{n * w}")
         lines += [(b + row).rstrip() for b, row in zip(names[lo : lo + step], grid.ravel().tolist())]
     lines.append("")  # the final newline, without copying the joined text
     return "\n".join(lines)

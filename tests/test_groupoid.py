@@ -2,6 +2,7 @@ import math
 import random
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -474,6 +475,83 @@ def test_validate_axioms_matches_scalar_oracle_on_seeded_corruptions():
     }
 
 
+@pytest.fixture
+def walk_calls(monkeypatch) -> list:
+    """Records each run of the associativity walk, the only code that lists witnesses."""
+    calls = []
+    walk = groupoid_module._associativity_walk
+
+    def spy(*args):
+        calls.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(groupoid_module, "_associativity_walk", spy)
+    return calls
+
+
+Z2_PAIR = build_from_table((Path(__file__).parent / "golden" / "z2_pair.groupoid").read_text(encoding="utf-8"))
+
+
+def _rewrites(g: FiniteGroupoid) -> list[FiniteGroupoid]:
+    """g with one compose cell rewritten to another element with the cell's endpoints.
+
+    Domain and endpoints stay right, so what breaks is a unit or inverse law,
+    associativity, or nothing.
+    """
+    table = dict(g.compose_table)
+    out = []
+    for (b, a), c in table.items():
+        for e in g.elements:
+            if e != c and g.source[e] == g.source[a] and g.target[e] == g.target[b]:
+                maps = {name: getattr(g, name) for name in ("source", "target", "unit_of", "inverse")}
+                out.append(FiniteGroupoid(g.outcomes, g.elements, **maps, compose_table={**table, (b, a): e}))
+    return out
+
+
+def test_light_certificate_accepts_only_what_the_oracle_accepts(walk_calls):
+    # The corpus of the scalar-oracle test above, replayed with the walk watched.
+    rng = random.Random(20240531)
+    z3 = build_from_table(Z3_BESIDE_UNIT)
+    bases = (build_a2(), build_pair_groupoid(3), build_pair_groupoid(4), build_from_table(GROUP_Z2), z3)
+    accepted = associativity_only = 0
+    for case in range(3000):
+        g = _corrupt(bases[case % len(bases)], rng, count=1 + case % 3)
+        expected = _reference_validate(g)
+        walk_calls.clear()
+        assert validate_axioms(g) == expected
+        if not walk_calls:
+            accepted += 1
+            assert expected.ok
+        elif {f.axiom for f in expected.failures} == {"associativity"}:
+            associativity_only += 1
+    assert accepted > 100
+    assert associativity_only == 12
+
+
+def test_light_certificate_rejects_every_associativity_failure_of_rewritten_tables(walk_calls):
+    # One wrong cell with the right endpoints: the certificate's S (arrivals
+    # and departures of one base per component) is a strict subset of
+    # Z2_PAIR's elements, yet a failing triple anywhere must be caught.
+    groupoids = _rewrites(Z2_PAIR) + _rewrites(build_from_table(Z3_BESIDE_UNIT))
+    outcomes = set()
+    for g in groupoids:
+        expected = _reference_validate(g)
+        walk_calls.clear()
+        assert validate_axioms(g) == expected
+        assert bool(walk_calls) == (not expected.ok)
+        outcomes.add(frozenset(f.axiom for f in expected.failures))
+    assert frozenset({"associativity"}) in outcomes
+
+
+def test_light_certificate_accepts_valid_groupoids_without_the_walk(walk_calls):
+    groupoids = [
+        build_a2(), *(build_pair_groupoid(n) for n in range(1, 9)), build_pair_groupoid(("q", "p", "r")),
+        build_from_table(GROUP_Z2), build_from_table(Z3_BESIDE_UNIT), Z2_PAIR,
+    ]
+    assert [validate_axioms(g) for g in groupoids] == [ValidationReport(())] * len(groupoids)
+    assert walk_calls == []
+
+
 def test_build_from_table_error_text_matches_scalar_oracle():
     rng = random.Random(7)
     for _ in range(40):
@@ -489,7 +567,7 @@ def test_build_from_table_error_text_matches_scalar_oracle():
 
 
 @pytest.mark.parametrize("chunk", [1, 7, groupoid_module._ASSOC_CHUNK])
-def test_associativity_chunk_seams_do_not_change_reports(chunk, monkeypatch):
+def test_associativity_chunk_seams_do_not_change_reports(chunk, monkeypatch, walk_calls):
     broken = _corrupt(build_pair_groupoid(4), random.Random(3), kinds=("rewrite", "delete", "extra"), count=4)
     valid = build_pair_groupoid(6)
     expected_broken = _reference_validate(broken)
@@ -497,10 +575,19 @@ def test_associativity_chunk_seams_do_not_change_reports(chunk, monkeypatch):
     padded = _corrupt(build_from_table(Z3_BESIDE_UNIT), random.Random(1), kinds=("rewrite",), count=2)
     expected_padded = _reference_validate(padded)
     assert any(f.axiom == "associativity" for f in expected_padded.failures)
+    # Associativity alone fails, so the certificate reads its slots and must reject.
+    twisted = [g for g in _rewrites(Z2_PAIR) if {f.axiom for f in _reference_validate(g).failures} == {"associativity"}]
+    expected_twisted = [_reference_validate(g) for g in twisted]
+    assert len(twisted) > 5
     monkeypatch.setattr(groupoid_module, "_ASSOC_CHUNK", chunk)
     assert validate_axioms(broken) == expected_broken
     assert validate_axioms(padded) == expected_padded
-    assert validate_axioms(valid) == ValidationReport(())
+    assert len(walk_calls) == 2
+    # The certificate alone accepts the valid groupoids, cut into chunks at pair:6.
+    assert validate_axioms(valid) == validate_axioms(Z2_PAIR) == ValidationReport(())
+    assert len(walk_calls) == 2
+    assert [validate_axioms(g) for g in twisted] == expected_twisted
+    assert len(walk_calls) == 2 + len(twisted)
 
 
 def test_multiplication_table_matches_scalar_renderer():
