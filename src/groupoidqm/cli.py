@@ -5,6 +5,11 @@ required construction.  All floating-point output uses 17 significant digits
 so repeated runs are byte-identical.  Config values must be finite, and a
 result that is not finite (overflow, or a relation left undefined by a zero
 vertex factor) is an exit-1 error, never printed.
+
+Each config key is one row of ``_KEYS``: its RunConfig field, the converter
+that parses and range-checks its value, and when some command reads it.  An
+unknown, repeated or out-of-range key is an exit-1 error at its line, and so
+is a key that no command reads under the config it sits in.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -158,95 +163,130 @@ def _as_complex(value: str, line: int, column: int) -> complex:
     return z
 
 
-_FLOAT_KEYS = {
-    "V_plus": "v_plus",
-    "V_minus": "v_minus",
-    "mu": "mu",
-    "delta": "delta",
-    "p_plus": "p_plus",
-    "tau": "tau",
-    "hbar": "hbar",
-    "Lambda": "lam",
-    "Sigma": "sigma",
-    "gauge": "gauge",
+def _checked(key: str, convert, ok, want: str):
+    """convert, then a range check naming key: '<key> must be <want>, got <x>'."""
+    def checked(value: str, line: int, column: int):
+        x = convert(value, line, column)
+        if not ok(x):
+            raise ConfigError(f"{key} must be {want}, got {x}", line, column)
+        return x
+    return checked
+
+
+def _one_of(choices: tuple[str, ...], message: str):
+    """Accept one of choices verbatim; otherwise message, formatted with the value's repr."""
+    def convert(value: str, line: int, column: int) -> str:
+        if value not in choices:
+            raise ConfigError(message.format(value), line, column)
+        return value
+    return convert
+
+
+def _as_groupoid(value: str, line: int, column: int) -> str:
+    size = _pair_size(value, line, column)
+    if size is not None and size >= 1 and size * size > MAX_ELEMENTS:  # size < 1 fails at build
+        raise ConfigError(f"pair:{size} has {size * size} elements, at most {MAX_ELEMENTS} are allowed", line, column)
+    return value
+
+
+def _as_pair_lagrangian(value: str, line: int, column: int) -> str:
+    """'constant:R', 'index_diff:S' with R, S finite, or 'file:PATH'; the file is read when a command runs."""
+    kind, sep, arg = value.partition(":")
+    if not sep:
+        raise ConfigError(f"pair_lagrangian must be kind:value, got {value!r}", line, column)
+    if kind not in ("constant", "index_diff", "file"):
+        raise ConfigError(f"unknown pair_lagrangian kind {kind!r}", line, column)
+    if kind != "file":
+        try:
+            _finite(arg)
+        except ValueError:
+            what = "constant weight" if kind == "constant" else "index_diff scale"
+            raise ConfigError(f"bad {what} {arg!r}", line, column) from None
+    return value
+
+
+def _as_sweep_points(value: str, line: int, column: int) -> int:
+    points = _as_int(value, line, column)
+    if not 2 <= points <= MAX_SWEEP_POINTS:
+        bound = "at least 2" if points < 2 else f"at most {MAX_SWEEP_POINTS}"
+        raise ConfigError(f"sweep_points must be {bound}, got {points}", line, column)
+    return points
+
+
+class _Key(NamedTuple):
+    field: str | int  # the RunConfig field, or the key's slot in the sweep tuple
+    convert: Callable[[str, int, int], object]  # (value, line, column) -> parsed, range-checked value
+    live: Callable[[RunConfig], bool]  # whether some command reads the key under the parsed config
+
+
+# When some command reads a key, judged on the parsed config (see the cmd_* bodies).
+_always = lambda cfg: True
+_a2 = lambda cfg: cfg.groupoid_spec == "a2"
+_qubit = lambda cfg: cfg.groupoid_spec == "a2" or cfg.sweep is not None  # the a2 step or the sweep's scan
+_weighted = lambda cfg: cfg.groupoid_spec == "a2" or cfg.pair_lagrangian is not None  # pathsum has weights
+_clocked = lambda cfg: cfg.groupoid_spec == "a2" or cfg.pair_lagrangian is not None or cfg.sweep is not None
+_explicit = lambda cfg: cfg.groupoid_spec == "a2" and cfg.gamma_mode == "explicit"
+_solved = lambda cfg: cfg.groupoid_spec == "a2" and cfg.gamma_mode == "solve" or cfg.sweep is not None
+
+# One row per config key: parse_config converts, range-checks and tests
+# liveness from this table alone.  A key is live when some command reads it
+# under the config as a whole, so one config may feed several commands.
+_KEYS = {
+    "groupoid": _Key("groupoid_spec", _as_groupoid, _always),
+    "V_plus": _Key("v_plus", _as_float, _qubit),
+    "V_minus": _Key("v_minus", _as_float, _qubit),
+    "mu": _Key("mu", _as_float, _a2),  # sweep scans its own grid
+    "delta": _Key("delta", _as_float, _qubit),
+    "p_plus": _Key("p_plus", _checked("p_plus", _as_float, lambda x: 0.0 <= x <= 0.5, "in [0, 1/2]"), _qubit),
+    "tau": _Key("tau", _checked("tau", _as_float, lambda x: x > 0, "positive"), _clocked),
+    "hbar": _Key("hbar", _checked("hbar", _as_float, lambda x: x > 0, "positive"), _clocked),
+    "steps": _Key("steps", _checked("steps", _as_int, lambda n: n >= 0, "non-negative"), _weighted),
+    "gamma_mode": _Key(  # sweep solves whatever the mode
+        "gamma_mode", _one_of(("unit", "explicit", "solve"), "gamma_mode must be unit, explicit or solve, got {!r}"), _a2
+    ),
+    "gamma_mm": _Key("gamma_mm", _as_complex, _explicit),
+    "gamma_mp": _Key("gamma_mp", _as_complex, _explicit),
+    "gamma_pm": _Key("gamma_pm", _as_complex, _explicit),
+    "gamma_pp": _Key("gamma_pp", _as_complex, _explicit),
+    "Lambda": _Key("lam", _as_float, _solved),
+    "Sigma": _Key("sigma", _as_float, _solved),
+    "gauge": _Key("gauge", _as_float, _solved),
+    "sweep_parameter": _Key(0, _one_of(("mu_tau_over_hbar",), "unsupported sweep parameter {!r}"), _always),
+    "sweep_from": _Key(1, _as_float, _always),
+    "sweep_to": _Key(2, _as_float, _always),
+    "sweep_points": _Key(3, _as_sweep_points, _always),
+    "pair_lagrangian": _Key("pair_lagrangian", _as_pair_lagrangian, lambda cfg: cfg.groupoid_spec != "a2"),
 }
-_COMPLEX_KEYS = {"gamma_mm", "gamma_mp", "gamma_pm", "gamma_pp"}
-_SWEEP_KEYS = ("sweep_parameter", "sweep_from", "sweep_to", "sweep_points")
-_ALL_KEYS = (
-    {"groupoid", "steps", "gamma_mode", "pair_lagrangian"}
-    | set(_FLOAT_KEYS)
-    | _COMPLEX_KEYS
-    | set(_SWEEP_KEYS)
-)
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse the flat key=value format; positions are reported on errors."""
+    """Parse the flat key=value format; positions are reported on errors.
+
+    A key that no command reads under the parsed config is an error at its line.
+    """
     entries = _parse_entries(text)
     for name, (_, line, _) in entries.items():
-        if name not in _ALL_KEYS:
+        if name not in _KEYS:
             raise ConfigError(f"unknown key {name!r}", line, 1)
 
-    fields: dict[str, object] = {}
-    if "groupoid" in entries:
-        value, line, column = entries["groupoid"]
-        fields["groupoid_spec"] = value
-        size = _pair_size(value, line, column)
-        if size is not None and size >= 1 and size * size > MAX_ELEMENTS:  # size < 1 fails at build
-            raise ConfigError(
-                f"pair:{size} has {size * size} elements, at most {MAX_ELEMENTS} are allowed",
-                line,
-                column,
-            )
-    for key, attr in _FLOAT_KEYS.items():
-        if key in entries:
-            fields[attr] = _as_float(*entries[key])
-    for key in _COMPLEX_KEYS:
-        if key in entries:
-            fields[key] = _as_complex(*entries[key])
-    if "steps" in entries:
-        n = _as_int(*entries["steps"])
-        if n < 0:
-            raise ConfigError(f"steps must be non-negative, got {n}", *entries["steps"][1:])
-        fields["steps"] = n
-    if "gamma_mode" in entries:
-        value, line, column = entries["gamma_mode"]
-        if value not in ("unit", "explicit", "solve"):
-            raise ConfigError(f"gamma_mode must be unit, explicit or solve, got {value!r}", line, column)
-        fields["gamma_mode"] = value
-    if "pair_lagrangian" in entries:
-        fields["pair_lagrangian"] = entries["pair_lagrangian"][0]
+    fields: dict[str | int, object] = {}
+    for name, (value, line, column) in entries.items():
+        field, convert, _ = _KEYS[name]
+        fields[field] = convert(value, line, column)
 
-    present = [k for k in _SWEEP_KEYS if k in entries]
-    if present:
-        missing = [k for k in _SWEEP_KEYS if k not in entries]
-        if missing:
-            raise ConfigError(
-                f"sweep block incomplete, missing {', '.join(missing)}", entries[present[0]][1], 1
-            )
-        value, line, column = entries["sweep_parameter"]
-        if value != "mu_tau_over_hbar":
-            raise ConfigError(f"unsupported sweep parameter {value!r}", line, column)
-        points = _as_int(*entries["sweep_points"])
-        if not 2 <= points <= MAX_SWEEP_POINTS:
-            bound = "at least 2" if points < 2 else f"at most {MAX_SWEEP_POINTS}"
-            raise ConfigError(f"sweep_points must be {bound}, got {points}", *entries["sweep_points"][1:])
-        fields["sweep"] = (
-            value,
-            _as_float(*entries["sweep_from"]),
-            _as_float(*entries["sweep_to"]),
-            points,
-        )
+    sweep = [fields.pop(slot) for slot in range(4) if slot in fields]
+    if sweep:
+        if len(sweep) < 4:
+            block = [name for name, key in _KEYS.items() if isinstance(key.field, int)]
+            present = [name for name in block if name in entries]
+            missing = [name for name in block if name not in entries]
+            raise ConfigError(f"sweep block incomplete, missing {', '.join(missing)}", entries[present[0]][1], 1)
+        fields["sweep"] = tuple(sweep)
 
     cfg = RunConfig(**fields)
-    for key, attr, ok, want in (
-        ("tau", "tau", cfg.tau > 0, "positive"),
-        ("hbar", "hbar", cfg.hbar > 0, "positive"),
-        ("p_plus", "p_plus", 0.0 <= cfg.p_plus <= 0.5, "in [0, 1/2]"),
-    ):
-        if not ok:
-            _, line, column = entries.get(key, (None, None, None))
-            raise ConfigError(f"{key} must be {want}, got {getattr(cfg, attr)}", line, column)
+    for name in entries:
+        if not _KEYS[name].live(cfg):
+            raise ConfigError(f"{name} is read by no command under this config", entries[name][1], 1)
     return cfg
 
 
@@ -305,35 +345,26 @@ def _build_groupoid(cfg: RunConfig) -> FiniteGroupoid:
 
 
 def _build_lagrangian(cfg: RunConfig, g: FiniteGroupoid) -> QLagrangian | None:
-    """Weights for the configured groupoid; None when nothing is specified."""
+    """Weights for the configured groupoid; None when nothing is specified.
+
+    parse_config has checked a pair_lagrangian spec's kind and number; a weight
+    file is read here.
+    """
     if cfg.groupoid_spec == "a2":  # g is the a2 that _build_groupoid built
         return QLagrangian(g, _qubit_weights(cfg.v_plus, cfg.v_minus, cfg.mu, cfg.delta))
-    spec = cfg.pair_lagrangian
-    if spec is None:
+    if cfg.pair_lagrangian is None:
         return None
-    kind, sep, arg = spec.partition(":")
-    if not sep:
-        raise ConfigError(f"pair_lagrangian must be kind:value, got {spec!r}")
+    kind, _, arg = cfg.pair_lagrangian.partition(":")
     if kind == "constant":
-        try:
-            r = _finite(arg)
-        except ValueError:
-            raise ConfigError(f"bad constant weight {arg!r}") from None
-        return QLagrangian(g, np.full(len(g.elements), complex(r, 0.0)))
+        return QLagrangian(g, np.full(len(g.elements), complex(float(arg), 0.0)))
     if kind == "index_diff":
-        try:
-            s = _finite(arg)
-        except ValueError:
-            raise ConfigError(f"bad index_diff scale {arg!r}") from None
-        return QLagrangian(g, _index_diff_weights(g, s))
-    if kind == "file":
-        text = _read_text(arg, "weight file")
-        try:
-            a = element_from_lines(g, text)
-        except ValueError as exc:
-            raise ConfigError(f"bad weight file {arg!r}: {exc}") from None
-        return QLagrangian(g, {e: a[e] for e in g.elements})
-    raise ConfigError(f"unknown pair_lagrangian kind {kind!r}")
+        return QLagrangian(g, _index_diff_weights(g, float(arg)))
+    text = _read_text(arg, "weight file")
+    try:
+        a = element_from_lines(g, text)
+    except ValueError as exc:
+        raise ConfigError(f"bad weight file {arg!r}: {exc}") from None
+    return QLagrangian(g, {e: a[e] for e in g.elements})
 
 
 def _index_diff_weights(g: FiniteGroupoid, s: float) -> np.ndarray:

@@ -7,6 +7,7 @@ would run it, asserting exit codes and the frozen output formats.
 import argparse
 import cmath
 import contextlib
+import dataclasses
 import io
 import math
 import time
@@ -79,41 +80,28 @@ def test_parse_config_defaults():
 
 
 def test_parse_config_reads_every_key():
-    cfg = parse_config(
-        "\n".join(
-            [
-                "groupoid = pair:3",
-                "V_plus = 0.25",
-                "V_minus = -0.5",
-                "mu = 1.5",
-                "delta = 0.125",
-                "p_plus = 0.375",
-                "tau = 2.0",
-                "hbar = 0.5",
-                "steps = 4",
-                "gamma_mode = explicit",
-                "gamma_mm = 1,0",
-                "gamma_mp = 0,1",
-                "gamma_pm = 2,-1",
-                "gamma_pp = -1,0",
-                "Lambda = 0.5",
-                "Sigma = -0.25",
-                "gauge = 0.75",
-                "sweep_parameter = mu_tau_over_hbar",
-                "sweep_from = 0",
-                "sweep_to = 6.28",
-                "sweep_points = 5",
-                "pair_lagrangian = constant:2.0",
-            ]
-        )
+    # No one config holds every key: each key is read only where some command
+    # reads it, so the keys are spread over three configs.
+    texts = (
+        "groupoid = a2\nV_plus = 0.25\nV_minus = -0.5\nmu = 1.5\ndelta = 0.125\np_plus = 0.375\n"
+        "tau = 2.0\nhbar = 0.5\nsteps = 4\ngamma_mode = explicit\n"
+        "gamma_mm = 1,0.5\ngamma_mp = 0,1\ngamma_pm = 2,-1\ngamma_pp = -1,0\n",
+        "gamma_mode = solve\nLambda = 0.5\nSigma = -0.25\ngauge = 0.75\n"
+        "sweep_parameter = mu_tau_over_hbar\nsweep_from = 0\nsweep_to = 6.28\nsweep_points = 5\n",
+        "groupoid = pair:3\npair_lagrangian = constant:2.0\ntau = 0.5\nhbar = 3\nsteps = 6\n",
     )
-    assert cfg.groupoid_spec == "pair:3"
-    assert cfg.v_plus == 0.25 and cfg.v_minus == -0.5
-    assert cfg.gamma_pm == 2 - 1j
-    assert cfg.steps == 4
-    assert cfg.lam == 0.5 and cfg.sigma == -0.25
-    assert cfg.sweep == ("mu_tau_over_hbar", 0.0, 6.28, 5)
-    assert cfg.pair_lagrangian == "constant:2.0"
+    assert {line.split(" = ")[0] for text in texts for line in text.splitlines()} == set(cli._KEYS)
+    explicit, solve, pair = (parse_config(text) for text in texts)
+    assert (explicit.v_plus, explicit.v_minus, explicit.mu, explicit.delta) == (0.25, -0.5, 1.5, 0.125)
+    assert (explicit.p_plus, explicit.tau, explicit.hbar, explicit.steps) == (0.375, 2.0, 0.5, 4)
+    assert explicit.gamma_mode == "explicit"
+    assert (explicit.gamma_mm, explicit.gamma_mp, explicit.gamma_pm, explicit.gamma_pp) == (1 + 0.5j, 1j, 2 - 1j, -1)
+    assert (solve.gamma_mode, solve.lam, solve.sigma, solve.gauge) == ("solve", 0.5, -0.25, 0.75)
+    assert solve.sweep == ("mu_tau_over_hbar", 0.0, 6.28, 5)
+    assert (pair.groupoid_spec, pair.pair_lagrangian) == ("pair:3", "constant:2.0")
+    assert (pair.tau, pair.hbar, pair.steps) == (0.5, 3.0, 6)
+    for field in dataclasses.fields(RunConfig):
+        assert any(getattr(cfg, field.name) != field.default for cfg in (explicit, solve, pair)), field.name
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,8 @@
 """Property test of the CLI error contract on generated small configs.
 
 Whatever the config, a command exits 0, 1 or 2, never raises out of main,
-and never prints a NaN or an infinity as a result.
+and never prints a NaN or an infinity as a result.  A key that no command
+reads under its config is an exit-1 error at its line.
 """
 
 import contextlib
@@ -13,7 +14,7 @@ import tempfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupoidqm.cli import main
+from groupoidqm.cli import ConfigError, main, parse_config
 
 _NON_FINITE = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
 
@@ -44,17 +45,28 @@ _FLOAT_KEYS = {
     "gauge": _value(0.1, 3.0),
 }
 _GAMMA_KEYS = ("gamma_mm", "gamma_mp", "gamma_pm", "gamma_pp")
+_SOLVE_KEYS = ("Lambda", "Sigma", "gauge")
 
 
 @st.composite
 def _invocation(draw):
-    lines = [f"{key} = {draw(value)}" for key, value in _FLOAT_KEYS.items() if draw(st.booleans())]
-    lines += [
-        f"{key} = {draw(_number)},{draw(_number)}" for key in _GAMMA_KEYS if draw(st.booleans())
-    ]
-    lines.append(f"gamma_mode = {draw(st.sampled_from(['unit', 'explicit', 'solve']))}")
-    lines.append(f"steps = {draw(st.integers(-1, 6))}")
+    """(command, config lines, extra argv, keys that no command would read under the config).
+
+    The config holds only keys that some command reads: explicit gammas only in
+    explicit mode, Lambda, Sigma and gauge only in solve mode or beside a sweep block.
+    """
     command = draw(st.sampled_from(["propagator", "evolve", "sweep"]))
+    mode = draw(st.sampled_from(["unit", "explicit", "solve"]))
+    solved = mode == "solve" or command == "sweep"
+    lines = [
+        f"{key} = {draw(value)}"
+        for key, value in _FLOAT_KEYS.items()
+        if (solved or key not in _SOLVE_KEYS) and draw(st.booleans())
+    ]
+    if mode == "explicit":
+        lines += [f"{key} = {draw(_number)},{draw(_number)}" for key in _GAMMA_KEYS if draw(st.booleans())]
+    lines.append(f"gamma_mode = {mode}")
+    lines.append(f"steps = {draw(st.integers(-1, 6))}")
     extra = []
     if command == "sweep":
         lines += [
@@ -67,13 +79,11 @@ def _invocation(draw):
         extra = [f"--state={draw(_number)},0;0,{draw(_number)}"]
     elif draw(st.booleans()):
         extra = ["--power", str(draw(st.integers(0, 6)))]
-    return command, "\n".join(lines) + "\n", extra
+    dead = ["pair_lagrangian", *(() if mode == "explicit" else _GAMMA_KEYS), *(() if solved else _SOLVE_KEYS)]
+    return command, lines, extra, dead
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(_invocation())
-def test_cli_exits_cleanly_on_generated_configs(invocation):
-    command, text, extra = invocation
+def _run(command, text, extra):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "run.cfg")
         with open(path, "w", encoding="utf-8") as fh:
@@ -81,8 +91,41 @@ def test_cli_exits_cleanly_on_generated_configs(invocation):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = main([command, "-c", path, *extra])
+    return rc, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_invocation())
+def test_cli_exits_cleanly_on_generated_configs(invocation):
+    command, lines, extra, _ = invocation
+    rc, out, err = _run(command, "\n".join(lines) + "\n", extra)
     assert rc in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
-    assert not _NON_FINITE.search(out.getvalue()), out.getvalue()
+    assert "Traceback" not in err
+    assert not _NON_FINITE.search(out), out
+    assert "is read by no command" not in err, (lines, err)
     if rc != 0:
-        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+        assert out == "" and err.startswith("error: ")
+
+
+@st.composite
+def _planted(draw):
+    """An invocation whose config gains, at a drawn line, one well-formed key that no command reads."""
+    command, lines, extra, dead = draw(_invocation())
+    key = draw(st.sampled_from(dead))
+    value = {"pair_lagrangian": "constant:1", **{k: "1,0" for k in _GAMMA_KEYS}}.get(key, "0.5")
+    at = draw(st.integers(0, len(lines)))
+    planted = [*lines[:at], f"{key} = {value}", *lines[at:]]
+    return command, lines, planted, extra, key, at + 1
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_planted())
+def test_a_planted_dead_key_is_an_error_at_its_line(generated):
+    command, lines, planted, extra, key, line = generated
+    rc, out, err = _run(command, "\n".join(planted) + "\n", extra)
+    assert (rc, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1
+    try:
+        parse_config("\n".join(lines))
+    except ConfigError:
+        return  # a value the parser rejects is reported before any dead key
+    assert err == f"error: line {line}, column 1: {key} is read by no command under this config\n"
