@@ -40,11 +40,14 @@ ALPHA_INV = "alpha^-1"
 
 # Composable triples gathered per associativity step; bounds validation memory.
 _ASSOC_CHUNK = 4096
-# Table cells rendered per step; bounds multiplication_table's fixed-width buffer.
-_TABLE_CHUNK = 8192
+# Bytes multiplication_table gathers per step (whole rows, at least one).  Under
+# glibc malloc's 128 KiB mmap threshold, so the gather buffer comes from the heap
+# rather than a fresh mapping whose pages fault in again on every render.
+_TABLE_BYTES = 96 * 1024
 # Elements per groupoid, checked before any table is built.  The compose table
 # is 4(E+1)^2 bytes; at the ceiling (pair:32) the CLI's `table` command peaks at
-# ~49 MiB under tracemalloc (mostly the rendered text) and `validate` at ~8.6 MiB.
+# ~48.5 MiB under tracemalloc, nearly all of it the rendered lines and their
+# joined text (the gather buffer is 88 KiB), and `validate` at ~8.6 MiB.
 MAX_ELEMENTS = 1024
 
 
@@ -587,10 +590,16 @@ def multiplication_table(g: FiniteGroupoid) -> str:
     # it would from the joined row.
     w = width + 2
     cells = np.array(names + [NOT_COMPOSABLE.ljust(w)], dtype=f"<U{w}").view("<u4").reshape(n + 1, w)
-    step = max(1, _TABLE_CHUNK // n)
+    # Every step gathers into one buffer of at most _TABLE_BYTES (or one row).
+    # The indices are in range by construction, so mode="clip" changes nothing
+    # but lets np.take write into it directly; "raise" would copy via a temporary.
+    table = g.compose_table.table[:n, :n]
+    step = max(1, _TABLE_BYTES // (cells.itemsize * w * n))
+    buffer = np.empty((min(step, n), n, w), dtype=cells.dtype)
     for lo in range(0, n, step):
-        rows = g.compose_table.table[lo : lo + step, :n]
-        grid = np.take(cells, rows, axis=0).reshape(len(rows), n * w).view(f"<U{n * w}")
+        rows = table[lo : lo + step]
+        gathered = np.take(cells, rows, axis=0, out=buffer[: len(rows)], mode="clip")
+        grid = gathered.reshape(len(rows), n * w).view(f"<U{n * w}")
         lines += [(b + row).rstrip() for b, row in zip(names[lo : lo + step], grid.ravel().tolist())]
     lines.append("")  # the final newline, without copying the joined text
     return "\n".join(lines)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import tracemalloc
@@ -590,7 +591,8 @@ def test_associativity_chunk_seams_do_not_change_reports(chunk, monkeypatch, wal
     assert len(walk_calls) == 2 + len(twisted)
 
 
-def test_multiplication_table_matches_scalar_renderer():
+def _table_groupoids() -> list[FiniteGroupoid]:
+    """Groupoids whose tables exercise every rendering edge, pair:16 among them."""
     # Labels of mixed widths, the widest first or last; blank labels, which
     # rstrip removes along with the padding before them.
     blank = FiniteGroupoid(
@@ -607,6 +609,25 @@ def test_multiplication_table_matches_scalar_renderer():
     for base in (build_a2(), build_pair_groupoid(3), build_pair_groupoid(("ccc", "bb", "a"))):
         for _ in range(20):
             groupoids.append(_corrupt(base, rng, kinds=("delete", "extra", "rewrite"), count=3))
+    return groupoids
+
+
+def _render_with_gathers(g: FiniteGroupoid, monkeypatch) -> tuple[str, list[np.ndarray]]:
+    """multiplication_table(g) and the array each of its np.take gathers returned."""
+    gathers = []
+    take = np.take
+
+    def recording_take(*args, **kwargs):
+        gathers.append(take(*args, **kwargs))
+        return gathers[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "take", recording_take)
+        return multiplication_table(g), gathers
+
+
+def test_multiplication_table_matches_scalar_renderer():
+    groupoids = _table_groupoids()
     assert any(
         (b, a) in g.compose_table and not g.is_composable(b, a)
         for g in groupoids for b in g.elements for a in g.elements
@@ -620,12 +641,46 @@ def test_multiplication_table_matches_scalar_renderer():
         assert multiplication_table(g) == _reference_table(g)
 
 
-@pytest.mark.parametrize("chunk", [1, 20, groupoid_module._TABLE_CHUNK])
-def test_table_chunk_seams_do_not_change_rendering(chunk, monkeypatch):
-    groupoids = (build_a2(), build_pair_groupoid(("ccc", "bb", "a")), build_from_table(Z3_BESIDE_UNIT))
+# A pair:16 table row gathers 256 cells of "(x16,x16)  ", 11 UCS4 code points each.
+PAIR16_ROW_BYTES = 4 * 11 * 256
+
+
+# Byte budgets: one row per step; three pair:16 rows per step, which leaves a
+# partial last step on pair:16 (256 rows) and pair:12 (5 rows per step, 144
+# rows); the default.
+@pytest.mark.parametrize("budget", [1, 3 * PAIR16_ROW_BYTES, groupoid_module._TABLE_BYTES])
+def test_table_chunk_seams_do_not_change_rendering(budget, monkeypatch):
+    groupoids = _table_groupoids()
     expected = [_reference_table(g) for g in groupoids]
-    monkeypatch.setattr(groupoid_module, "_TABLE_CHUNK", chunk)
-    assert [multiplication_table(g) for g in groupoids] == expected
+    monkeypatch.setattr(groupoid_module, "_TABLE_BYTES", budget)
+    rendered = [_render_with_gathers(g, monkeypatch) for g in groupoids]
+    assert [text for text, _ in rendered] == expected
+    pair16 = next(gathers for g, (_, gathers) in zip(groupoids, rendered) if g == build_pair_groupoid(16))
+    rows = max(1, budget // PAIR16_ROW_BYTES)
+    assert [len(a) for a in pair16] == [min(rows, 256 - lo) for lo in range(0, 256, rows)]
+
+
+def test_table_gathers_stay_within_the_byte_budget(monkeypatch):
+    budget = groupoid_module._TABLE_BYTES
+    long_labels = tuple(f"outcome-{i:02d}-of-eleven" for i in range(11))
+    long = build_pair_groupoid(long_labels)
+    assert max(map(len, long.elements)) == 43
+    for g in (build_pair_groupoid(16), build_pair_groupoid(32), long):
+        _, gathers = _render_with_gathers(g, monkeypatch)
+        row_bytes = gathers[0].nbytes // len(gathers[0])
+        assert sum(map(len, gathers)) == len(g.elements)
+        # Within the budget unless one row alone exceeds it, every step but the
+        # last as full as the budget allows, and all of them in one buffer.
+        assert all(a.nbytes <= budget or len(a) == 1 for a in gathers)
+        assert all(a.nbytes + row_bytes > budget for a in gathers[:-1])
+        assert len({a.ctypes.data for a in gathers}) == 1
+    assert [len(a) for a in gathers] == [4] * 30 + [1]  # 121 rows of 4 * 45 * 121 bytes
+
+
+def test_pair32_table_is_byte_identical_at_the_ceiling():
+    text = multiplication_table(build_pair_groupoid(32)).encode("utf-8")
+    assert len(text) == 13_590_797
+    assert hashlib.sha256(text).hexdigest() == "b5518c801d3a6e0791adf0d4c3217ff648e30720d8debea8355a299e46423d61"
 
 
 def test_validate_axioms_memory_stays_bounded():
