@@ -655,7 +655,7 @@ def test_table_chunk_seams_do_not_change_rendering(budget, monkeypatch):
     monkeypatch.setattr(groupoid_module, "_TABLE_BYTES", budget)
     rendered = [_render_with_gathers(g, monkeypatch) for g in groupoids]
     assert [text for text, _ in rendered] == expected
-    pair16 = next(gathers for g, (_, gathers) in zip(groupoids, rendered) if g == build_pair_groupoid(16))
+    pair16 = rendered[groupoids.index(build_pair_groupoid(16))][1]
     rows = max(1, budget // PAIR16_ROW_BYTES)
     assert [len(a) for a in pair16] == [min(rows, 256 - lo) for lo in range(0, 256, rows)]
 
