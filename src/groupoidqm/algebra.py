@@ -23,7 +23,7 @@ class AlgebraElement:
     coefficients: Mapping[str, complex]
 
     def __post_init__(self):
-        unknown = set(self.coefficients) - set(self.groupoid.elements)
+        unknown = self.coefficients.keys() - self.groupoid.compose_table.index.keys()
         if unknown:
             raise ValueError(f"coefficients for unknown elements {sorted(unknown)}")
         object.__setattr__(self, "coefficients", MappingProxyType(dict(self.coefficients)))

@@ -87,7 +87,7 @@ class _UsageError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunConfig:
     """One run's worth of parameters, straight from a flat key=value file."""
 
@@ -112,12 +112,16 @@ class RunConfig:
     pair_lagrangian: str | None = None
 
 
-def _parse_entries(text: str) -> dict[str, tuple[str, int, int]]:
-    """key -> (value, line, column of the value), all 1-based."""
-    entries: dict[str, tuple[str, int, int]] = {}
+def _entries(text: str):
+    """(key, value, line, column of the value) of each key = value line, in file order, all 1-based.
+
+    Blank and comment lines are skipped; a line without '=', an empty key or a
+    repeated key is a ConfigError at the line's first column.
+    """
+    seen = set()
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         stripped = raw_line.strip()
-        if not stripped or stripped.startswith("#"):
+        if not stripped or stripped[0] == "#":
             continue
         key, sep, value = raw_line.partition("=")
         if not sep:
@@ -125,12 +129,16 @@ def _parse_entries(text: str) -> dict[str, tuple[str, int, int]]:
         name = key.strip()
         if not name:
             raise ConfigError("empty key", lineno, 1)
-        if name in entries:
+        if name in seen:
             raise ConfigError(f"duplicate key {name!r}", lineno, 1)
+        seen.add(name)
         lead = len(value) - len(value.lstrip())
-        column = len(key) + 2 + lead
-        entries[name] = (value.strip(), lineno, column)
-    return entries
+        yield name, value.strip(), lineno, len(key) + 2 + lead
+
+
+def _parse_entries(text: str) -> dict[str, tuple[str, int, int]]:
+    """key -> (value, line, column of the value), all 1-based: the lines of _entries as one mapping."""
+    return {name: (value, line, column) for name, value, line, column in _entries(text)}
 
 
 def _as_float(value: str, line: int, column: int) -> float:
@@ -260,33 +268,35 @@ _KEYS = {
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse the flat key=value format; positions are reported on errors.
+    """Parse the flat key=value format in one pass over the lines; positions are reported on errors.
 
-    A key that no command reads under the parsed config is an error at its line.
+    Each key is converted when its line is reached, so of several faulty
+    lines the first is reported.  Then an incomplete sweep block is an error
+    at its first key, and a key that no command reads under the parsed
+    config an error at its line.
     """
-    entries = _parse_entries(text)
-    for name, (_, line, _) in entries.items():
-        if name not in _KEYS:
-            raise ConfigError(f"unknown key {name!r}", line, 1)
-
     fields: dict[str | int, object] = {}
-    for name, (value, line, column) in entries.items():
-        field, convert, _ = _KEYS[name]
-        fields[field] = convert(value, line, column)
+    lines: dict[str, int] = {}  # key -> its line, in file order
+    for name, value, line, column in _entries(text):
+        key = _KEYS.get(name)
+        if key is None:
+            raise ConfigError(f"unknown key {name!r}", line, 1)
+        fields[key.field] = key.convert(value, line, column)
+        lines[name] = line
 
     sweep = [fields.pop(slot) for slot in range(4) if slot in fields]
     if sweep:
         if len(sweep) < 4:
             block = [name for name, key in _KEYS.items() if isinstance(key.field, int)]
-            present = [name for name in block if name in entries]
-            missing = [name for name in block if name not in entries]
-            raise ConfigError(f"sweep block incomplete, missing {', '.join(missing)}", entries[present[0]][1], 1)
+            present = [name for name in block if name in lines]
+            missing = [name for name in block if name not in lines]
+            raise ConfigError(f"sweep block incomplete, missing {', '.join(missing)}", lines[present[0]], 1)
         fields["sweep"] = tuple(sweep)
 
     cfg = RunConfig(**fields)
-    for name in entries:
+    for name, line in lines.items():
         if not _KEYS[name].live(cfg):
-            raise ConfigError(f"{name} is read by no command under this config", entries[name][1], 1)
+            raise ConfigError(f"{name} is read by no command under this config", line, 1)
     return cfg
 
 
@@ -311,16 +321,21 @@ def _finite(text: str) -> float:
     return x
 
 
+def _format(template: str, values: list[float]) -> str:
+    """template % values, a %.17g in template per float; the first value that is not finite is an error instead."""
+    for x in values:
+        if not math.isfinite(x):
+            raise ValueError(f"a computed result is not finite ({x})")
+    return template % tuple(values)
+
+
 def _fmt(x: float) -> str:
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"a computed result is not finite ({x})")
-    return format(x, ".17g")
+    return _format("%.17g", [float(x)])
 
 
 def _fmt_c(z: complex) -> str:
     z = complex(z)
-    return f"{_fmt(z.real)},{_fmt(z.imag)}"
+    return _format("%.17g,%.17g", [z.real, z.imag])
 
 
 def _pair_size(spec: str, line: int | None = None, column: int | None = None) -> int | None:
@@ -405,15 +420,6 @@ def _require_a2(cfg: RunConfig, command: str) -> FiniteGroupoid:
 
 def _step_from_config(cfg: RunConfig) -> tuple[PropagatorModel, np.ndarray, UnitarityReport | None]:
     """The step's model and matrix; in solve mode also the solver's unitarity report."""
-    base = dict(
-        v_plus=cfg.v_plus,
-        v_minus=cfg.v_minus,
-        mu=cfg.mu,
-        delta=cfg.delta,
-        p_plus=cfg.p_plus,
-        tau=cfg.tau,
-        hbar=cfg.hbar,
-    )
     if cfg.gamma_mode == "solve":
         solution = solve_unitary_gammas(
             cfg.v_plus, cfg.v_minus, cfg.mu, cfg.delta, cfg.p_plus, cfg.tau, cfg.hbar,
@@ -422,18 +428,24 @@ def _step_from_config(cfg: RunConfig) -> tuple[PropagatorModel, np.ndarray, Unit
         if not solution.feasible:
             raise InfeasibleModel(solution.min_residual)
         return solution.model, solution.u, solution.report
-    if cfg.gamma_mode == "explicit":
-        base.update(gamma_mm=cfg.gamma_mm, gamma_mp=cfg.gamma_mp, gamma_pm=cfg.gamma_pm, gamma_pp=cfg.gamma_pp)
-    model = PropagatorModel(**base)
+    gammas = (cfg.gamma_mm, cfg.gamma_mp, cfg.gamma_pm, cfg.gamma_pp) if cfg.gamma_mode == "explicit" else ()
+    model = PropagatorModel(cfg.v_plus, cfg.v_minus, cfg.mu, cfg.delta, cfg.p_plus, cfg.tau, cfg.hbar, *gammas)
     return model, qubit_propagator(model), None
 
 
-def _matrix_lines(label: str, m: np.ndarray, outcomes: tuple[str, ...]) -> list[str]:
-    lines = []
-    for i, b in enumerate(outcomes):
-        for j, a in enumerate(outcomes):
-            lines.append(f"{label}[{b}][{a}] = {_fmt_c(m[i, j])}")
-    return lines
+def _matrix_text(label: str, m: np.ndarray, outcomes: tuple[str, ...]) -> str:
+    template = "".join(f"{label}[{b}][{a}] = %.17g,%.17g\n" for b in outcomes for a in outcomes)
+    return _format(template, [x for row in m.tolist() for z in row for x in (z.real, z.imag)])
+
+
+# cmd_propagator's lines after U: one %.17g per printed float
+_GAMMAS = "".join(f"{name} = %.17g,%.17g\n" for name in ("gamma_mm", "gamma_mp", "gamma_pm", "gamma_pp"))
+_REPORT = "".join(
+    [f"residual_{block}_{entry} = %.17g\n" for block in (1, 2) for entry in (1, 2, 3, 4)]
+    + [f"{name} = %.17g\n" for name in (
+        "max_residual", "relation1_gap", "relation2_gap", "global_phase_gap", "frobenius_left", "frobenius_right"
+    )]
+)
 
 
 def _text(lines: list[str]) -> str:
@@ -471,33 +483,21 @@ def cmd_table(cfg: RunConfig) -> tuple[int, str]:
 
 def cmd_propagator(cfg: RunConfig, power: int | None) -> tuple[int, str]:
     g = _require_a2(cfg, "propagator")
+    if power is not None and power < 0:
+        raise ConfigError(f"--power must be non-negative, got {power}")
     model, u, report = _step_from_config(cfg)
     if report is None:  # the step matrix is already built: take its residuals, do not rebuild it
         report = _step_report(model, u)
-    lines = _matrix_lines("U", u, g.outcomes)
+    text = _matrix_text("U", u, g.outcomes)
     if cfg.gamma_mode == "solve":
-        lines += [
-            f"gamma_mm = {_fmt_c(model.gamma_mm)}",
-            f"gamma_mp = {_fmt_c(model.gamma_mp)}",
-            f"gamma_pm = {_fmt_c(model.gamma_pm)}",
-            f"gamma_pp = {_fmt_c(model.gamma_pp)}",
-        ]
-    for k, r in enumerate(report.residuals):
-        block, entry = divmod(k, 4)
-        lines.append(f"residual_{block + 1}_{entry + 1} = {_fmt(r)}")
-    lines += [
-        f"max_residual = {_fmt(report.max_residual)}",
-        f"relation1_gap = {_fmt(report.relation1_gap)}",
-        f"relation2_gap = {_fmt(report.relation2_gap)}",
-        f"global_phase_gap = {_fmt(report.global_phase_gap)}",
-        f"frobenius_left = {_fmt(report.frobenius_left)}",
-        f"frobenius_right = {_fmt(report.frobenius_right)}",
-    ]
+        text += _format(_GAMMAS, [x for z in model.gammas for x in (z.real, z.imag)])
+    text += _format(_REPORT, [
+        *report.residuals, report.max_residual, report.relation1_gap, report.relation2_gap,
+        report.global_phase_gap, report.frobenius_left, report.frobenius_right,
+    ])
     if power is not None:
-        if power < 0:
-            raise ConfigError(f"--power must be non-negative, got {power}")
-        lines += _matrix_lines(f"U^{power}", power_propagator(u, power), g.outcomes)
-    return 0, _text(lines)
+        text += _matrix_text(f"U^{power}", power_propagator(u, power), g.outcomes)
+    return 0, text
 
 
 def cmd_pathsum(cfg: RunConfig, steps: int | None, check_semigroup: str | None) -> tuple[int, str]:
@@ -574,14 +574,13 @@ def cmd_evolve(cfg: RunConfig, state_spec: str, steps: int | None) -> tuple[int,
     state = _parse_state(state_spec, len(g.outcomes))
     if state.norm() == 0.0:
         raise ConfigError("state must have nonzero norm")
-    _, u, _ = _step_from_config(cfg)
     n = cfg.steps if steps is None else steps
     if n < 0:
         raise ConfigError(f"steps must be non-negative, got {n}")
+    _, u, _ = _step_from_config(cfg)
     final = evolve_state(u, state, n)
-    lines = [f"psi[{o}] = {_fmt_c(z)}" for o, z in zip(g.outcomes, final.amplitudes)]
-    lines.append(f"norm = {_fmt(final.norm())}")
-    return 0, _text(lines)
+    template = "".join(f"psi[{o}] = %.17g,%.17g\n" for o in g.outcomes) + "norm = %.17g\n"
+    return 0, _format(template, [x for z in final.amplitudes for x in (z.real, z.imag)] + [final.norm()])
 
 
 def cmd_coarse_grain(cfg: RunConfig, partition_spec: str) -> tuple[int, str]:

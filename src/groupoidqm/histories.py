@@ -373,9 +373,36 @@ def _scalar_product(a, b):
     """_product on (re, im) pairs of nested lists of Python floats: the same terms, order and bits.
 
     Each Python float operation is rounded on its own, so nothing fuses here
-    either; for one small matrix this loop costs less than _product's ufunc
-    calls.
+    either.  A 2x2 times 2x2 product (the qubit step, its powers, and
+    _unitarity_gaps on Python floats or on a scan's float64 columns) is
+    written out term by term, at about a quarter of the loop's cost; every
+    other shape goes through _scalar_loop, whose one body serves every side
+    up to _SCALAR_MAX_SIDE.
     """
+    (ar, ai), (br, bi) = a, b
+    if len(ar) != 2 or len(br) != 2 or len(br[0]) != 2:
+        return _scalar_loop(a, b)
+    (a00r, a01r), (a10r, a11r) = ar
+    (a00i, a01i), (a10i, a11i) = ai
+    (b00r, b01r), (b10r, b11r) = br
+    (b00i, b01i), (b10i, b11i) = bi
+    re = [
+        [(a00r * b00r - a00i * b00i) + (a01r * b10r - a01i * b10i),
+         (a00r * b01r - a00i * b01i) + (a01r * b11r - a01i * b11i)],
+        [(a10r * b00r - a10i * b00i) + (a11r * b10r - a11i * b10i),
+         (a10r * b01r - a10i * b01i) + (a11r * b11r - a11i * b11i)],
+    ]
+    im = [
+        [(a00r * b00i + a00i * b00r) + (a01r * b10i + a01i * b10r),
+         (a00r * b01i + a00i * b01r) + (a01r * b11i + a01i * b11r)],
+        [(a10r * b00i + a10i * b00r) + (a11r * b10i + a11i * b10r),
+         (a10r * b01i + a10i * b01r) + (a11r * b11i + a11i * b11r)],
+    ]
+    return re, im
+
+
+def _scalar_loop(a, b):
+    """_scalar_product for any shape: entry [i, j] sums its terms k = 0, 1, ... left to right."""
     (ar, ai), (br, bi) = a, b
     columns = list(zip(zip(*br), zip(*bi)))
     re, im = [], []
@@ -412,9 +439,8 @@ def _power(product, base, n: int):
 
 def _complex(re, im) -> np.ndarray:
     """The complex array with parts re and im: float64 arrays or nested lists of Python floats."""
-    re = np.asarray(re)
-    z = np.empty(re.shape, dtype=complex)
-    z.real, z.imag = re, im
+    z = np.array(re, dtype=complex)
+    z.imag = im
     return z
 
 
@@ -440,14 +466,20 @@ def fixed_order_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _fixed_order(lambda product, x, y: product(x, y), a, b)
 
 
+def _square(m) -> np.ndarray:
+    """m as a complex array; a ValueError unless it is one square matrix."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    return m
+
+
 def fixed_order_power(m: np.ndarray, n: int) -> np.ndarray:
     """m^n by repeated squaring (_power), every product in the fixed order of _product.
 
     O(log n) products; m^0 is the identity.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    m = _square(m)
     if n == 0:
         return np.eye(len(m), dtype=complex)
     return _fixed_order(lambda product, base: _power(product, base, n), m)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import StateVector
-from .histories import _amplitude, _complex, _exp, _scalar_product, fixed_order_matmul, fixed_order_power
+from .histories import _amplitude, _complex, _exp, _fixed_order, _power, _scalar_product, _square, fixed_order_power
 
 FEASIBLE_TOL = 1e-10
 
@@ -455,16 +455,30 @@ def uniform_free_spectrum(
     return (0.5 * (gamma + gamma_prime * e), 0.5 * (gamma - gamma_prime * e))
 
 
-def power_propagator(u: np.ndarray, n: int) -> np.ndarray:
-    """U^n by repeated squaring in a fixed order (histories.fixed_order_power); n = 0 gives the identity."""
+def _check_power(n) -> None:
     if not (isinstance(n, int) and n >= 0):
         raise ValueError(f"power must be a non-negative integer, got {n!r}")
+
+
+def power_propagator(u: np.ndarray, n: int) -> np.ndarray:
+    """U^n by repeated squaring in a fixed order (histories.fixed_order_power); n = 0 gives the identity."""
+    _check_power(n)
     return fixed_order_power(u, n)
 
 
 def evolve_state(u: np.ndarray, state: StateVector, n: int) -> StateVector:
-    """Apply n propagation steps to a pure state, in the fixed product order of power_propagator."""
+    """Apply n propagation steps to a pure state: power_propagator(u, n) times the state, in its fixed order.
+
+    The power and the product with the state are one evaluation on Python
+    floats.  For n = 0 the state is still multiplied by the identity, whose
+    products turn -0.0 into 0.0 as the fixed order does.
+    """
     if state.norm() == 0.0:
         raise ValueError("state must have nonzero norm")
-    moved = fixed_order_matmul(power_propagator(u, n), state.as_array()[:, None])[:, 0]
-    return StateVector(tuple(moved))
+    _check_power(n)
+    u = _square(u)
+    base, k = (u, n) if n else (np.eye(len(u), dtype=complex), 1)
+    moved = _fixed_order(
+        lambda product, m, psi: product(_power(product, m, k), psi), base, state.as_array()[:, None]
+    )
+    return StateVector(tuple(moved[:, 0].tolist()))

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupoidqm import (
     ALPHA,
@@ -42,7 +44,15 @@ from groupoidqm import (
     unit_history,
 )
 
-from groupoidqm.histories import _SCALAR_MAX_SIDE, _complex, _product, fixed_order_matmul, fixed_order_power
+from groupoidqm.histories import (
+    _SCALAR_MAX_SIDE,
+    _complex,
+    _product,
+    _scalar_loop,
+    _scalar_product,
+    fixed_order_matmul,
+    fixed_order_power,
+)
 
 A2 = build_a2()
 # pair:2 on x1, x2 beside a trivial outcome y: out-degrees 2, 1, 2
@@ -367,6 +377,7 @@ def python_power(m, n):
 def fixed_order_models():
     yield from signed_zero_models()
     yield A2, qubit_lagrangian(0.4, -0.9, 1.2, 0.15), qubit_bias(0.35)
+    yield A2, qubit_lagrangian(0.4, -0.9, 1.2, 0.15), qubit_bias(1e-160)  # terms through + fall to subnormals or 0
     idx = {o: i for i, o in enumerate(MIXED.outcomes)}
     ell = QLagrangian(MIXED, {e: complex(0.3 * (idx[MIXED.target[e]] + idx[MIXED.source[e]]),
                                          idx[MIXED.target[e]] - idx[MIXED.source[e]]) for e in MIXED.elements})
@@ -397,6 +408,35 @@ def test_products_follow_the_fixed_order_bit_for_bit(g, ell, bias):
             assert repr(power_propagator(u, n).tolist()) == repr(want)
             moved = evolve_state(u, StateVector(tuple(psi)), n).amplitudes
             assert repr(list(moved)) == repr([row[0] for row in python_matmul(want, [[z] for z in psi])])
+
+
+# ±0.0, subnormals, and magnitudes whose products overflow to inf (and inf - inf to nan)
+_ENTRY = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-160, 1e160, -1e200, 1.7e308]),
+)
+_MATRIX = st.lists(_ENTRY, min_size=4, max_size=4).map(lambda v: [v[:2], v[2:]])
+
+
+def _bits(parts) -> bytes:
+    return np.array(parts, dtype=float).tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.tuples(_MATRIX, _MATRIX), st.tuples(_MATRIX, _MATRIX)), min_size=1, max_size=6))
+def test_written_out_2x2_product_is_the_loop_bit_for_bit(products):
+    # each product is ((a_re, a_im), (b_re, b_im)) on Python floats
+    for a, b in products:
+        assert _bits(_scalar_product(a, b)) == _bits(_scalar_loop(a, b))
+    # float64 columns, as _unitarity_gaps gives the scan's grid: position i is product i
+    a, b = [
+        tuple(np.array([m[part] for m in ms], dtype=float).transpose(1, 2, 0) for part in (0, 1))
+        for ms in zip(*products)
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        written, loop = _bits(_scalar_product(a, b)), _bits(_scalar_loop(a, b))
+    one_by_one = np.array([_scalar_loop(*p) for p in products], dtype=float).transpose(1, 2, 3, 0)
+    assert written == loop == one_by_one.tobytes()
 
 
 def test_small_products_that_overflow_meet_numpy_error_handling():

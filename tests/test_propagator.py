@@ -353,6 +353,7 @@ def test_residuals_follow_the_fixed_order_bit_for_bit(seed):
     scan = quantization_scan(*args)
     models = scan_models(scan)
     models.append(PropagatorModel(v_plus, v_minus, 0.4, delta_, p, tau, hbar, 1 - 2j, -0.5, 3j, 0.25))
+    models.append(PropagatorModel(v_plus, v_minus, 0.4, delta_, 1e-160, tau, hbar))  # terms through + fall to subnormals
     us = np.stack([qubit_propagator(m) for m in models])
     assert fixed_order_matmul(us, us.conj()).tobytes() == b"".join(
         fixed_order_matmul(u, u.conj()).tobytes() for u in us
@@ -526,3 +527,5 @@ def test_evolve_state_identity_and_zero():
     assert np.allclose(out.as_array(), psi.as_array())
     with pytest.raises(ValueError):
         evolve_state(np.eye(2), StateVector((0.0, 0.0)), 1)
+    with pytest.raises(ValueError, match="square"):
+        evolve_state(np.ones((2, 3)), psi, 0)
