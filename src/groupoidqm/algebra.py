@@ -286,19 +286,12 @@ def state_expectation(state: StateVector | DensityMatrix, a: AlgebraElement) -> 
     raise TypeError(f"unsupported state type {type(state).__name__}")
 
 
-def element_to_lines(a: AlgebraElement) -> str:
-    """Serialize as one 'NAME = re,im' line per element, in element order."""
-    lines = []
-    for e in a.groupoid.elements:
-        c = complex(a[e])
-        lines.append(f"{e} = {c.real:.17g},{c.imag:.17g}")
-    return "\n".join(lines) + "\n"
-
-
 def element_from_lines(g: FiniteGroupoid, text: str) -> AlgebraElement:
-    """Parse the 'NAME = re,im' serialization produced by element_to_lines.
+    """Parse one 'NAME = re,im' line per element, as a hand-written weight file holds them.
 
-    Each element may be named once; a second line for it is an error.
+    Blank lines and '#' comments are skipped.  Each element may be named once;
+    a second line for it is an error.  Unnamed elements get coefficient zero;
+    re and im must be finite reals.
     """
     coeffs: dict[str, complex] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):

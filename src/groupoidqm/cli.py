@@ -41,7 +41,6 @@ from .propagator import (
     UnitarityReport,
     _step_report,
     evolve_state,
-    power_propagator,
     qubit_propagator,
     quantization_scan,
     solve_unitary_gammas,
@@ -496,7 +495,7 @@ def cmd_propagator(cfg: RunConfig, power: int | None) -> tuple[int, str]:
         report.global_phase_gap, report.frobenius_left, report.frobenius_right,
     ])
     if power is not None:
-        text += _matrix_text(f"U^{power}", power_propagator(u, power), g.outcomes)
+        text += _matrix_text(f"U^{power}", fixed_order_power(u, power), g.outcomes)
     return 0, text
 
 

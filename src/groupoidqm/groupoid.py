@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from collections.abc import ItemsView
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -320,12 +319,6 @@ class FiniteGroupoid:
                 raise KeyError(f"unknown element {missing!r}") from None
             raise NotComposable(self, beta, alpha) from None
 
-    def inverse_of(self, alpha: str) -> str:
-        return self.inverse[alpha]
-
-    def unit_at(self, outcome: str) -> str:
-        return self.unit_of[outcome]
-
 
 # a2, converted once; it is immutable, so every build_a2() returns this one value.
 _A2 = FiniteGroupoid(
@@ -458,7 +451,7 @@ def validate_axioms(g: FiniteGroupoid) -> ValidationReport:
     # The composable (b, a), row-major, and b ∘ a read from the flat table, in
     # which row b starts at b * (n + 1).  b ∘ a must map source(a) -> target(b);
     # an undefined one (index n, ends -1) is a bad cell already.
-    flat, stride = T.ravel(), n + 1
+    flat = T.ravel()
     pairs = np.flatnonzero(composable)
     pair_b, pair_a = np.divmod(pairs, n)
     made = flat[pairs + pair_b]

@@ -21,6 +21,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -444,20 +445,36 @@ def _complex(re, im) -> np.ndarray:
     return z
 
 
+def _not_finite(what: str, z: np.ndarray) -> OverflowError:
+    """The OverflowError for complex array z, naming its first entry that is not finite.
+
+    A result leaves the float range as inf or nan and stays there through
+    every later multiply and add, so this one check on a result reports any
+    overflow on the way to it, whatever np.errstate says.
+    """
+    index = tuple(np.argwhere(~np.isfinite(z))[0].tolist())
+    return OverflowError(f"{what} {list(index)} = {complex(z[index])} is not finite")
+
+
 def _fixed_order(evaluate, *ms: np.ndarray) -> np.ndarray:
     """evaluate(product, *parts) for complex matrices ms, on Python floats or float64 arrays.
 
     One matrix each of at most _SCALAR_MAX_SIDE rows and columns goes through
     _scalar_product, anything else (stacks, larger sides) through _product;
-    both give the same bits.  A result that is not finite is evaluated again
-    on arrays, so an overflow meets numpy's floating-point error handling
-    (np.errstate) as it does there.
+    both give the same bits.  A result that is not finite is an OverflowError
+    (_not_finite) on either path.
     """
     if all(m.ndim == 2 and max(m.shape) <= _SCALAR_MAX_SIDE for m in ms):
         re, im = evaluate(_scalar_product, *[(m.real.tolist(), m.imag.tolist()) for m in ms])
-        if all(map(math.isfinite, itertools.chain(*re, *im))):
-            return _complex(re, im)
-    return _complex(*evaluate(_product, *[(m.real, m.imag) for m in ms]))
+        finite = all(map(math.isfinite, itertools.chain(*re, *im)))
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            re, im = evaluate(_product, *[(m.real, m.imag) for m in ms])
+        finite = bool(np.isfinite(re).all() and np.isfinite(im).all())
+    z = _complex(re, im)
+    if not finite:
+        raise _not_finite("product entry", z)
+    return z
 
 
 def fixed_order_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -475,14 +492,21 @@ def _square(m) -> np.ndarray:
 
 
 def fixed_order_power(m: np.ndarray, n: int) -> np.ndarray:
-    """m^n by repeated squaring (_power), every product in the fixed order of _product.
+    """m^n for any integer n >= 0 by repeated squaring (_power), every product in the fixed order of _product.
 
-    O(log n) products; m^0 is the identity.
+    O(log n) products; m^0 is the identity.  n may be any integer type
+    (operator.index), a numpy integer too; anything else is a ValueError.
     """
+    try:
+        k = operator.index(n)
+    except TypeError:
+        k = -1
+    if k < 0:
+        raise ValueError(f"power must be a non-negative integer, got {n!r}")
     m = _square(m)
-    if n == 0:
+    if k == 0:
         return np.eye(len(m), dtype=complex)
-    return _fixed_order(lambda product, base: _power(product, base, n), m)
+    return _fixed_order(lambda product, base: _power(product, base, k), m)
 
 
 def n_step_path_sum(
@@ -555,36 +579,3 @@ def amplitude_via_reference(
     sigma = decompose_history(w_ref, base)
     weight = cmath.exp(-1j * action(sigma, ell) / hbar)
     return weight * z_vertex * normalization(w_ref, bias) * cmath.exp(1j * action(w_ref, ell) / hbar)
-
-
-def history_to_text(w: History) -> str:
-    """Serialize segments as 'orientation:step,step;...' ('' for the empty history)."""
-    parts = []
-    for seg in w.segments:
-        sign = "+" if seg.orientation > 0 else "-"
-        parts.append(f"{sign}:{','.join(seg.steps)}")
-    return ";".join(parts)
-
-
-def history_from_text(
-    g: FiniteGroupoid,
-    text: str,
-    start: str | None = None,
-    t_start: float = 0.0,
-    tau: float = 1.0,
-) -> History:
-    """Parse history_to_text output; start is required for the empty history."""
-    text = text.strip()
-    segments: list[tuple[int, list[str]]] = []
-    if text:
-        for part in text.split(";"):
-            sign, sep, steps = part.partition(":")
-            sign = sign.strip()
-            if not sep or sign not in ("+", "-"):
-                raise ValueError(f"bad segment {part!r}: expected '+:...' or '-:...'")
-            names = [s.strip() for s in steps.split(",") if s.strip()]
-            if not names:
-                raise ValueError(f"segment {part!r} lists no steps")
-            segments.append((+1 if sign == "+" else -1, names))
-    n_total = sum(len(s) for _, s in segments)
-    return make_history(g, TimeGrid(t_start, tau, n_total), segments, start=start)

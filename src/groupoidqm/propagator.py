@@ -27,7 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import StateVector
-from .histories import _amplitude, _complex, _exp, _fixed_order, _power, _scalar_product, _square, fixed_order_power
+from .histories import (
+    _amplitude, _complex, _exp, _not_finite, _scalar_product, _square, fixed_order_matmul, fixed_order_power,
+)
 
 FEASIBLE_TOL = 1e-10
 
@@ -157,20 +159,17 @@ def qubit_propagator(model: PropagatorModel) -> np.ndarray:
 
     With unit vertex factors this reproduces the one-step path sum bit for
     bit, because the kernel is computed through the same amplitude
-    arithmetic.  The point is evaluated on Python floats; when an entry is
-    not finite, the vertex products are formed again on float64 arrays (the
-    one overflow fallback), so the overflow meets numpy's floating-point
-    error handling.
+    arithmetic.  The point is evaluated on Python floats; an entry that is
+    not finite is an OverflowError naming it.
     """
     gammas, kernel = model.gammas, _kernel(model)
     (re_mm, im_mm), (re_mp, im_mp), (re_pm, im_pm), (re_pp, im_pp) = [
         _vertex_times(g, k.real, k.imag) for g, k in zip(gammas, kernel)
     ]
-    re, im = [[re_mm, re_mp], [re_pm, re_pp]], [[im_mm, im_mp], [im_pm, im_pp]]
-    if not all(map(math.isfinite, (*re[0], *re[1], *im[0], *im[1]))):
-        k = np.array(kernel)
-        return _complex(*_vertex_times(np.array(gammas), k.real, k.imag)).reshape(2, 2)
-    return _complex(re, im)
+    u = _complex([[re_mm, re_mp], [re_pm, re_pp]], [[im_mm, im_mp], [im_pm, im_pp]])
+    if not all(map(math.isfinite, (re_mm, re_mp, re_pm, re_pp, im_mm, im_mp, im_pm, im_pp))):
+        raise _not_finite("step matrix entry", u)
+    return u
 
 
 def _scan_step(model: PropagatorModel, mus: np.ndarray) -> tuple[list[list], list[list]]:
@@ -231,14 +230,13 @@ def _residuals(u: np.ndarray) -> np.ndarray:
     """|U U* - 1| then |U* U - 1|, entries row by row, of one 2x2 step matrix: shape (8,).
 
     The gaps are _unitarity_gaps' on Python floats; the magnitudes are
-    np.hypot, as abs() of a complex scalar.  When a gap is not finite, the
-    gaps are formed again on float64 arrays of one element (the one overflow
-    fallback), so the overflow meets numpy's floating-point error handling.
+    np.hypot, as abs() of a complex scalar.  A gap that is not finite is an
+    OverflowError naming its position in that order.
     """
     re, im = _unitarity_gaps(u.real.tolist(), u.imag.tolist())
     if not all(map(math.isfinite, re + im)):
-        re, im = _unitarity_gaps(u.real[..., None], u.imag[..., None])
-    return np.hypot(re, im).reshape(8)
+        raise _not_finite("unitarity gap", _complex(re, im))
+    return np.hypot(re, im)
 
 
 def _step_report(model: PropagatorModel, u: np.ndarray) -> UnitarityReport:
@@ -455,30 +453,16 @@ def uniform_free_spectrum(
     return (0.5 * (gamma + gamma_prime * e), 0.5 * (gamma - gamma_prime * e))
 
 
-def _check_power(n) -> None:
-    if not (isinstance(n, int) and n >= 0):
-        raise ValueError(f"power must be a non-negative integer, got {n!r}")
-
-
-def power_propagator(u: np.ndarray, n: int) -> np.ndarray:
-    """U^n by repeated squaring in a fixed order (histories.fixed_order_power); n = 0 gives the identity."""
-    _check_power(n)
-    return fixed_order_power(u, n)
-
-
 def evolve_state(u: np.ndarray, state: StateVector, n: int) -> StateVector:
-    """Apply n propagation steps to a pure state: power_propagator(u, n) times the state, in its fixed order.
+    """Apply n propagation steps to a pure state: fixed_order_power(u, n) times the state, in its fixed order.
 
-    The power and the product with the state are one evaluation on Python
-    floats.  For n = 0 the state is still multiplied by the identity, whose
-    products turn -0.0 into 0.0 as the fixed order does.
+    For n = 0 the state is still multiplied by the identity, whose products
+    turn -0.0 into 0.0 as the fixed order does.
     """
     if state.norm() == 0.0:
         raise ValueError("state must have nonzero norm")
-    _check_power(n)
     u = _square(u)
-    base, k = (u, n) if n else (np.eye(len(u), dtype=complex), 1)
-    moved = _fixed_order(
-        lambda product, m, psi: product(_power(product, m, k), psi), base, state.as_array()[:, None]
-    )
+    if len(state.amplitudes) != len(u):
+        raise ValueError(f"state has {len(state.amplitudes)} amplitudes, the step matrix has side {len(u)}")
+    moved = fixed_order_matmul(fixed_order_power(u, n), state.as_array()[:, None])
     return StateVector(tuple(moved[:, 0].tolist()))

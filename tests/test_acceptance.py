@@ -28,6 +28,7 @@ from groupoidqm import (
     convolve,
     enumerate_histories,
     evolve_state,
+    fixed_order_power,
     fundamental_rep,
     history_amplitude,
     invert_history,
@@ -36,7 +37,6 @@ from groupoidqm import (
     n_step_path_sum,
     operator_norm,
     pair_element,
-    power_propagator,
     quantization_scan,
     qubit_bias,
     qubit_lagrangian,
@@ -358,10 +358,10 @@ def test_criterion_09_worked_unitary_instance():
     )
     ket_minus = StateVector((1.0 + 0j, 0j))
     # warm path so the timed run measures the computation, not first-call setup
-    evolve_state(power_propagator(qubit_propagator(model), 2), ket_minus, 2)
+    evolve_state(fixed_order_power(qubit_propagator(model), 2), ket_minus, 2)
     start = time.perf_counter()
     u = qubit_propagator(model)
-    u2 = power_propagator(u, 2)
+    u2 = fixed_order_power(u, 2)
     evolved = evolve_state(u, ket_minus, 2)
     elapsed = time.perf_counter() - start
     gap_u = float(np.max(np.abs(u - np.array([[1.0, 1j], [1j, 1.0]]) / r2)))

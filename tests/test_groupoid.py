@@ -72,9 +72,9 @@ def test_a2_structure():
     g = build_a2()
     assert g.outcomes == (OUT_MINUS, OUT_PLUS)
     assert g.source[ALPHA] == OUT_PLUS and g.target[ALPHA] == OUT_MINUS
-    assert g.inverse_of(ALPHA) == ALPHA_INV
-    assert g.inverse_of(UNIT_MINUS) == UNIT_MINUS
-    assert g.unit_at(OUT_PLUS) == UNIT_PLUS
+    assert g.inverse[ALPHA] == ALPHA_INV
+    assert g.inverse[UNIT_MINUS] == UNIT_MINUS
+    assert g.unit_of[OUT_PLUS] == UNIT_PLUS
     assert validate_axioms(g).ok
 
 
@@ -101,8 +101,8 @@ def test_pair_groupoid_counts_and_rule():
         assert validate_axioms(g).ok
     g = build_pair_groupoid(["a", "b", "c"])
     assert g.compose(pair_element("c", "b"), pair_element("b", "a")) == pair_element("c", "a")
-    assert g.inverse_of(pair_element("c", "a")) == pair_element("a", "c")
-    assert g.unit_at("b") == pair_element("b", "b")
+    assert g.inverse[pair_element("c", "a")] == pair_element("a", "c")
+    assert g.unit_of["b"] == pair_element("b", "b")
     # (z,y) after (y',x) only chains when y == y'
     assert not g.is_composable(pair_element("c", "b"), pair_element("a", "a"))
 
@@ -287,6 +287,24 @@ def test_build_from_table_unit_inference_needs_unique_loop():
 def test_build_from_table_reports_line_numbers():
     with pytest.raises(GroupoidParseError, match="line 2"):
         build_from_table("outcomes: a\nbogus: x\n")
+
+
+@pytest.mark.parametrize("line", ["compose: s s e e", "compose: s s =", "compose: s s = e e"])
+def test_build_from_table_rejects_a_malformed_compose_line(line):
+    text = GROUP_Z2.replace("compose: s s = e", line)
+    lineno = text.splitlines().index(line) + 1
+    with pytest.raises(GroupoidParseError, match=f"^line {lineno}: compose line needs BETA ALPHA = GAMMA$"):
+        build_from_table(text)
+
+
+def test_build_from_table_infers_the_units_of_a2():
+    # each outcome of a2 has one loop, its unit, so no unit line is needed
+    text = "".join(line for line in groupoid_to_text(build_a2()).splitlines(keepends=True)
+                   if not line.startswith("unit:"))
+    assert "unit:" not in text
+    g = build_from_table(text)
+    assert g == build_a2()
+    assert g.unit_of[OUT_MINUS] == UNIT_MINUS and g.unit_of[OUT_PLUS] == UNIT_PLUS
 
 
 def test_outcome_partition_validation():

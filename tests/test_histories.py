@@ -14,7 +14,6 @@ from groupoidqm import (
     EnumerationCapExceeded,
     OutcomeBias,
     QLagrangian,
-    Segment,
     StateVector,
     TimeGrid,
     UNIT_MINUS,
@@ -30,13 +29,10 @@ from groupoidqm import (
     enumerate_histories,
     evolve_state,
     history_amplitude,
-    history_from_text,
-    history_to_text,
     invert_history,
     is_loop,
     make_history,
     n_step_path_sum,
-    power_propagator,
     qubit_bias,
     qubit_lagrangian,
     single_step_matrix,
@@ -46,8 +42,6 @@ from groupoidqm import (
 
 from groupoidqm.histories import (
     _SCALAR_MAX_SIDE,
-    _complex,
-    _product,
     _scalar_loop,
     _scalar_product,
     fixed_order_matmul,
@@ -405,7 +399,7 @@ def test_products_follow_the_fixed_order_bit_for_bit(g, ell, bias):
             assert repr(n_step_path_sum(g, ell, bias, 0.8, 1.1, n).tolist()) == repr(python_power(m.tolist(), n))
         for u in (m, -m):  # single_step_matrix holds no -0.0; its negation turns every zero into one
             want = python_power(u.tolist(), n)
-            assert repr(power_propagator(u, n).tolist()) == repr(want)
+            assert repr(fixed_order_power(u, n).tolist()) == repr(want)
             moved = evolve_state(u, StateVector(tuple(psi)), n).amplitudes
             assert repr(list(moved)) == repr([row[0] for row in python_matmul(want, [[z] for z in psi])])
 
@@ -439,16 +433,22 @@ def test_written_out_2x2_product_is_the_loop_bit_for_bit(products):
     assert written == loop == one_by_one.tobytes()
 
 
-def test_small_products_that_overflow_meet_numpy_error_handling():
-    # a product on Python floats overflows silently; it is evaluated again on arrays
-    m = np.full((2, 2), complex(1e200, -1e200))
-    with np.errstate(over="raise", invalid="raise"):
-        for product in (lambda: fixed_order_matmul(m, m), lambda: fixed_order_power(m, 2)):
-            with pytest.raises(FloatingPointError):
+@pytest.mark.parametrize("errstate", ["ignore", "raise"])
+@pytest.mark.parametrize("side", [2, _SCALAR_MAX_SIDE + 1])
+def test_products_that_overflow_are_overflow_errors(errstate, side):
+    # on Python floats (side 2) and on arrays (a larger side, a stack), whatever numpy's error handling says
+    m = np.full((side, side), complex(1e200, -1e200))
+    stack = np.stack([np.eye(side), m])
+    first = r"\[0, 0\] = \(-?\w+[+-]-?\w+j\) is not finite$"
+    with np.errstate(all=errstate):
+        for product, index in [
+            (lambda: fixed_order_matmul(m, m), first),
+            (lambda: fixed_order_power(m, 2), first),
+            (lambda: fixed_order_power(m, 3), first),
+            (lambda: fixed_order_matmul(stack, stack), r"\[1, 0, 0\] = "),
+        ]:
+            with pytest.raises(OverflowError, match=f"^product entry {index}"):
                 product()
-    with np.errstate(over="ignore", invalid="ignore"):
-        want = _complex(*_product((m.real, m.imag), (m.real, m.imag)))
-        assert fixed_order_matmul(m, m).tobytes() == fixed_order_power(m, 2).tobytes() == want.tobytes()
 
 
 def lexicographic_walks(g, start, end, n_steps):
@@ -516,16 +516,3 @@ def test_reference_independence_quick():
         1j * action(base, ell).conjugate()
     )
     assert a2 == pytest.approx(want, abs=1e-14)
-
-
-def test_history_text_round_trip():
-    w = make_history(
-        A2,
-        TimeGrid(0.0, 1.0, 3),
-        ((+1, (ALPHA_INV, UNIT_PLUS)), (-1, (ALPHA,))),
-    )
-    text = history_to_text(w)
-    assert text == f"+:{ALPHA_INV},{UNIT_PLUS};-:{ALPHA}"
-    assert history_from_text(A2, text) == w
-    empty = unit_history(A2, "+")
-    assert history_from_text(A2, history_to_text(empty), start="+") == empty

@@ -13,7 +13,7 @@ from groupoidqm import (
     SignCase,
     StateVector,
     evolve_state,
-    power_propagator,
+    fixed_order_power,
     quantization_scan,
     qubit_propagator,
     sign_case_matrix,
@@ -322,20 +322,20 @@ def test_scan_step_keeps_the_signs_of_underflowed_flips():
         assert repr(u.tolist()) == repr(qubit_propagator(model).tolist())
 
 
-def test_point_residuals_that_overflow_meet_numpy_error_handling():
-    # the entry or |U|^2 passes the float range; the point is evaluated again on arrays, where numpy raises
+@pytest.mark.parametrize("errstate", ["ignore", "raise"])
+def test_point_results_that_overflow_are_overflow_errors(errstate):
+    # the entry or |U|^2 passes the float range: one OverflowError naming the first such entry,
+    # whatever numpy's error handling says
     m = PropagatorModel(0.0, 0.0, 0.3, 0.0, 0.5, 1.0, 1.0, gamma_mm=complex(1e200, 1e200))
     big_flip = PropagatorModel(0.0, 0.0, 0.3, -400.0, 0.5, 1.0, 1.0, gamma_mp=1e200)  # G_mp exp(400) overflows
-    with np.errstate(over="raise", invalid="raise"):
-        with pytest.raises(FloatingPointError):
+    with np.errstate(all=errstate):
+        u = qubit_propagator(m)  # finite: only |U|^2 overflows
+        with pytest.raises(OverflowError, match=r"^unitarity gap \[0\] = \(inf[+-]nanj\) is not finite$"):
             unitarity_residuals(m)
-        with pytest.raises(FloatingPointError):
+        with pytest.raises(OverflowError, match=r"^unitarity gap \[0\] = "):
+            _residuals(u)
+        with pytest.raises(OverflowError, match=r"^step matrix entry \[0, 1\] = \(-?inf[+-]-?\w+j\) is not finite$"):
             qubit_propagator(big_flip)
-    with np.errstate(over="ignore", invalid="ignore"):
-        u = qubit_propagator(m)
-        uh = u.conj().T
-        gap = np.stack([fixed_order_matmul(u, uh), fixed_order_matmul(uh, u)]) - np.eye(2)
-        assert _residuals(u).tobytes() == np.hypot(gap.real, gap.imag).reshape(8).tobytes()
 
 
 def python_residuals(u):
@@ -487,28 +487,38 @@ def test_uniform_free_spectrum():
     assert (lam_plus, lam_minus) == (2.0, 0.0)
     m = uniform_free_matrix(SQRT2, SQRT2, math.pi / 2, 1.0, 1.0)
     assert _matched(uniform_free_spectrum(SQRT2, SQRT2, math.pi / 2, 1.0, 1.0), m)
+    # the phase is mu tau / hbar: tau and hbar away from 1 tell it from mu tau hbar, mu / tau, ...
+    g, g_prime, mu, tau, hbar = 1.3 - 0.2j, 0.4 + 0.9j, 0.7, 0.3, 1.9
+    e = cmath.exp(1j * mu * tau / hbar)
+    m = uniform_free_matrix(g, g_prime, mu, tau, hbar)
+    assert np.allclose(m, 0.5 * np.array([[g, g_prime * e], [g_prime * e, g]]), rtol=0, atol=1e-15)
+    lam_plus, lam_minus = uniform_free_spectrum(g, g_prime, mu, tau, hbar)
+    assert lam_plus == pytest.approx(0.5 * (g + g_prime * e), abs=1e-15)
+    assert lam_minus == pytest.approx(0.5 * (g - g_prime * e), abs=1e-15)
 
 
 def test_power_propagator():
     u = qubit_propagator(sqrt2_model())
-    assert np.array_equal(power_propagator(u, 0), np.eye(2))
-    assert np.allclose(power_propagator(u, 5), u @ u @ u @ u @ u, atol=1e-14)
-    n1n2 = power_propagator(u, 7)
-    assert np.allclose(n1n2, power_propagator(u, 3) @ power_propagator(u, 4), atol=1e-12)
-    with pytest.raises(ValueError):
-        power_propagator(u, -1)
+    assert np.array_equal(fixed_order_power(u, 0), np.eye(2))
+    assert np.allclose(fixed_order_power(u, 5), u @ u @ u @ u @ u, atol=1e-14)
+    n1n2 = fixed_order_power(u, 7)
+    assert np.allclose(n1n2, fixed_order_power(u, 3) @ fixed_order_power(u, 4), atol=1e-12)
+    assert fixed_order_power(u, np.int64(7)).tobytes() == n1n2.tobytes()
+    for bad in (-1, np.int64(-3), 2.0, "2", None):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            fixed_order_power(u, bad)
     with pytest.raises(ValueError, match="square"):
-        power_propagator(np.ones((2, 3)), 2)
+        fixed_order_power(np.ones((2, 3)), 2)
 
 
 def test_power_propagator_preserves_unitarity():
     # exactly-unitary base: no defect to amplify, even at a million steps
     flip = np.array([[0.0, 1j], [1j, 0.0]])
-    big = power_propagator(flip, 10 ** 6)
+    big = fixed_order_power(flip, 10 ** 6)
     assert np.linalg.norm(big @ big.conj().T - np.eye(2), "fro") <= 1e-10
     # a base carrying ~1e-16 rounding defect amplifies it linearly in N
     u = qubit_propagator(sqrt2_model())
-    mid = power_propagator(u, 10 ** 4)
+    mid = fixed_order_power(u, 10 ** 4)
     assert np.linalg.norm(mid @ mid.conj().T - np.eye(2), "fro") <= 1e-11
 
 
@@ -529,3 +539,8 @@ def test_evolve_state_identity_and_zero():
         evolve_state(np.eye(2), StateVector((0.0, 0.0)), 1)
     with pytest.raises(ValueError, match="square"):
         evolve_state(np.ones((2, 3)), psi, 0)
+    with pytest.raises(ValueError, match="non-negative integer"):
+        evolve_state(np.eye(2), psi, -1)
+    for amplitudes in ((1.0, 0.0, 0.5), (1.0,)):
+        with pytest.raises(ValueError, match=f"^state has {len(amplitudes)} amplitudes, the step matrix has side 2$"):
+            evolve_state(np.eye(2), StateVector(amplitudes), 1)
