@@ -26,6 +26,7 @@ from .groupoid import (
     MAX_ELEMENTS,
     FiniteGroupoid,
     OutcomePartition,
+    _TABLE_BYTES,
     build_a2,
     build_from_table,
     build_pair_groupoid,
@@ -51,9 +52,10 @@ SWEEP_HEADER = (
     "gamma_mm_re,gamma_mm_im,gamma_pm_re,gamma_pm_im,"
     "gamma_mp_re,gamma_mp_im,gamma_pp_re,gamma_pp_im"
 )
-# A sweep holds every point at once.  At this cap its tracemalloc peak is ~41-45 MB
-# (with the gamma columns' width), nearly all of it CSV text: the row strings and
-# the joined output; the scan itself peaks near 22 MB and keeps ~2.5 MB.
+# A sweep holds every point at once.  At this cap its tracemalloc peak is ~23 MB on
+# the default model (~39 MB when every printed number takes its full 24 characters):
+# the CSV text twice, as blocks of rows and joined, beside the scan's columns (~2.5 MB
+# kept); the scan itself peaks near 22 MB.
 MAX_SWEEP_POINTS = 100_000
 
 
@@ -321,20 +323,15 @@ def _finite(text: str) -> float:
 
 
 def _format(template: str, values: list[float]) -> str:
-    """template % values, a %.17g in template per float; the first value that is not finite is an error instead."""
-    for x in values:
-        if not math.isfinite(x):
-            raise ValueError(f"a computed result is not finite ({x})")
+    """template % values, a %.17g in template per float; the first value that is not finite is an error instead.
+
+    Every float a command prints passes through here.
+    """
+    if not math.isfinite(sum(values)):  # inf and nan survive any sum, so a finite sum proves every value finite
+        for x in values:
+            if not math.isfinite(x):
+                raise ValueError(f"a computed result is not finite ({x})")
     return template % tuple(values)
-
-
-def _fmt(x: float) -> str:
-    return _format("%.17g", [float(x)])
-
-
-def _fmt_c(z: complex) -> str:
-    z = complex(z)
-    return _format("%.17g,%.17g", [z.real, z.imag])
 
 
 def _pair_size(spec: str, line: int | None = None, column: int | None = None) -> int | None:
@@ -432,8 +429,10 @@ def _step_from_config(cfg: RunConfig) -> tuple[PropagatorModel, np.ndarray, Unit
     return model, qubit_propagator(model), None
 
 
-def _matrix_text(label: str, m: np.ndarray, outcomes: tuple[str, ...]) -> str:
-    template = "".join(f"{label}[{b}][{a}] = %.17g,%.17g\n" for b in outcomes for a in outcomes)
+def _matrix_text(entry: str, m: np.ndarray, outcomes: tuple[str, ...]) -> str:
+    """One line per entry of m, row by row: entry.format(b=row outcome, a=column outcome), one %.17g,%.17g in it."""
+    names = [o.replace("%", "%%") for o in outcomes]  # a label is literal text in the template
+    template = "".join(entry.format(b=b, a=a) for b in names for a in names)
     return _format(template, [x for row in m.tolist() for z in row for x in (z.real, z.imag)])
 
 
@@ -487,7 +486,7 @@ def cmd_propagator(cfg: RunConfig, power: int | None) -> tuple[int, str]:
     model, u, report = _step_from_config(cfg)
     if report is None:  # the step matrix is already built: take its residuals, do not rebuild it
         report = _step_report(model, u)
-    text = _matrix_text("U", u, g.outcomes)
+    text = _matrix_text("U[{b}][{a}] = %.17g,%.17g\n", u, g.outcomes)
     if cfg.gamma_mode == "solve":
         text += _format(_GAMMAS, [x for z in model.gammas for x in (z.real, z.imag)])
     text += _format(_REPORT, [
@@ -495,7 +494,7 @@ def cmd_propagator(cfg: RunConfig, power: int | None) -> tuple[int, str]:
         report.global_phase_gap, report.frobenius_left, report.frobenius_right,
     ])
     if power is not None:
-        text += _matrix_text(f"U^{power}", fixed_order_power(u, power), g.outcomes)
+        text += _matrix_text(f"U^{power}[{{b}}][{{a}}] = %.17g,%.17g\n", fixed_order_power(u, power), g.outcomes)
     return 0, text
 
 
@@ -510,10 +509,7 @@ def cmd_pathsum(cfg: RunConfig, steps: int | None, check_semigroup: str | None) 
         raise ConfigError(f"pathsum requires steps >= 1, got {n}")
     k = single_step_matrix(g, ell, bias, cfg.tau, cfg.hbar)  # n_step_path_sum's K, built once for every power
     m = fixed_order_power(k, n)
-    lines = ["row,col,re,im"]
-    for i, b in enumerate(g.outcomes):
-        for j, a in enumerate(g.outcomes):
-            lines.append(f"{b},{a},{_fmt(m[i, j].real)},{_fmt(m[i, j].imag)}")
+    text = "row,col,re,im\n" + _matrix_text("{b},{a},%.17g,%.17g\n", m, g.outcomes)
     if check_semigroup is not None:
         left, sep, right = check_semigroup.partition("+")
         try:
@@ -528,28 +524,32 @@ def cmd_pathsum(cfg: RunConfig, steps: int | None, check_semigroup: str | None) 
         m2 = m1 if n2 == n1 else fixed_order_power(k, n2)
         gap = m - fixed_order_matmul(m2, m1)
         deviation = float(np.hypot(gap.real, gap.imag).max())
-        lines.append(f"semigroup_deviation = {_fmt(deviation)}")
-    return 0, _text(lines)
+        text += _format("semigroup_deviation = %.17g\n", [deviation])
+    return 0, text
 
 
 def cmd_sweep(cfg: RunConfig) -> tuple[int, str]:
     if cfg.sweep is None:
         raise ConfigError("sweep command requires a sweep block in the config")
     _, start, stop, count = cfg.sweep
-    grid = np.linspace(start, stop, count)
+    with np.errstate(over="ignore", invalid="ignore"):  # quantization_scan names a grid point that is not finite
+        grid = np.linspace(start, stop, count)
     scan = quantization_scan(
         cfg.v_plus, cfg.v_minus, cfg.delta, cfg.p_plus, cfg.tau, cfg.hbar,
         cfg.lam, cfg.sigma, cfg.gauge, grid,
     )
-    for column in (scan.mu_tau_over_hbar, scan.min_residual):
-        finite = np.isfinite(column)
-        if not finite.all():
-            raise ValueError(f"a computed result is not finite ({column[~finite][0]})")
     m = scan.model  # the vertex factors do not depend on mu
-    gammas = ",".join(_fmt_c(z) for z in (m.gamma_mm, m.gamma_pm, m.gamma_mp, m.gamma_pp))
-    row = "%.17g,%d,%.17g," + gammas  # no % to escape: gammas holds digits, signs, dots, e and commas
-    columns = zip(scan.mu_tau_over_hbar.tolist(), scan.feasible_mask.tolist(), scan.min_residual.tolist())
-    return 0, _text([SWEEP_HEADER, *[row % values for values in columns]])
+    gammas = [x for z in (m.gamma_mm, m.gamma_pm, m.gamma_mp, m.gamma_pp) for x in (z.real, z.imag)]
+    tail = _format(",%.17g" * 8, gammas) + "\n"  # digits, signs, dots, e and commas: no % to escape
+    rows = ("%.17g,0,%.17g" + tail, "%.17g,1,%.17g" + tail)  # by the feasible flag
+    # One % per block of rows, each block's text at most _TABLE_BYTES: a %.17g is at most 24 characters.
+    step = max(1, _TABLE_BYTES // len(rows[0] % (-sys.float_info.min, -sys.float_info.min)))
+    columns = np.column_stack((scan.mu_tau_over_hbar, scan.min_residual))
+    blocks = [SWEEP_HEADER + "\n"]
+    for lo in range(0, count, step):
+        template = "".join([rows[flag] for flag in scan.feasible_mask[lo : lo + step].tolist()])
+        blocks.append(_format(template, columns[lo : lo + step].ravel().tolist()))
+    return 0, "".join(blocks)
 
 
 def _parse_state(spec: str, size: int) -> StateVector:
@@ -595,8 +595,10 @@ def cmd_coarse_grain(cfg: RunConfig, partition_spec: str) -> tuple[int, str]:
     )
     partition = OutcomePartition(blocks)
     quotient, ell2 = coarse_grain(g, partition, ell)
-    weights = [f"{e} = {_fmt_c(ell2[e])}" for e in quotient.elements]
-    return 0, multiplication_table(quotient) + _text(["", "lagrangian:", *weights])
+    names = [e.replace("%", "%%") for e in quotient.elements]  # a label is literal text in the template
+    template = "\nlagrangian:\n" + "".join(f"{e} = %.17g,%.17g\n" for e in names)
+    values = [x for z in ell2.weights_on(quotient).tolist() for x in (z.real, z.imag)]
+    return 0, multiplication_table(quotient) + _format(template, values)
 
 
 class _Option(NamedTuple):

@@ -39,9 +39,10 @@ ALPHA_INV = "alpha^-1"
 
 # Composable triples gathered per associativity step; bounds validation memory.
 _ASSOC_CHUNK = 4096
-# Bytes multiplication_table gathers per step (whole rows, at least one).  Under
-# glibc malloc's 128 KiB mmap threshold, so the gather buffer comes from the heap
-# rather than a fresh mapping whose pages fault in again on every render.
+# Bytes multiplication_table gathers per step (whole rows, at least one), and the
+# most text the CLI's sweep formats per block of rows.  Under glibc malloc's 128 KiB
+# mmap threshold, so the gather buffer, a block's template and its text come from
+# the heap rather than a fresh mapping whose pages fault in again on every render.
 _TABLE_BYTES = 96 * 1024
 # Elements per groupoid, checked before any table is built.  The compose table
 # is 4(E+1)^2 bytes; at the ceiling (pair:32) the CLI's `table` command peaks at

@@ -251,10 +251,14 @@ def _exp(z: complex) -> complex:
 
     cmath.exp would return nan for some such z and raise ValueError for
     others; either way the cause is the float range, so it is reported as such.
+    A finite z whose exponential overflows is an OverflowError naming z too.
     """
     if not cmath.isfinite(z):
         raise OverflowError(f"exponent {z} is not finite")
-    return cmath.exp(z)
+    try:
+        return cmath.exp(z)
+    except OverflowError:
+        raise OverflowError(f"exp of exponent {z} overflows") from None
 
 
 def _amplitude(bias, start, end, s: complex, hbar: float) -> complex:
@@ -446,14 +450,14 @@ def _complex(re, im) -> np.ndarray:
 
 
 def _not_finite(what: str, z: np.ndarray) -> OverflowError:
-    """The OverflowError for complex array z, naming its first entry that is not finite.
+    """The OverflowError for array z (complex or float64), naming its first entry that is not finite.
 
     A result leaves the float range as inf or nan and stays there through
     every later multiply and add, so this one check on a result reports any
     overflow on the way to it, whatever np.errstate says.
     """
     index = tuple(np.argwhere(~np.isfinite(z))[0].tolist())
-    return OverflowError(f"{what} {list(index)} = {complex(z[index])} is not finite")
+    return OverflowError(f"{what} {list(index)} = {z[index].item()} is not finite")
 
 
 def _fixed_order(evaluate, *ms: np.ndarray) -> np.ndarray:

@@ -196,9 +196,8 @@ def _scan_step(model: PropagatorModel, mus: np.ndarray) -> tuple[list[list], lis
     ]
     z = np.empty((2, len(mus)), dtype=complex)  # the exponents of K[-][+] and K[+][-]
     z.real[0], z.real[1], z.imag = -(model.delta * tau) / hbar, (model.delta * tau) / hbar, mus * tau / hbar
-    finite = np.isfinite(z)
-    if not finite.all():
-        raise OverflowError(f"exponent {complex(z[~finite][0])} is not finite")
+    if not np.isfinite(z).all():
+        raise _not_finite("exponent", z)
     np.exp(z, out=z)
     root = math.sqrt(model.p_plus * model.p_minus)
     k_re, k_im = root * z.real + 0.0, root * z.imag + 0.0  # 0j + root * exp(...), as _kernel forms it
@@ -239,10 +238,22 @@ def _residuals(u: np.ndarray) -> np.ndarray:
     return np.hypot(re, im)
 
 
+def _growth(delta: float, tau: float, hbar: float) -> float:
+    """exp(2 delta tau / hbar), the ratio |G_mp| / |G_pm| that unitarity pins.
+
+    An overflow is an OverflowError naming the exponent, not math.exp's "math range error".
+    """
+    x = 2.0 * delta * tau / hbar
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise OverflowError(f"exp of exponent {x} overflows") from None
+
+
 def _step_report(model: PropagatorModel, u: np.ndarray) -> UnitarityReport:
     """The report on model, whose step matrix is u."""
     r = tuple(_residuals(u).tolist())
-    growth = math.exp(2.0 * model.delta * model.tau / model.hbar)
+    growth = _growth(model.delta, model.tau, model.hbar)
     pm = abs(model.gamma_pm)
     relation1_gap = abs(abs(model.gamma_mp) / pm - growth) if pm else math.inf
     relation2_gap = abs(abs(model.gamma_mm) * model.p_minus - abs(model.gamma_pp) * model.p_plus)
@@ -309,7 +320,7 @@ def _pinned_model(
     not depend on mu.
     """
     p_minus = 1.0 - p_plus
-    growth = math.exp(2.0 * delta * tau / hbar)
+    growth = _growth(delta, tau, hbar)
     s = 1.0 - gauge * gauge * p_plus * p_minus * growth
     g_pp = math.sqrt(max(s, 0.0)) / p_plus
     model = PropagatorModel(
@@ -405,15 +416,25 @@ def quantization_scan(
     eight gaps of U U* - 1 and U* U - 1 (_unitarity_gaps), their np.hypot
     and a running np.maximum.  No per-point object and no stack of matrices
     is built.
+
+    The columns are computed under np.errstate(over="ignore",
+    invalid="ignore"), so the error does not depend on the caller's errstate:
+    the first grid point, flip exponent (_scan_step) or min_residual that is
+    not finite is an OverflowError naming it and its index.
     """
     _check_solve_args(p_plus, tau, hbar, gauge)
     xs = np.array(grid, dtype=float)  # a copy: the caller's grid stays writable
-    mus = xs * hbar / tau
+    if not np.isfinite(xs).all():
+        raise _not_finite("grid point", xs)
     model, s = _pinned_model(v_plus, v_minus, 0.0, delta, p_plus, tau, hbar, lam, sigma, gauge)
-    gap_re, gap_im = _unitarity_gaps(*_scan_step(model, mus))
-    worst = np.hypot(gap_re[0], gap_im[0])
-    for re, im in zip(gap_re[1:], gap_im[1:]):
-        np.maximum(worst, np.hypot(re, im), out=worst)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mus = xs * hbar / tau
+        gap_re, gap_im = _unitarity_gaps(*_scan_step(model, mus))
+        worst = np.hypot(gap_re[0], gap_im[0])
+        for re, im in zip(gap_re[1:], gap_im[1:]):
+            np.maximum(worst, np.hypot(re, im), out=worst)
+    if not np.isfinite(worst).all():
+        raise _not_finite("min_residual", worst)
     columns = (mus, xs, worst, np.logical_and(s >= 0.0, worst <= feasible_tol))
     for column in columns:
         column.flags.writeable = False

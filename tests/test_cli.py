@@ -35,7 +35,6 @@ from groupoidqm.cli import (
     SWEEP_HEADER,
     ConfigError,
     RunConfig,
-    _fmt,
     main,
     parse_config,
 )
@@ -186,6 +185,25 @@ def test_commands_at_the_element_ceiling_stay_within_the_stated_memory(tmp_path,
             tracemalloc.stop()
         assert rc == 0 and out
         assert peaks[command] <= 1.25 * stated_mib, peaks
+
+
+def test_sweep_at_the_point_ceiling_stays_within_the_stated_memory():
+    # the text is built a block of rows at a time, so the CSV is held about twice:
+    # the blocks and their joined text (~9.1 MB each here), beside the scan's columns
+    import tracemalloc
+
+    cfg = parse_config(
+        f"sweep_parameter = mu_tau_over_hbar\nsweep_from = 0\nsweep_to = {2 * math.pi!r}\n"
+        f"sweep_points = {MAX_SWEEP_POINTS}\n"
+    )
+    tracemalloc.start()
+    try:
+        rc, out = cli.cmd_sweep(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0 and out.count("\n") == MAX_SWEEP_POINTS + 1
+    assert peak < 30e6, f"{peak / 1e6:.1f} MB"
 
 
 def test_weight_file_naming_an_element_twice_exits_1(tmp_path, capsys):
@@ -469,9 +487,9 @@ def _sweep_reference(v, start, stop, count):
             v["tau"], v["hbar"], lam=v["Lambda"], sigma=v["Sigma"], gauge=v["gauge"],
         )
         m = sol.model
-        gammas = [_fmt(part) for z in (m.gamma_mm, m.gamma_pm, m.gamma_mp, m.gamma_pp)
+        gammas = ["%.17g" % part for z in (m.gamma_mm, m.gamma_pm, m.gamma_mp, m.gamma_pp)
                   for part in (z.real, z.imag)]
-        rows.append(",".join([_fmt(x), "1" if sol.feasible else "0", _fmt(sol.min_residual), *gammas]))
+        rows.append(",".join(["%.17g" % x, "1" if sol.feasible else "0", "%.17g" % sol.min_residual, *gammas]))
     return "\n".join(rows) + "\n"
 
 
@@ -490,7 +508,8 @@ def _phase_root(v):
         (0.2, 0.5, -6 * math.pi),  # negative grid
     ],
 )
-def test_sweep_matches_single_solves(tmp_path, capsys, p_plus, radicand, shift):
+def test_sweep_matches_single_solves(tmp_path, capsys, monkeypatch, p_plus, radicand, shift):
+    # 1801 points: the rows span more than two blocks, and the phase roots (rows 210 and 1110) lie on the grid
     v = dict(_SWEEP_VALUES, p_plus=p_plus)
     growth = math.exp(2.0 * v["delta"] * v["tau"] / v["hbar"])
     v["gauge"] = math.sqrt((1.0 - radicand) / (p_plus * (1.0 - p_plus) * growth))
@@ -498,19 +517,29 @@ def test_sweep_matches_single_solves(tmp_path, capsys, p_plus, radicand, shift):
     stop = start + 2 * math.pi
     text = "".join(f"{k} = {x!r}\n" for k, x in v.items()) + (
         f"sweep_parameter = mu_tau_over_hbar\nsweep_from = {start!r}\n"
-        f"sweep_to = {stop!r}\nsweep_points = 61\n"
+        f"sweep_to = {stop!r}\nsweep_points = 1801\n"
     )
+    blocks = []  # rows per _format call after the gamma columns': two values a row
+    format_ = cli._format
+
+    def recorded(template, values):
+        blocks.append(len(values) // 2)
+        return format_(template, values)
+
+    monkeypatch.setattr(cli, "_format", recorded)
     rc, out, err = run(capsys, "sweep", "-c", cfg_file(tmp_path, text))
     assert rc == 0 and err == ""
-    assert out == _sweep_reference(v, start, stop, 61)
+    assert out == _sweep_reference(v, start, stop, 1801)
     assert (",1," in out) == (radicand > 0)
+    assert sum(blocks[1:]) == 1801 and len(blocks) > 3, blocks
 
 
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("sweep_from = -1e308\nsweep_to = 1e308\n", "overflow encountered in subtract"),
-        ("delta = 400\nsweep_from = 0\nsweep_to = 1\n", "math range error"),
+        ("sweep_from = -1e308\nsweep_to = 1e308\n", "(grid point [0] = nan is not finite)"),  # the step overflows
+        ("hbar = 10\nsweep_from = 0\nsweep_to = 1e308\n", "(exponent [0, 1] = (-0+infj) is not finite)"),
+        ("delta = 400\nsweep_from = 0\nsweep_to = 1\n", "(exp of exponent 800.0 overflows)"),
         ("p_plus = 0\nsweep_from = 0\nsweep_to = 1\n", "solving requires p_plus in (0, 1/2]"),
     ],
 )
@@ -597,6 +626,21 @@ def test_overflowing_infeasible_point_exits_2(tmp_path, capsys, argv):
     assert rc == 2 and out == ""
     assert err.count("\n") == 1
     assert err.startswith("error: no unitary vertex factors") and "pinned candidate residual" in err
+
+
+def test_labels_holding_percent_signs_and_braces_print_literally(tmp_path, capsys):
+    # a label is literal text in the output templates
+    gfile = tmp_path / "g.txt"
+    gfile.write_text(groupoid_to_text(build_pair_groupoid(("a%d", "b{x}"))), encoding="utf-8")
+    cfg = cfg_file(tmp_path, f"groupoid = {gfile}\npair_lagrangian = constant:0.5\n")
+    rc, out, err = run(capsys, "pathsum", "-c", cfg, "--steps", "1")
+    assert rc == 0 and err == ""
+    assert [line.split(",")[:2] for line in out.splitlines()[1:]] == [
+        ["a%d", "a%d"], ["a%d", "b{x}"], ["b{x}", "a%d"], ["b{x}", "b{x}"]
+    ]
+    rc, out, err = run(capsys, "coarse-grain", "-c", cfg, "--partition", "a%d|b{x}")
+    assert rc == 0 and err == ""
+    assert out.endswith("lagrangian:\n(a%d,a%d) = 0.5,0\n(a%d,b{x}) = 0.5,0\n(b{x},a%d) = 0.5,0\n(b{x},b{x}) = 0.5,0\n")
 
 
 def test_sweep_requires_block(tmp_path, capsys):

@@ -338,6 +338,37 @@ def test_point_results_that_overflow_are_overflow_errors(errstate):
             qubit_propagator(big_flip)
 
 
+@pytest.mark.parametrize("errstate", ["ignore", "raise"])
+def test_scan_results_that_overflow_are_overflow_errors(errstate):
+    # the first grid point, flip exponent or residual that is not finite, with its index,
+    # whatever numpy's error handling says
+    cases = [
+        ((0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 0.0, 0.0, 1.0, [0.0, 1.0, np.inf, np.nan]),
+         r"^grid point \[2\] = inf is not finite$"),
+        ((0.0, 0.0, 0.0, 0.5, 1.0, 10.0, 0.0, 0.0, 1.0, [0.0, 1e307, 1e308]),  # mu = x hbar / tau overflows
+         r"^exponent \[0, 2\] = \(-?0\+infj\) is not finite$"),
+        ((0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 0.0, 0.0, 1e200, [0.0, 1.0]),  # |U|^2 overflows
+         r"^min_residual \[0\] = inf is not finite$"),
+        ((0.0, 0.0, 400.0, 0.5, 1.0, 1.0, 0.0, 0.0, 1.0, [0.0, 1.0]),
+         r"^exp of exponent 800.0 overflows$"),
+    ]
+    with np.errstate(all=errstate):
+        for args, message in cases:
+            with pytest.raises(OverflowError, match=message):
+                quantization_scan(*args)
+
+
+@pytest.mark.parametrize("errstate", ["ignore", "raise"])
+def test_exponentials_that_overflow_name_their_exponent(errstate):
+    with np.errstate(all=errstate):
+        with pytest.raises(OverflowError, match=r"^exp of exponent 800.0 overflows$"):
+            solve_unitary_gammas(0.0, 0.0, 0.3, 400.0, 0.5, 1.0, 1.0)
+        with pytest.raises(OverflowError, match=r"^exp of exponent 800.0 overflows$"):
+            unitarity_residuals(PropagatorModel(0.0, 0.0, 0.3, 400.0, 0.0, 1.0, 1.0))  # p+ = 0: the step is finite
+        with pytest.raises(OverflowError, match=r"^exp of exponent \(1e\+300\+0.3j\) overflows$"):
+            qubit_propagator(PropagatorModel(0.0, 0.0, 0.3, 1e300, 0.5, 1.0, 1.0))
+
+
 def python_residuals(u):
     """|U U* - 1| then |U* U - 1| over Python complex numbers, each entry's terms summed left to right."""
     uh = [[u[j][i].conjugate() for j in range(2)] for i in range(2)]
