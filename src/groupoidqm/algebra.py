@@ -87,13 +87,18 @@ def algebra_unit(g: FiniteGroupoid) -> AlgebraElement:
 def convolve(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Product (a·b)_gamma = sum of a_beta b_alpha over beta ∘ alpha = gamma.
 
-    The bits are those of the loop over a's then b's coefficients that adds
-    each complex product, formed as CPython forms it, to out.get(gamma, 0):
-    the composable pairs are gathered from the groupoid's integer table in that
-    order, each product is a separate ufunc per term (nothing fuses) and
-    np.bincount adds them in sequence.  Keys come in order of first
-    contribution; coefficients come out as Python complex.  Overflow gives
-    inf or nan, as CPython's multiply does, without a warning.
+    The bits are those of the loop over a's then b's coefficients that skips
+    each pair whose endpoints do not chain (source(beta) != target(alpha)) or
+    whose cell the table leaves undefined, and adds each complex product,
+    formed as CPython forms it, to out.get(gamma, 0).  Only the chaining pairs
+    are formed: b's coefficients are grouped by target, in coefficient order,
+    and a's i-th coefficient pairs with the group at its source, so the pairs
+    come in the loop's order.  Each gamma is read from the groupoid's integer
+    table, each product is a separate ufunc per term (nothing fuses) and
+    np.bincount adds them in sequence; an undefined cell (index E, only in a
+    broken table) collects its products in a bin that is dropped.  Keys come
+    in order of first contribution; coefficients come out as Python complex.
+    Overflow gives inf or nan, as CPython's multiply does, without a warning.
     """
     a._check_same(b)
     g = a.groupoid
@@ -102,18 +107,30 @@ def convolve(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     alpha = np.array([law.index[k] for k in b.coefficients], dtype=np.intp)
     ca = np.array(list(a.coefficients.values()), dtype=complex)
     cb = np.array(list(b.coefficients.values()), dtype=complex)
-    gamma = law.table[beta[:, None], alpha[None, :]]
-    i, j = np.nonzero(gamma != n)  # composable pairs, row-major
-    gamma = gamma[i, j]
+    # b's positions grouped by target, each group in coefficient order; a's i-th
+    # coefficient pairs with the group at its source, so the pairs come row-major.
+    targets = g.target.array[alpha]
+    by_target = targets.argsort(kind="stable")
+    counts = np.bincount(targets, minlength=len(g.outcomes))
+    sources = g.source.array[beta]
+    lens = counts[sources]
+    i = np.arange(len(beta)).repeat(lens)
+    # pair p, in row i, is b's position by_target[p - (row i's first p) + (its group's first slot)]
+    shift = (counts.cumsum() - counts)[sources] - (lens.cumsum() - lens)
+    j = by_target[np.arange(len(i)) + shift.repeat(lens)]
+    gamma = law.table.ravel()[beta[i] * (n + 1) + alpha[j]]
     x, y = ca[i], cb[j]
     xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
     with np.errstate(over="ignore", invalid="ignore"):
-        re = np.bincount(gamma, weights=xr * yr - xi * yi, minlength=n)
-        im = np.bincount(gamma, weights=xr * yi + xi * yr, minlength=n)
-    keys = list(dict.fromkeys(gamma.tolist()))  # in order of first contribution
+        re = np.bincount(gamma, weights=xr * yr - xi * yi, minlength=n + 1)
+        im = np.bincount(gamma, weights=xr * yi + xi * yr, minlength=n + 1)
+    first = dict.fromkeys(gamma.tolist())  # in order of first contribution
+    first.pop(n, None)
+    keys = np.fromiter(first, dtype=np.intp, count=len(first))
+    z = np.empty(len(keys), dtype=complex)
+    z.real, z.imag = re[keys], im[keys]
     names = g.elements
-    out = {names[k]: complex(r, m) for k, r, m in zip(keys, re[keys].tolist(), im[keys].tolist())}
-    return AlgebraElement(g, out)
+    return AlgebraElement(g, dict(zip([names[k] for k in first], z.tolist())))
 
 
 def involute(a: AlgebraElement) -> AlgebraElement:
@@ -138,14 +155,19 @@ def fundamental_rep(a: AlgebraElement) -> np.ndarray:
     """Matrix on the outcome basis: entry [target, source] sums the coefficients.
 
     Rows and columns follow the groupoid's declared outcome order.  Entries
-    shared by several transitions add up in coefficient order.
+    shared by several transitions add up in coefficient order, one
+    np.bincount per part, as the loop's complex += adds them.
     """
     g = a.groupoid
+    k = len(g.outcomes)
     index = g.compose_table.index
     ids = np.array([index[el] for el in a.coefficients], dtype=np.intp)
-    m = np.zeros((len(g.outcomes), len(g.outcomes)), dtype=complex)
-    np.add.at(m, (g.target.array[ids], g.source.array[ids]), np.array(list(a.coefficients.values()), dtype=complex))
-    return m
+    c = np.array(list(a.coefficients.values()), dtype=complex)
+    cell = g.target.array[ids] * k + g.source.array[ids]
+    m = np.empty(k * k, dtype=complex)
+    m.real = np.bincount(cell, weights=c.real, minlength=k * k)
+    m.imag = np.bincount(cell, weights=c.imag, minlength=k * k)
+    return m.reshape(k, k)
 
 
 def element_from_matrix(g: FiniteGroupoid, matrix: np.ndarray, tol: float = 1e-12) -> AlgebraElement:

@@ -35,7 +35,7 @@ from .groupoid import (
 )
 from .lagrangian import OutcomeBias, QLagrangian, _qubit_weights, qubit_bias
 from .algebra import StateVector, element_from_lines
-from .coarse import coarse_grain, is_principal
+from .coarse import _coarse_grain, pair_index
 from .histories import fixed_order_matmul, fixed_order_power, single_step_matrix
 from .propagator import (
     PropagatorModel,
@@ -135,11 +135,6 @@ def _entries(text: str):
         seen.add(name)
         lead = len(value) - len(value.lstrip())
         yield name, value.strip(), lineno, len(key) + 2 + lead
-
-
-def _parse_entries(text: str) -> dict[str, tuple[str, int, int]]:
-    """key -> (value, line, column of the value), all 1-based: the lines of _entries as one mapping."""
-    return {name: (value, line, column) for name, value, line, column in _entries(text)}
 
 
 def _as_float(value: str, line: int, column: int) -> float:
@@ -532,6 +527,8 @@ def cmd_sweep(cfg: RunConfig) -> tuple[int, str]:
     if cfg.sweep is None:
         raise ConfigError("sweep command requires a sweep block in the config")
     _, start, stop, count = cfg.sweep
+    if not math.isfinite(stop - start):  # linspace's step would be inf, and its first point nan
+        raise OverflowError(f"sweep_to - sweep_from = {stop - start} is not finite")
     with np.errstate(over="ignore", invalid="ignore"):  # quantization_scan names a grid point that is not finite
         grid = np.linspace(start, stop, count)
     scan = quantization_scan(
@@ -584,7 +581,8 @@ def cmd_evolve(cfg: RunConfig, state_spec: str, steps: int | None) -> tuple[int,
 
 def cmd_coarse_grain(cfg: RunConfig, partition_spec: str) -> tuple[int, str]:
     g = _build_groupoid(cfg)
-    if not is_principal(g):
+    at = pair_index(g)  # derived once: the check here, the weights' gather in _coarse_grain
+    if at is None:
         raise ConfigError("coarse-grain command requires a pair groupoid")
     ell = _build_lagrangian(cfg, g)
     if ell is None:
@@ -594,7 +592,7 @@ def cmd_coarse_grain(cfg: RunConfig, partition_spec: str) -> tuple[int, str]:
         for block in partition_spec.split("|")
     )
     partition = OutcomePartition(blocks)
-    quotient, ell2 = coarse_grain(g, partition, ell)
+    quotient, ell2 = _coarse_grain(g, at, partition, ell)
     names = [e.replace("%", "%%") for e in quotient.elements]  # a label is literal text in the template
     template = "\nlagrangian:\n" + "".join(f"{e} = %.17g,%.17g\n" for e in names)
     values = [x for z in ell2.weights_on(quotient).tolist() for x in (z.real, z.imag)]

@@ -12,15 +12,21 @@ from .groupoid import FiniteGroupoid, OutcomePartition, build_pair_groupoid
 from .lagrangian import QLagrangian
 
 
-def _pair_slots(g: FiniteGroupoid) -> np.ndarray:
-    """target * k + source per element, k being the outcome count."""
-    return g.target.array * len(g.outcomes) + g.source.array
+def pair_index(g: FiniteGroupoid) -> np.ndarray | None:
+    """Each ordered outcome pair's transition, as a k x k array of element indices [target, source].
+
+    k is the outcome count.  None unless every pair has exactly one transition.
+    """
+    k = len(g.outcomes)
+    at = np.full(k * k, -1, dtype=np.intp)
+    at[g.target.array * k + g.source.array] = np.arange(len(g.elements))
+    # k*k transitions that leave no pair empty give every pair exactly one
+    return at.reshape(k, k) if len(g.elements) == k * k and at.min() >= 0 else None
 
 
 def is_principal(g: FiniteGroupoid) -> bool:
     """True when there is exactly one transition per ordered outcome pair."""
-    k = len(g.outcomes)
-    return bool(np.all(np.bincount(_pair_slots(g), minlength=k * k) == 1))
+    return pair_index(g) is not None
 
 
 def coarse_grain(
@@ -35,14 +41,17 @@ def coarse_grain(
     weights, gathered from the Lagrangian's array, left to right: target
     outcomes in block order, then source outcomes in block order.
     """
-    # the transition of each (target, source) pair; the pair structure holds
-    # exactly when there are k*k transitions and every pair has one
-    k = len(g.outcomes)
-    at = np.full(k * k, -1, dtype=np.intp)
-    at[_pair_slots(g)] = np.arange(len(g.elements))
-    if not (len(g.elements) == k * k and at.min() >= 0):
+    at = pair_index(g)
+    if at is None:
         raise ValueError("coarse graining requires a pair-structured groupoid "
                          "(exactly one transition per ordered outcome pair)")
+    return _coarse_grain(g, at, partition, ell)
+
+
+def _coarse_grain(
+    g: FiniteGroupoid, at: np.ndarray, partition: OutcomePartition, ell: QLagrangian
+) -> tuple[FiniteGroupoid, QLagrangian]:
+    """coarse_grain on a groupoid g whose pair_index is at, for a caller that has checked it."""
     if ell.groupoid != g:
         raise ValueError("lagrangian is defined on a different groupoid")
     partition.validate_against(g.outcomes)
@@ -53,7 +62,7 @@ def coarse_grain(
     # rows[i][j]: the weight of (order[i], order[j]), outcomes taken block by block
     outcome = g.unit_of.index  # outcome label -> index
     order = np.array([outcome[o] for b in partition.blocks for o in b], dtype=np.intp)
-    rows = ell.weights_on(g)[at.reshape(k, k)[np.ix_(order, order)]].tolist()
+    rows = ell.weights_on(g)[at[np.ix_(order, order)]].tolist()
     ends = list(accumulate(len(b) for b in partition.blocks))
     spans = list(zip([0, *ends], ends))
     values = [

@@ -47,7 +47,7 @@ _TABLE_BYTES = 96 * 1024
 # Elements per groupoid, checked before any table is built.  The compose table
 # is 4(E+1)^2 bytes; at the ceiling (pair:32) the CLI's `table` command peaks at
 # ~48.5 MiB under tracemalloc, nearly all of it the rendered lines and their
-# joined text (the gather buffer is 88 KiB), and `validate` at ~8.6 MiB.
+# joined text (the gather buffer is 88 KiB), and `validate` at ~6.1 MiB.
 MAX_ELEMENTS = 1024
 
 
@@ -383,15 +383,16 @@ def build_pair_groupoid(labels_or_size: int | Sequence[str]) -> FiniteGroupoid:
         _check_pair_size(len(labels))
     # Element (y,x) has index k = y*n + x: source x = k % n, target y = k // n,
     # inverse (x,y), and the unit of x is (x,x) = x*(n + 1).  (z,y) ∘ (y,x) = (z,x):
-    # for each y, rows z*n + y and columns y*n + x form an n x n block holding z*n + x.
+    # viewed as [z, y, y', x], the table's first n*n rows and columns hold z*n + x
+    # on the diagonal y == y', written in one assignment.
     n = len(labels)
-    elements = tuple(pair_element(y, x) for y in labels for x in labels)
+    elements = tuple([f"({y},{x})" for y in labels for x in labels])  # pair_element, inlined
     index = _index(elements)
     k = np.arange(n * n)
     source, target = k % n, k // n
     table = np.full((n * n + 1, n * n + 1), n * n, dtype=np.int32)
-    for y in range(n):
-        table[y : n * n : n, y * n : y * n + n] = k.reshape(n, n)
+    ys = np.arange(n)
+    table[: n * n, : n * n].reshape(n, n, n, n).transpose(1, 2, 0, 3)[ys, ys] = k.reshape(n, n)
     return FiniteGroupoid(
         outcomes=labels,
         elements=elements,
@@ -411,31 +412,38 @@ def _check_pair_size(n: int) -> None:
 def validate_axioms(g: FiniteGroupoid) -> ValidationReport:
     """Exhaustively check every groupoid axiom, reporting failures with witnesses.
 
-    The work is two E x E masks over the groupoid's integer compose table, one
-    gather of b ∘ a per composable pair (b, a) and O(E) unit and inverse
-    checks.  Associativity is then decided on composable triples (c, b, a):
-    each composable pair (c, b) reads a padded row of W candidate a's, where
-    W is the largest number of elements sharing a target.  The row holds the
-    a's with target(a) == source(b) in element order, then the filler index
-    E, which is masked out; a groupoid whose every outcome ends W elements
-    (every pair groupoid) pads nothing.
+    The work follows the P composable pairs (b, a), not the E^2 cells of the
+    groupoid's integer compose table (on pair:n, P = n^3 against E^2 = n^4).
+    Row o of an O x W index array lists the elements with target o in
+    element order, padded with the filler index E, where W is the largest
+    number of elements sharing a target; a groupoid whose every outcome ends
+    W elements (every pair groupoid) pads nothing.  Element b's row is then
+    its candidate a's, so the pairs are listed, in row-major order, from E x W
+    slots, and b ∘ a is gathered once per pair and checked to map
+    source(a) -> target(b).  The table is read whole once, to count its
+    defined cells: when every composable cell is defined and maps right,
+    P defined cells means no other cell is defined.  Only when that count or
+    an endpoint check fails are the two E x E masks built, to list the
+    failing cells as witnesses.  The unit and inverse checks are O(E).
 
-    When the domain, endpoint, unit and inverse checks all hold, a
-    certificate decides associativity first (see :func:`_light_certifies`):
-    Light's test on a generating set S, the elements leaving or entering one
-    base outcome per component (2n-1 on pair:n), reads only the triples
-    whose middle factor is in S, |S| x W^2 slots (about 2n^3 on pair:n).  It
-    is a proof, not a sample.  Only when it fails, or an earlier check
-    failed, does the walk read all P x W slots of the P composable pairs
-    (n^4 on pair:n) and list every failing triple.
+    Associativity is decided on composable triples (c, b, a): each composable
+    pair (c, b) reads the padded row of b's candidate a's, the filler masked
+    out.  When the domain, endpoint, unit and inverse checks all hold, a
+    certificate decides it first (see :func:`_light_certifies`): Light's test
+    on a generating set S, the elements leaving or entering one base outcome
+    per component (2n-1 on pair:n), reads only the triples whose middle factor
+    is in S, |S| x W^2 slots (about 2n^3 on pair:n).  It is a proof, not a
+    sample.  Only when it fails, or an earlier check failed, does the walk
+    read all P x W slots (n^4 on pair:n) and list every failing triple.
 
     The table (4(E+1)^2 bytes) is built with the groupoid; validation adds
-    the E x E boolean masks, O(P) index arrays (the certificate's pairs are
-    a subset of the P), the O x W padded rows (O outcomes) and, on either
-    path, one chunk of at most max(_ASSOC_CHUNK, W) slots at a time.  No
-    result is kept between calls.  Witnesses come in element order:
-    (beta, alpha) cells, units, inverses, then (c, b, a) triples, and are
-    formatted only where a check fails.
+    one E x E boolean for the count (the masks too, when a cell fails),
+    O(P) index arrays (the certificate's pairs are a subset of the P), the
+    O x W and E x W padded rows and, on either associativity path, one chunk
+    of at most max(_ASSOC_CHUNK, W) slots at a time.  No result is kept
+    between calls.  Witnesses come in element order: (beta, alpha) cells,
+    units, inverses, then (c, b, a) triples, and are formatted only where a
+    check fails.
     """
     failures: list[AxiomFailure] = []
 
@@ -447,37 +455,50 @@ def validate_axioms(g: FiniteGroupoid) -> ValidationReport:
     T = g.compose_table.table
     src, tgt = np.append(g.source.array, -1), np.append(g.target.array, -1)  # index n ends -1
     unit, inv = g.unit_of.array, g.inverse.array
-    defined = T[:n, :n] != n
-    composable = src[:n, None] == tgt[None, :n]  # [b, a]: source(b) == target(a)
-    # The composable (b, a), row-major, and b ∘ a read from the flat table, in
-    # which row b starts at b * (n + 1).  b ∘ a must map source(a) -> target(b);
-    # an undefined one (index n, ends -1) is a bad cell already.
-    flat = T.ravel()
-    pairs = np.flatnonzero(composable)
-    pair_b, pair_a = np.divmod(pairs, n)
-    made = flat[pairs + pair_b]
-    bad = defined != composable
-    bad.flat[pairs[(src[made] != src[pair_a]) | (tgt[made] != tgt[pair_b])]] = True
-    for i, j in zip(*np.divmod(np.flatnonzero(bad), n)):
-        b, a = names[i], names[j]
-        if not defined[i, j]:
-            fail("composition-domain", f"missing composition for ({b}, {a})")
-        elif not composable[i, j]:
-            fail("composition-domain", f"({b}, {a}) is not composable but the table defines it")
-        else:
-            c = names[T[i, j]]
-            fail(
-                "composition-endpoints",
-                f"{b} ∘ {a} = {c} maps {g.source[c]} -> {g.target[c]}, "
-                f"expected {g.source[a]} -> {g.target[b]}",
-            )
+    ids = np.arange(n)
+    # Row o of `groups` lists the elements with target o in element order, then
+    # the filler n.
+    counts = np.bincount(tgt[:n], minlength=len(g.outcomes))
+    by_target = np.argsort(tgt[:n], kind="stable")
+    sorted_tgt = tgt[by_target]
+    groups = np.full((len(g.outcomes), int(counts.max())), n, dtype=np.intp)
+    groups[sorted_tgt, ids - (np.cumsum(counts) - counts)[sorted_tgt]] = by_target
+    # The composable (b, a), row-major: row b pairs with the a's of groups[source(b)].
+    # b ∘ a, read from the flat table in which row b starts at b * (n + 1), must
+    # map source(a) -> target(b), compared as the slot target * O + source; an
+    # undefined one (index n, ends -1) has a negative slot.  With every composable
+    # cell defined and mapping right, the table defines no other cell exactly
+    # when it defines P cells (row and column n hold n).
+    candidates = groups[src[:n]]
+    pair_a = candidates[candidates != n]
+    pair_b = np.repeat(ids, counts[src[:n]])
+    made = T.ravel()[pair_b * (n + 1) + pair_a]
+    slot = tgt * len(g.outcomes) + src
+    ends = slot[made] != tgt[pair_b] * len(g.outcomes) + src[pair_a]
+    if ends.any() or np.count_nonzero(T != n) != len(made):
+        defined = T[:n, :n] != n
+        composable = src[:n, None] == tgt[None, :n]  # [b, a]: source(b) == target(a)
+        bad = defined != composable
+        bad[pair_b[ends], pair_a[ends]] = True
+        for i, j in zip(*np.nonzero(bad)):
+            b, a = names[i], names[j]
+            if not defined[i, j]:
+                fail("composition-domain", f"missing composition for ({b}, {a})")
+            elif not composable[i, j]:
+                fail("composition-domain", f"({b}, {a}) is not composable but the table defines it")
+            else:
+                c = names[T[i, j]]
+                fail(
+                    "composition-endpoints",
+                    f"{b} ∘ {a} = {c} maps {g.source[c]} -> {g.target[c]}, "
+                    f"expected {g.source[a]} -> {g.target[b]}",
+                )
 
     outcome_ids = np.arange(len(g.outcomes))
     for i in np.flatnonzero((src[unit] != outcome_ids) | (tgt[unit] != outcome_ids)).tolist():
         o = g.outcomes[i]
         u = g.unit_of[o]
         fail("unit-endpoints", f"unit {u} of outcome {o} maps {g.source[u]} -> {g.target[u]}")
-    ids = np.arange(n)
     left_unit, right_unit = unit[tgt[:n]], unit[src[:n]]
     left, right = T[left_unit, ids], T[ids, right_unit]
     for i in np.flatnonzero((left != ids) | (right != ids)).tolist():
@@ -502,13 +523,6 @@ def validate_axioms(g: FiniteGroupoid) -> ValidationReport:
         if before[i] != left_unit[i]:
             fail("inverse-law", f"{a} ∘ {ia} = {names[before[i]]}, expected {names[left_unit[i]]}")
 
-    # Row o of `groups` lists the elements with target o in element order, then
-    # the filler n.
-    counts = np.bincount(tgt[:n], minlength=len(g.outcomes))
-    by_target = np.argsort(tgt[:n], kind="stable")
-    sorted_tgt = tgt[by_target]
-    groups = np.full((len(g.outcomes), int(counts.max())), n, dtype=np.intp)
-    groups[sorted_tgt, ids - (np.cumsum(counts) - counts)[sorted_tgt]] = by_target
     if failures or not _light_certifies(T, pair_b, pair_a, made, groups, src, tgt):
         failures += _associativity_walk(names, T, pair_b, pair_a, made, groups, src)
     return ValidationReport(tuple(failures))

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from groupoidqm import (
@@ -12,6 +12,7 @@ from groupoidqm import (
     ALPHA_INV,
     AlgebraElement,
     DensityMatrix,
+    FiniteGroupoid,
     QLagrangian,
     StateVector,
     UNIT_MINUS,
@@ -36,6 +37,7 @@ from groupoidqm import (
     pair_element,
     qubit_lagrangian,
     state_expectation,
+    validate_axioms,
 )
 
 A2 = build_a2()
@@ -467,3 +469,73 @@ def test_convolve_overflow_matches_complex_multiply_without_warnings():
     assert _bits(got) == _bits(want)
     assert any(math.isinf(v.real) or math.isinf(v.imag) for v in got.coefficients.values())
     assert any(math.isnan(v.real) or math.isnan(v.imag) for v in got.coefficients.values())
+
+
+def _chained_convolve(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+    """The label loop over a's then b's coefficients that skips the pairs whose
+    endpoints do not chain or whose cell is undefined: the bit-for-bit oracle on
+    any table, broken ones included.  On a valid table it is _reference_convolve."""
+    g = a.groupoid
+    out: dict[str, complex] = {}
+    for beta, ca in a.coefficients.items():
+        for alpha, cb in b.coefficients.items():
+            if g.source[beta] != g.target[alpha]:
+                continue
+            gamma = g.compose_table.get((beta, alpha))
+            if gamma is not None:
+                out[gamma] = out.get(gamma, 0) + ca * cb
+    return AlgebraElement(g, out)
+
+
+_LOOP_BASES = (A2, MIXED, Z3_BESIDE_UNIT, Z2_PAIR, *(build_pair_groupoid(n) for n in range(1, 6)))
+# signed zeros, tiny parts, and parts whose products overflow to inf (and inf - inf to nan)
+_LOOP_PARTS = st.one_of(
+    st.sampled_from((0.0, -0.0, 1e-300, -1e-300, 1e200, -1e200, 3e150)),
+    st.floats(-4.0, 4.0, allow_nan=False),
+)
+
+
+@st.composite
+def _loop_cases(draw):
+    """Two elements, each on a drawn subset in a drawn order, over a groupoid whose
+    table may be broken: a cell undefined, defined for a pair that does not chain,
+    or pointed at another element."""
+    g = draw(st.sampled_from(_LOOP_BASES))
+    table = dict(g.compose_table)
+    for kind in draw(st.lists(st.sampled_from(("undefine", "unchained", "wrong")), max_size=3)):
+        if kind == "undefine" and table:
+            del table[draw(st.sampled_from(sorted(table)))]
+        elif kind == "unchained":
+            apart = [(b, a) for b in g.elements for a in g.elements if g.source[b] != g.target[a]]
+            if apart:
+                table[draw(st.sampled_from(apart))] = draw(st.sampled_from(g.elements))
+        elif kind == "wrong" and table:
+            table[draw(st.sampled_from(sorted(table)))] = draw(st.sampled_from(g.elements))
+    maps = {name: getattr(g, name) for name in ("source", "target", "unit_of", "inverse")}
+    g = FiniteGroupoid(g.outcomes, g.elements, **maps, compose_table=table)
+
+    def element() -> AlgebraElement:
+        keys = draw(st.lists(st.sampled_from(g.elements), unique=True))
+        parts = draw(st.lists(st.tuples(_LOOP_PARTS, _LOOP_PARTS), min_size=len(keys), max_size=len(keys)))
+        return AlgebraElement(g, {k: complex(*p) for k, p in zip(keys, parts)})
+
+    return element(), element()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_loop_cases())
+def test_convolve_and_rep_match_label_loops_bit_for_bit(case):
+    a, b = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = convolve(a, b)
+        reps = [fundamental_rep(x).tobytes() for x in (a, b, got)]
+    with np.errstate(over="ignore", invalid="ignore"):  # the loops add inf and -inf as numpy scalars
+        want = _chained_convolve(a, b)
+        assert reps == [_reference_rep(x).tobytes() for x in (a, b, got)]
+    assert _bits(got) == _bits(want)
+    assert all(type(v) is complex for v in got.coefficients.values())
+    values = [p for v in want.coefficients.values() for p in (v.real, v.imag)]
+    event("inf" if any(math.isinf(p) for p in values) else "finite")
+    event("signed zero" if any(p == 0 and math.copysign(1, p) < 0 for p in values) else "no signed zero")
+    event("broken" if not validate_axioms(a.groupoid).ok else "valid")

@@ -28,7 +28,7 @@ from groupoidqm import (
     solve_unitary_gammas,
 )
 from groupoidqm import cli, coarse, histories, lagrangian, propagator
-from groupoidqm.coarse import is_principal
+from groupoidqm.coarse import pair_index
 from groupoidqm.cli import (
     MAX_ELEMENTS,
     MAX_SWEEP_POINTS,
@@ -537,7 +537,8 @@ def test_sweep_matches_single_solves(tmp_path, capsys, monkeypatch, p_plus, radi
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("sweep_from = -1e308\nsweep_to = 1e308\n", "(grid point [0] = nan is not finite)"),  # the step overflows
+        ("sweep_from = -1e308\nsweep_to = 1e308\n", "(sweep_to - sweep_from = inf is not finite)"),
+        ("sweep_from = 1e308\nsweep_to = -1e308\n", "(sweep_to - sweep_from = -inf is not finite)"),
         ("hbar = 10\nsweep_from = 0\nsweep_to = 1e308\n", "(exponent [0, 1] = (-0+infj) is not finite)"),
         ("delta = 400\nsweep_from = 0\nsweep_to = 1\n", "(exp of exponent 800.0 overflows)"),
         ("p_plus = 0\nsweep_from = 0\nsweep_to = 1\n", "solving requires p_plus in (0, 1/2]"),
@@ -906,10 +907,10 @@ def test_coarse_grain_counts_outcome_pairs_once(tmp_path, capsys, monkeypatch):
 
     def counted(g):
         calls.append(g)
-        return is_principal(g)
+        return pair_index(g)
 
-    monkeypatch.setattr(cli, "is_principal", counted)
-    monkeypatch.setattr(coarse, "is_principal", counted)
+    monkeypatch.setattr(cli, "pair_index", counted)
+    monkeypatch.setattr(coarse, "pair_index", counted)
     text = "groupoid = pair:4\npair_lagrangian = index_diff:1.0\n"
     rc, out, err = run(capsys, "coarse-grain", "-c", cfg_file(tmp_path, text), "--partition", "x1,x2|x3,x4")
     assert rc == 0 and len(calls) == 1

@@ -24,8 +24,8 @@ from groupoidqm.cli import (
     _as_float,
     _as_int,
     _finite,
+    _entries,
     _pair_size,
-    _parse_entries,
     parse_config,
 )
 
@@ -49,6 +49,11 @@ _ALL_KEYS = (
     | _COMPLEX_KEYS
     | set(_SWEEP_KEYS)
 )
+
+
+def _parse_entries(text: str) -> dict[str, tuple[str, int, int]]:
+    """key -> (value, line, column of the value), all 1-based: the lines of cli._entries as one mapping."""
+    return {name: (value, line, column) for name, value, line, column in _entries(text)}
 
 
 def _oracle_lagrangian(spec: str) -> None:

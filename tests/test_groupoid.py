@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from groupoidqm import groupoid as groupoid_module
 from groupoidqm import (
@@ -442,6 +444,9 @@ def _reference_table(g: FiniteGroupoid) -> str:
     return "\n".join(lines) + "\n"
 
 
+Z2_PAIR = build_from_table((Path(__file__).parent / "golden" / "z2_pair.groupoid").read_text(encoding="utf-8"))
+_CELL_BASES = (build_a2(), *(build_pair_groupoid(n) for n in range(1, 6)), Z2_PAIR)
+
 CORRUPTIONS = ("rewrite", "delete", "extra", "inverse", "source", "target", "unit")
 
 
@@ -494,6 +499,122 @@ def test_validate_axioms_matches_scalar_oracle_on_seeded_corruptions():
     }
 
 
+def _cells_validate(g: FiniteGroupoid) -> ValidationReport:
+    """validate_axioms as it read the E x E table cell by cell, kept as the oracle
+    for the walk over composable pairs: two E x E masks, b ∘ a gathered per
+    composable cell, the failing cells listed in row-major order."""
+    failures: list[AxiomFailure] = []
+
+    def fail(axiom: str, message: str) -> None:
+        failures.append(AxiomFailure(axiom, message))
+
+    n = len(g.elements)
+    names = g.elements + (None,)
+    T = g.compose_table.table
+    src, tgt = np.append(g.source.array, -1), np.append(g.target.array, -1)
+    unit, inv = g.unit_of.array, g.inverse.array
+    defined = T[:n, :n] != n
+    composable = src[:n, None] == tgt[None, :n]
+    flat = T.ravel()
+    pairs = np.flatnonzero(composable)
+    pair_b, pair_a = np.divmod(pairs, n)
+    made = flat[pairs + pair_b]
+    bad = defined != composable
+    bad.flat[pairs[(src[made] != src[pair_a]) | (tgt[made] != tgt[pair_b])]] = True
+    for i, j in zip(*np.divmod(np.flatnonzero(bad), n)):
+        b, a = names[i], names[j]
+        if not defined[i, j]:
+            fail("composition-domain", f"missing composition for ({b}, {a})")
+        elif not composable[i, j]:
+            fail("composition-domain", f"({b}, {a}) is not composable but the table defines it")
+        else:
+            c = names[T[i, j]]
+            fail(
+                "composition-endpoints",
+                f"{b} ∘ {a} = {c} maps {g.source[c]} -> {g.target[c]}, "
+                f"expected {g.source[a]} -> {g.target[b]}",
+            )
+
+    outcome_ids = np.arange(len(g.outcomes))
+    for i in np.flatnonzero((src[unit] != outcome_ids) | (tgt[unit] != outcome_ids)).tolist():
+        o = g.outcomes[i]
+        u = g.unit_of[o]
+        fail("unit-endpoints", f"unit {u} of outcome {o} maps {g.source[u]} -> {g.target[u]}")
+    ids = np.arange(n)
+    left_unit, right_unit = unit[tgt[:n]], unit[src[:n]]
+    left, right = T[left_unit, ids], T[ids, right_unit]
+    for i in np.flatnonzero((left != ids) | (right != ids)).tolist():
+        a = names[i]
+        if left[i] != i:
+            fail("unit-law", f"{names[left_unit[i]]} ∘ {a} = {names[left[i]]}, expected {a}")
+        if right[i] != i:
+            fail("unit-law", f"{a} ∘ {names[right_unit[i]]} = {names[right[i]]}, expected {a}")
+
+    inv_ends = (src[inv] != tgt[:n]) | (tgt[inv] != src[:n])
+    after, before = T[inv, ids], T[ids, inv]
+    bad = inv_ends | (inv[inv] != ids) | (after != right_unit) | (before != left_unit)
+    for i in np.flatnonzero(bad).tolist():
+        a, ia = names[i], names[inv[i]]
+        if inv_ends[i]:
+            fail("inverse-endpoints", f"inverse of {a} is {ia} mapping {g.source[ia]} -> {g.target[ia]}")
+            continue
+        if inv[inv[i]] != i:
+            fail("inverse-involution", f"inverse(inverse({a})) = {names[inv[inv[i]]]}")
+        if after[i] != right_unit[i]:
+            fail("inverse-law", f"{ia} ∘ {a} = {names[after[i]]}, expected {names[right_unit[i]]}")
+        if before[i] != left_unit[i]:
+            fail("inverse-law", f"{a} ∘ {ia} = {names[before[i]]}, expected {names[left_unit[i]]}")
+
+    counts = np.bincount(tgt[:n], minlength=len(g.outcomes))
+    by_target = np.argsort(tgt[:n], kind="stable")
+    sorted_tgt = tgt[by_target]
+    groups = np.full((len(g.outcomes), int(counts.max())), n, dtype=np.intp)
+    groups[sorted_tgt, ids - (np.cumsum(counts) - counts)[sorted_tgt]] = by_target
+    if failures or not groupoid_module._light_certifies(T, pair_b, pair_a, made, groups, src, tgt):
+        failures += groupoid_module._associativity_walk(names, T, pair_b, pair_a, made, groups, src)
+    return ValidationReport(tuple(failures))
+
+
+CELL_EDITS = ("undefine", "unchained", "wrong", "unit", "inverse")
+
+
+@st.composite
+def _cell_corruptions(draw):
+    """a2, pair:1..pair:5 or the z2_pair file, with one to three edits: a defined cell
+    undefined, a cell defined for a pair that does not chain, a defined cell pointed
+    at another element, or a unit or an inverse moved to another element."""
+    g = draw(st.sampled_from(_CELL_BASES))
+    maps = {name: dict(getattr(g, name)) for name in ("source", "target", "unit_of", "inverse", "compose_table")}
+    table, elements = maps["compose_table"], g.elements
+    kinds = draw(st.lists(st.sampled_from(CELL_EDITS), min_size=1, max_size=3))
+    for kind in kinds:
+        if kind == "undefine" and table:
+            del table[draw(st.sampled_from(sorted(table)))]
+        elif kind == "unchained":
+            apart = [(b, a) for b in elements for a in elements if maps["source"][b] != maps["target"][a]]
+            if apart:
+                table[draw(st.sampled_from(apart))] = draw(st.sampled_from(elements))
+        elif kind == "wrong" and table:
+            key = draw(st.sampled_from(sorted(table)))
+            table[key] = draw(st.sampled_from([e for e in elements if e != table[key]] or [table[key]]))
+        elif kind == "unit":
+            o = draw(st.sampled_from(g.outcomes))
+            maps["unit_of"][o] = draw(st.sampled_from(elements))
+        elif kind == "inverse":
+            maps["inverse"][draw(st.sampled_from(elements))] = draw(st.sampled_from(elements))
+    return FiniteGroupoid(outcomes=g.outcomes, elements=elements, **maps), kinds
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_cell_corruptions())
+def test_validate_axioms_matches_the_cell_oracle(case):
+    g, kinds = case
+    got, want = validate_axioms(g), _cells_validate(g)
+    assert got == want
+    assert [str(f) for f in got.failures] == [str(f) for f in want.failures]
+    event(f"{'+'.join(sorted(set(kinds)))}: {'ok' if want.ok else 'broken'}")
+
+
 @pytest.fixture
 def walk_calls(monkeypatch) -> list:
     """Records each run of the associativity walk, the only code that lists witnesses."""
@@ -506,9 +627,6 @@ def walk_calls(monkeypatch) -> list:
 
     monkeypatch.setattr(groupoid_module, "_associativity_walk", spy)
     return calls
-
-
-Z2_PAIR = build_from_table((Path(__file__).parent / "golden" / "z2_pair.groupoid").read_text(encoding="utf-8"))
 
 
 def _rewrites(g: FiniteGroupoid) -> list[FiniteGroupoid]:
