@@ -45,9 +45,11 @@ _ASSOC_CHUNK = 4096
 # the heap rather than a fresh mapping whose pages fault in again on every render.
 _TABLE_BYTES = 96 * 1024
 # Elements per groupoid, checked before any table is built.  The compose table
-# is 4(E+1)^2 bytes; at the ceiling (pair:32) the CLI's `table` command peaks at
-# ~48.5 MiB under tracemalloc, nearly all of it the rendered lines and their
-# joined text (the gather buffer is 88 KiB), and `validate` at ~6.1 MiB.
+# is 4(E+1)^2 bytes.  At the ceiling (pair:32), under tracemalloc,
+# multiplication_table peaks at ~24.4 MiB, ~22 MiB of it the text (11.6 million
+# characters, two bytes each because of "∗"; the gather buffer is 95 KiB).  The
+# CLI's `table` command peaks at ~55 MiB when it writes that text: encoding it
+# as UTF-8 reserves three bytes per character.  `validate` peaks at ~6.1 MiB.
 MAX_ELEMENTS = 1024
 
 
@@ -586,53 +588,58 @@ def _associativity_walk(names, T, c, b, cb, groups, src) -> list[AxiomFailure]:
 
 
 def multiplication_table(g: FiniteGroupoid) -> str:
-    """Human-readable multiplication grid; cell (row, col) is row ∘ col."""
-    width = max(1, max(len(e) for e in g.elements))
+    """Human-readable multiplication grid; cell (row, col) is row ∘ col.
+
+    Each row gathers only its window of defined cells, n of them on pair:n, so
+    a table costs about n³ cells rather than n⁴; the rest of a row is marks.
+    """
+    width = max(1, max(map(len, g.elements)))
     n = len(g.elements)
     names = [f"{e.ljust(width)}  " for e in g.elements]
     header = "".join(["∘".ljust(width + 2), *names]).rstrip()
-    lines = [header, "-" * len(header)]
-    # Row i of `cells` holds the w code points of element i's cell, row n the
-    # non-composable mark.  A gathered table row, viewed as one string, is the
-    # row's cells joined by "  ", plus trailing blanks that rstrip removes as
-    # it would from the joined row.
     w = width + 2
-    cells = np.array(names + [NOT_COMPOSABLE.ljust(w)], dtype=f"<U{w}").view("<u4").reshape(n + 1, w)
+    mark = NOT_COMPOSABLE.ljust(w)
+    # Row b's defined cells lie in its window of s columns from starts[b], and
+    # the rest of the row is marks.  s is the widest span of defined cells in a
+    # row (n when a row has none; n on pair:n), and a window that would run past
+    # the last column is moved left to end there.
+    table = g.compose_table.table
+    defined = np.not_equal(table[:n, :n], n)
+    first = defined.argmax(axis=1)
+    s = n - min((defined[:, ::-1].argmax(axis=1) + first).tolist())
+    at = np.minimum(first, n - s)  # each window's first column; below, its flat index
+    starts = at.tolist()
+    # windows[i] is flat[i : i + s], a read-only view with no copy: a step reads
+    # its rows' window indices as rows of it, at each window's flat start.
+    flat = table.ravel()
+    windows = np.ndarray((flat.size - s + 1, s), flat.dtype, flat, 0, (flat.itemsize, flat.itemsize))
+    at += np.arange(0, n * (n + 1), n + 1)
     # Every step gathers into one buffer of at most _TABLE_BYTES (or one row).
     # The indices are in range by construction, so mode="clip" changes nothing
     # but lets np.take write into it directly; "raise" would copy via a temporary.
-    table = g.compose_table.table[:n, :n]
-    step = max(1, _TABLE_BYTES // (cells.itemsize * w * n))
-    buffer = np.empty((min(step, n), n, w), dtype=cells.dtype)
+    # A buffer row of s cells of w code points, viewed as one string, is the
+    # window's cells, each followed by "  ": the last two blanks separate it from
+    # the marks after it, or go with the row's rstrip when the window ends it.
+    # The text is the pieces of every row, joined once; a mark run is made once
+    # per length, and the trailing one is stored stripped.
+    cells = np.array(names + [mark], dtype=f"<U{w}")
+    step = max(1, _TABLE_BYTES // (cells.itemsize * s))
+    buffer = np.empty((min(step, n), s), dtype=cells.dtype)
+    texts = buffer.view(f"<U{s * w}")[:, 0]
+    runs = {k: (mark * k, (mark * (n - s - k)).rstrip() + "\n") for k in set(starts)}
+    pieces = [header, "\n", "-" * len(header), "\n"]
     for lo in range(0, n, step):
-        rows = table[lo : lo + step]
-        gathered = np.take(cells, rows, axis=0, out=buffer[: len(rows)], mode="clip")
-        grid = gathered.reshape(len(rows), n * w).view(f"<U{n * w}")
-        lines += [(b + row).rstrip() for b, row in zip(names[lo : lo + step], grid.ravel().tolist())]
-    lines.append("")  # the final newline, without copying the joined text
-    return "\n".join(lines)
-
-
-def groupoid_to_text(g: FiniteGroupoid) -> str:
-    """Serialize to the line-oriented description format parsed by build_from_table."""
-    lines = [f"# finite groupoid: {len(g.outcomes)} outcomes, {len(g.elements)} elements"]
-    lines.append("outcomes: " + " ".join(g.outcomes))
-    for e in g.elements:
-        lines.append(f"element: {e} {g.source[e]} {g.target[e]}")
-    for o in g.outcomes:
-        lines.append(f"unit: {o} {g.unit_of[o]}")
-    seen: set[str] = set()
-    for e in g.elements:
-        if e in seen:
-            continue
-        inv = g.inverse[e]
-        seen.add(e)
-        seen.add(inv)
-        lines.append(f"inverse: {e} {inv}")
-    names, n = g.elements, len(g.elements)
-    for b, row in enumerate(g.compose_table.table[:n, :n].tolist()):
-        lines.extend(f"compose: {names[b]} {names[a]} = {names[c]}" for a, c in enumerate(row) if c != n)
-    return "\n".join(lines) + "\n"
+        rows = windows[at[lo : lo + step]]
+        np.take(cells, rows, axis=0, out=buffer[: len(rows)], mode="clip")
+        for name, k, text in zip(names[lo : lo + step], starts[lo : lo + step], texts[: len(rows)].tolist()):
+            lead, tail = runs[k]
+            if k < n - s:
+                pieces += name, lead, text, tail
+            elif text := text.rstrip():
+                pieces += name, lead, text, "\n"
+            else:  # blank cells to the end: the row's rstrip reaches into name and marks
+                pieces += (name + lead).rstrip(), "\n"
+    return "".join(pieces)
 
 
 def build_from_table(text: str) -> FiniteGroupoid:

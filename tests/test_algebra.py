@@ -28,7 +28,6 @@ from groupoidqm import (
     element_from_matrix,
     evolve_observable,
     fundamental_rep,
-    groupoid_to_text,
     heisenberg_rhs,
     involute,
     is_observable,
@@ -39,6 +38,8 @@ from groupoidqm import (
     state_expectation,
     validate_axioms,
 )
+
+from groupoid_text import groupoid_to_text
 
 A2 = build_a2()
 P3 = build_pair_groupoid(3)

@@ -22,7 +22,6 @@ from groupoidqm import (
     PropagatorModel,
     build_a2,
     build_pair_groupoid,
-    groupoid_to_text,
     multiplication_table,
     qubit_propagator,
     solve_unitary_gammas,
@@ -38,6 +37,8 @@ from groupoidqm.cli import (
     main,
     parse_config,
 )
+
+from groupoid_text import groupoid_to_text
 
 PI_HALF = format(math.pi / 2, ".17g")
 SQRT2 = format(math.sqrt(2.0), ".17g")

@@ -30,12 +30,13 @@ from groupoidqm import (
     build_from_table,
     build_pair_groupoid,
     coarse_grain,
-    groupoid_to_text,
     is_principal,
     multiplication_table,
     pair_element,
     validate_axioms,
 )
+
+from groupoid_text import groupoid_to_text
 
 A2_COMPOSITIONS = {
     (UNIT_PLUS, UNIT_PLUS): UNIT_PLUS,
@@ -727,6 +728,15 @@ def test_associativity_chunk_seams_do_not_change_reports(chunk, monkeypatch, wal
     assert len(walk_calls) == 2 + len(twisted)
 
 
+def _shuffled_pair(n: int, seed: int) -> FiniteGroupoid:
+    """pair:n read from a groupoid file that declares its elements in a shuffled order."""
+    lines = groupoid_to_text(build_pair_groupoid(n)).splitlines(keepends=True)
+    shuffled = [line for line in lines if line.startswith("element:")]
+    random.Random(seed).shuffle(shuffled)
+    elements = iter(shuffled)
+    return build_from_table("".join(next(elements) if line.startswith("element:") else line for line in lines))
+
+
 def _table_groupoids() -> list[FiniteGroupoid]:
     """Groupoids whose tables exercise every rendering edge, pair:16 among them."""
     # Labels of mixed widths, the widest first or last; blank labels, which
@@ -736,16 +746,35 @@ def _table_groupoids() -> list[FiniteGroupoid]:
         unit_of={"o": ""}, inverse={"": "", " ": " "},
         compose_table={("", ""): "", ("", " "): " ", (" ", ""): " ", (" ", " "): ""},
     )
+    # Row "" ends in a window of one blank cell after a mark, so its rstrip
+    # reaches through the window into the marks.
+    blank_after_mark = FiniteGroupoid(
+        outcomes=("o", "p"), elements=("u", ""), source={"u": "o", "": "p"}, target={"u": "o", "": "p"},
+        unit_of={"o": "u", "p": ""}, inverse={"u": "u", "": ""},
+        compose_table={("u", "u"): "u", ("", ""): ""},
+    )
+    pair3 = build_pair_groupoid(3)
+    no_row = replace(pair3, compose_table={k: c for k, c in pair3.compose_table.items() if k[0] != "(x2,x1)"})
+    # Cells of four code points beside the two-byte marks.
+    astral = build_pair_groupoid(("\U0001d51e", "b", "\U0001f600x"))
     groupoids = [
         build_a2(), *(build_pair_groupoid(n) for n in (*range(1, 7), 12, 16)),
         build_pair_groupoid(("a", "bb", "ccc")), build_pair_groupoid(("ccc", "bb", "a")),
-        build_from_table(Z3_BESIDE_UNIT), blank,
+        build_from_table(Z3_BESIDE_UNIT), blank, blank_after_mark, no_row, astral, Z2_PAIR,
+        *(_shuffled_pair(4, seed) for seed in range(3)),
     ]
     rng = random.Random(11)
     for base in (build_a2(), build_pair_groupoid(3), build_pair_groupoid(("ccc", "bb", "a"))):
         for _ in range(20):
             groupoids.append(_corrupt(base, rng, kinds=("delete", "extra", "rewrite"), count=3))
     return groupoids
+
+
+def _rows_and_window(g: FiniteGroupoid) -> tuple[list[list[str | None]], int]:
+    """Each row's cells (None where undefined) and s, its widest span of defined cells."""
+    rows = [[g.compose_table.get((b, a)) for a in g.elements] for b in g.elements]
+    defined = [[i for i, c in enumerate(row) if c is not None] for row in rows]
+    return rows, max(cols[-1] - cols[0] + 1 for cols in defined if cols)
 
 
 def _render_with_gathers(g: FiniteGroupoid, monkeypatch) -> tuple[str, list[np.ndarray]]:
@@ -768,6 +797,17 @@ def test_multiplication_table_matches_scalar_renderer():
         (b, a) in g.compose_table and not g.is_composable(b, a)
         for g in groupoids for b in g.elements for a in g.elements
     )
+    # Windows of s cells: a row with no defined cell; a window moved left to end
+    # at the last column; marks inside a window; a window of blank cells ending
+    # its row after a mark; labels outside the BMP.
+    windows = [(row, s) for g in groupoids for rows, s in [_rows_and_window(g)] for row in rows]
+    assert any(row.count(None) == len(row) for row, _ in windows)
+    spans = [[i for i, c in enumerate(row) if c is not None] for row, _ in windows]
+    narrow = [(row, s, cols) for (row, s), cols in zip(windows, spans) if cols and s < len(row)]
+    assert any(cols[0] > len(row) - s for row, s, cols in narrow)
+    assert any(None in row[cols[0]:cols[-1]] for row, s, cols in narrow)
+    assert any(None in row[:-s] and all(c is not None and not c.strip() for c in row[-s:]) for row, s in windows)
+    assert any(ord(max(e)) > 0xFFFF for g in groupoids for e in g.elements if e)
     # Rows end in "∗" and in defined cells narrower than the column, so rstrip
     # strips padding after both.
     last_cells = [(g, g.compose_table.get((b, g.elements[-1]))) for g in groupoids for b in g.elements]
@@ -777,14 +817,15 @@ def test_multiplication_table_matches_scalar_renderer():
         assert multiplication_table(g) == _reference_table(g)
 
 
-# A pair:16 table row gathers 256 cells of "(x16,x16)  ", 11 UCS4 code points each.
-PAIR16_ROW_BYTES = 4 * 11 * 256
+# A pair:16 table row (z,y) gathers its window: the 16 cells (z,y) ∘ (y,x), each
+# "(x16,x16)  " at the widest, 11 UCS4 code points.
+PAIR16_ROW_BYTES = 4 * 11 * 16
 
 
-# Byte budgets: one row per step; three pair:16 rows per step, which leaves a
-# partial last step on pair:16 (256 rows) and pair:12 (5 rows per step, 144
+# Byte budgets: one row per step; 48 pair:16 rows per step, which leaves a
+# partial last step on pair:16 (256 rows) and pair:12 (64 rows per step, 144
 # rows); the default.
-@pytest.mark.parametrize("budget", [1, 3 * PAIR16_ROW_BYTES, groupoid_module._TABLE_BYTES])
+@pytest.mark.parametrize("budget", [1, 48 * PAIR16_ROW_BYTES, groupoid_module._TABLE_BYTES])
 def test_table_chunk_seams_do_not_change_rendering(budget, monkeypatch):
     groupoids = _table_groupoids()
     expected = [_reference_table(g) for g in groupoids]
@@ -794,6 +835,7 @@ def test_table_chunk_seams_do_not_change_rendering(budget, monkeypatch):
     pair16 = rendered[groupoids.index(build_pair_groupoid(16))][1]
     rows = max(1, budget // PAIR16_ROW_BYTES)
     assert [len(a) for a in pair16] == [min(rows, 256 - lo) for lo in range(0, 256, rows)]
+    assert all(a.nbytes == len(a) * PAIR16_ROW_BYTES for a in pair16)
 
 
 def test_table_gathers_stay_within_the_byte_budget(monkeypatch):
@@ -801,7 +843,8 @@ def test_table_gathers_stay_within_the_byte_budget(monkeypatch):
     long_labels = tuple(f"outcome-{i:02d}-of-eleven" for i in range(11))
     long = build_pair_groupoid(long_labels)
     assert max(map(len, long.elements)) == 43
-    for g in (build_pair_groupoid(16), build_pair_groupoid(32), long):
+    steps = []
+    for g in (build_pair_groupoid(16), build_pair_groupoid(32), _shuffled_pair(16, 0), long):
         _, gathers = _render_with_gathers(g, monkeypatch)
         row_bytes = gathers[0].nbytes // len(gathers[0])
         assert sum(map(len, gathers)) == len(g.elements)
@@ -810,11 +853,22 @@ def test_table_gathers_stay_within_the_byte_budget(monkeypatch):
         assert all(a.nbytes <= budget or len(a) == 1 for a in gathers)
         assert all(a.nbytes + row_bytes > budget for a in gathers[:-1])
         assert len({a.ctypes.data for a in gathers}) == 1
-    assert [len(a) for a in gathers] == [4] * 30 + [1]  # 121 rows of 4 * 45 * 121 bytes
+        steps.append([len(a) for a in gathers])
+    assert steps[0] == [139, 117]  # 256 rows of 4 * 11 * 16 bytes
+    assert steps[-1] == [49, 49, 23]  # 121 rows of 4 * 45 * 11 bytes
 
 
 def test_pair32_table_is_byte_identical_at_the_ceiling():
-    text = multiplication_table(build_pair_groupoid(32)).encode("utf-8")
+    g = build_pair_groupoid(32)
+    tracemalloc.start()
+    try:
+        text = multiplication_table(g)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    # ~22 MiB of the peak is the text: 11.6 million characters, two bytes each because of "∗"
+    assert len(text) == 11_559_179 and peak <= 26, peak
+    text = text.encode("utf-8")
     assert len(text) == 13_590_797
     assert hashlib.sha256(text).hexdigest() == "b5518c801d3a6e0791adf0d4c3217ff648e30720d8debea8355a299e46423d61"
 

@@ -25,7 +25,6 @@ from groupoidqm import (
     build_pair_groupoid,
     compose_histories,
     decompose_history,
-    groupoid_to_text,
     enumerate_histories,
     evolve_state,
     history_amplitude,
@@ -47,6 +46,8 @@ from groupoidqm.histories import (
     fixed_order_matmul,
     fixed_order_power,
 )
+
+from groupoid_text import groupoid_to_text
 
 A2 = build_a2()
 # pair:2 on x1, x2 beside a trivial outcome y: out-degrees 2, 1, 2
