@@ -55,7 +55,7 @@ SWEEP_HEADER = (
 # A sweep holds every point at once.  At this cap its tracemalloc peak is ~23 MB on
 # the default model (~39 MB when every printed number takes its full 24 characters):
 # the CSV text twice, as blocks of rows and joined, beside the scan's columns (~2.5 MB
-# kept); the scan itself peaks near 22 MB.
+# kept).  The scan itself peaks near 14.4 MB, so the text sets the peak.
 MAX_SWEEP_POINTS = 100_000
 
 
@@ -537,15 +537,18 @@ def cmd_sweep(cfg: RunConfig) -> tuple[int, str]:
     )
     m = scan.model  # the vertex factors do not depend on mu
     gammas = [x for z in (m.gamma_mm, m.gamma_pm, m.gamma_mp, m.gamma_pp) for x in (z.real, z.imag)]
-    tail = _format(",%.17g" * 8, gammas) + "\n"  # digits, signs, dots, e and commas: no % to escape
-    rows = ("%.17g,0,%.17g" + tail, "%.17g,1,%.17g" + tail)  # by the feasible flag
-    # One % per block of rows, each block's text at most _TABLE_BYTES: a %.17g is at most 24 characters.
-    step = max(1, _TABLE_BYTES // len(rows[0] % (-sys.float_info.min, -sys.float_info.min)))
+    tail = _format(",%.17g" * 8, gammas) + "\n"  # the same gamma columns end every row
+    rows = ("%.17g,0,%.17g\n", "%.17g,1,%.17g\n")  # by the feasible flag
+    # One % per block of rows, then one replace of its newlines by the tail: % reads its
+    # template a character at a time, so the tail stays out of it.  Each block's final
+    # text is at most _TABLE_BYTES: a %.17g is at most 24 characters.
+    widest = len(rows[0] % (-sys.float_info.min, -sys.float_info.min)) - 1 + len(tail)
+    step = max(1, _TABLE_BYTES // widest)
     columns = np.column_stack((scan.mu_tau_over_hbar, scan.min_residual))
     blocks = [SWEEP_HEADER + "\n"]
     for lo in range(0, count, step):
         template = "".join([rows[flag] for flag in scan.feasible_mask[lo : lo + step].tolist()])
-        blocks.append(_format(template, columns[lo : lo + step].ravel().tolist()))
+        blocks.append(_format(template, columns[lo : lo + step].ravel().tolist()).replace("\n", tail))
     return 0, "".join(blocks)
 
 

@@ -378,11 +378,11 @@ def _scalar_product(a, b):
     """_product on (re, im) pairs of nested lists of Python floats: the same terms, order and bits.
 
     Each Python float operation is rounded on its own, so nothing fuses here
-    either.  A 2x2 times 2x2 product (the qubit step, its powers, and
-    _unitarity_gaps on Python floats or on a scan's float64 columns) is
+    either.  A 2x2 times 2x2 product (the qubit step and its powers) is
     written out term by term, at about a quarter of the loop's cost; every
     other shape goes through _scalar_loop, whose one body serves every side
-    up to _SCALAR_MAX_SIDE.
+    up to _SCALAR_MAX_SIDE.  Entries that are float64 columns give each
+    column position the bits of its own matrix on Python floats.
     """
     (ar, ai), (br, bi) = a, b
     if len(ar) != 2 or len(br) != 2 or len(br[0]) != 2:

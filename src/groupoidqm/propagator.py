@@ -28,7 +28,7 @@ import numpy as np
 
 from .algebra import StateVector
 from .histories import (
-    _amplitude, _complex, _exp, _not_finite, _scalar_product, _square, fixed_order_matmul, fixed_order_power,
+    _amplitude, _complex, _exp, _not_finite, _square, fixed_order_matmul, fixed_order_power,
 )
 
 FEASIBLE_TOL = 1e-10
@@ -93,6 +93,10 @@ class UnitarityReport:
 
     residuals holds, in order, the magnitudes of the four entries of
     U U* - 1 (rows --, -+, +-, ++) followed by the four entries of U* U - 1.
+    Both matrices are Hermitian, so residuals[2] == residuals[1] and
+    residuals[6] == residuals[5] by construction (the printed
+    residual_1_3 = residual_1_2 and residual_2_3 = residual_2_2), and the
+    diagonal gaps are real.
     """
 
     residuals: tuple[float, float, float, float, float, float, float, float]
@@ -205,37 +209,60 @@ def _scan_step(model: PropagatorModel, mus: np.ndarray) -> tuple[list[list], lis
     return [[re_mm, re_mp], [re_pm, re_pp]], [[im_mm, im_mp], [im_pm, im_pp]]
 
 
-def _unitarity_gaps(re: list[list], im: list[list]) -> tuple[list, list]:
-    """(re, im) of the entries of U U* - 1, then of U* U - 1, row by row: eight of each.
+def _unitarity_gaps(re: list[list], im: list[list]) -> list:
+    """The independent parts of U U* - 1, then of U* U - 1: [0][0].re, [1][1].re, [0][1].re, [0][1].im.
 
     U's parts re and im are 2x2 nested lists, or arrays, whose entries are
-    Python floats or float64 columns, one matrix per column position.  The
-    products are histories._scalar_product's, in _product's fixed order:
-    entry [i, j] sums its terms k = 0, then k = 1, each the complex product
+    Python floats or float64 columns, one matrix per column position.  Both
+    gap matrices are Hermitian, so these four parts decide them: [1][0] is
+    conj([0][1]) (its real part bit for bit, its imaginary part up to the
+    sign of a zero), and a diagonal imaginary part is -(p q) + q p, +0.0
+    whenever it is finite; when it is not, the real part beside it is not
+    finite either (_residuals forms it for its message).  Each part is the
+    histories._scalar_product term, in _product's fixed order: entry [i, j]
+    sums its terms k = 0, then k = 1, each the complex product
     (xr yr - xi yi) + (xr yi + xi yr) i, and every multiply and add is
     rounded on its own.  So a column position has the bits of the same
     matrix on Python floats, and no residual depends on the BLAS build.
     """
-    u = re, im
-    uh = [[re[0][0], re[1][0]], [re[0][1], re[1][1]]], [[-im[0][0], -im[1][0]], [-im[0][1], -im[1][1]]]
-    gap_re, gap_im = [], []
-    for pr, pi in (_scalar_product(u, uh), _scalar_product(uh, u)):
-        gap_re += [pr[0][0] - 1.0, pr[0][1], pr[1][0], pr[1][1] - 1.0]
-        gap_im += [*pi[0], *pi[1]]
-    return gap_re, gap_im
+    (r00, r01), (r10, r11) = re
+    (i00, i01), (i10, i11) = im
+    n00, n01, n10, n11 = -i00, -i01, -i10, -i11
+    return [
+        # U U*: [i][j] sums U[i][k] conj(U[j][k])
+        ((r00 * r00 - i00 * n00) + (r01 * r01 - i01 * n01)) - 1.0,
+        ((r10 * r10 - i10 * n10) + (r11 * r11 - i11 * n11)) - 1.0,
+        (r00 * r10 - i00 * n10) + (r01 * r11 - i01 * n11),
+        (r00 * n10 + i00 * r10) + (r01 * n11 + i01 * r11),
+        # U* U: [i][j] sums conj(U[k][i]) U[k][j]
+        ((r00 * r00 - n00 * i00) + (r10 * r10 - n10 * i10)) - 1.0,
+        ((r01 * r01 - n01 * i01) + (r11 * r11 - n11 * i11)) - 1.0,
+        (r00 * r01 - n00 * i01) + (r10 * r11 - n10 * i11),
+        (r00 * i01 + n00 * r01) + (r10 * i11 + n10 * r11),
+    ]
 
 
 def _residuals(u: np.ndarray) -> np.ndarray:
     """|U U* - 1| then |U* U - 1|, entries row by row, of one 2x2 step matrix: shape (8,).
 
-    The gaps are _unitarity_gaps' on Python floats; the magnitudes are
-    np.hypot, as abs() of a complex scalar.  A gap that is not finite is an
-    OverflowError naming its position in that order.
+    The gaps are _unitarity_gaps' on Python floats, [1][0] being conj([0][1])
+    and each diagonal entry real; the magnitudes are np.hypot, as abs() of a
+    complex scalar, which gives |x| for hypot(x, 0.0).  A gap that is not
+    finite is an OverflowError naming its position in that order and its
+    complex value.
     """
-    re, im = _unitarity_gaps(u.real.tolist(), u.imag.tolist())
-    if not all(map(math.isfinite, re + im)):
-        raise _not_finite("unitarity gap", _complex(re, im))
-    return np.hypot(re, im)
+    re, im = u.real.tolist(), u.imag.tolist()
+    a, d, x, y, b, e, v, w = _unitarity_gaps(re, im)
+    gap_re, gap_im = [a, x, x, d, b, v, v, e], [0.0, y, -y, 0.0, 0.0, w, -w, 0.0]
+    if not all(map(math.isfinite, gap_re + gap_im)):  # the diagonal imaginary parts, in the same terms
+        (r00, r01), (r10, r11) = re
+        (i00, i01), (i10, i11) = im
+        gap_im[0] = (r00 * -i00 + i00 * r00) + (r01 * -i01 + i01 * r01)
+        gap_im[3] = (r10 * -i10 + i10 * r10) + (r11 * -i11 + i11 * r11)
+        gap_im[4] = (r00 * i00 + -i00 * r00) + (r10 * i10 + -i10 * r10)
+        gap_im[7] = (r01 * i01 + -i01 * r01) + (r11 * i11 + -i11 * r11)
+        raise _not_finite("unitarity gap", _complex(gap_re, gap_im))
+    return np.hypot(gap_re, gap_im)
 
 
 def _growth(delta: float, tau: float, hbar: float) -> float:
@@ -413,9 +440,11 @@ def quantization_scan(
     with the same bits.  The mu-independent work (radicand, vertex factors,
     bias, the diagonal of the step) is done once on Python floats, the rest
     on float64 columns of the grid's length: the flips (_scan_step), the
-    eight gaps of U U* - 1 and U* U - 1 (_unitarity_gaps), their np.hypot
-    and a running np.maximum.  No per-point object and no stack of matrices
-    is built.
+    independent parts of U U* - 1 and U* U - 1 (_unitarity_gaps: the real
+    diagonal and [0][1] of each, since [1][0] is its conjugate), np.hypot of
+    each [0][1], the absolute value of each diagonal gap (np.hypot(x, 0.0)
+    is |x|) and a running np.maximum.  No per-point object and no stack of
+    matrices is built.
 
     The columns are computed under np.errstate(over="ignore",
     invalid="ignore"), so the error does not depend on the caller's errstate:
@@ -429,10 +458,11 @@ def quantization_scan(
     model, s = _pinned_model(v_plus, v_minus, 0.0, delta, p_plus, tau, hbar, lam, sigma, gauge)
     with np.errstate(over="ignore", invalid="ignore"):
         mus = xs * hbar / tau
-        gap_re, gap_im = _unitarity_gaps(*_scan_step(model, mus))
-        worst = np.hypot(gap_re[0], gap_im[0])
-        for re, im in zip(gap_re[1:], gap_im[1:]):
-            np.maximum(worst, np.hypot(re, im), out=worst)
+        a, d, x, y, b, e, v, w = _unitarity_gaps(*_scan_step(model, mus))
+        worst = np.hypot(x, y)
+        np.maximum(worst, np.hypot(v, w), out=worst)
+        for diagonal in (a, d, b, e):
+            np.maximum(worst, np.abs(diagonal, out=diagonal), out=worst)
     if not np.isfinite(worst).all():
         raise _not_finite("min_residual", worst)
     columns = (mus, xs, worst, np.logical_and(s >= 0.0, worst <= feasible_tol))

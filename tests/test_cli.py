@@ -535,6 +535,32 @@ def test_sweep_matches_single_solves(tmp_path, capsys, monkeypatch, p_plus, radi
     assert sum(blocks[1:]) == 1801 and len(blocks) > 3, blocks
 
 
+@pytest.mark.parametrize("budget", [1, 1000, cli._TABLE_BYTES])
+def test_sweep_blocks_stay_within_the_byte_budget(tmp_path, capsys, monkeypatch, budget):
+    # grid points of 24 characters, the widest a %.17g prints, beside solve-mode vertex factors
+    text = (
+        "delta = 0.1\np_plus = 0.35\nLambda = 0.5\nSigma = -0.7\ngauge = 0.9\n"
+        "sweep_parameter = mu_tau_over_hbar\nsweep_from = -3e-300\nsweep_to = -1e-300\nsweep_points = 3000\n"
+    )
+    cfg = cfg_file(tmp_path, text)
+    want = run(capsys, "sweep", "-c", cfg)
+    blocks = []  # rows per _format call after the gamma columns'
+    format_ = cli._format
+
+    def recorded(template, values):
+        blocks.append(len(values) // 2)
+        return format_(template, values)
+
+    monkeypatch.setattr(cli, "_format", recorded)
+    monkeypatch.setattr(cli, "_TABLE_BYTES", budget)
+    assert run(capsys, "sweep", "-c", cfg) == want and want[0] == 0
+    rows = want[1].splitlines(keepends=True)[1:]
+    assert sum(blocks[1:]) == len(rows) == 3000 and max(map(len, rows)) > 100
+    for n in blocks[1:]:
+        block, rows = rows[:n], rows[n:]
+        assert sum(map(len, block)) <= max(budget, len(block[0])), (n, budget)
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

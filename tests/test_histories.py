@@ -423,7 +423,7 @@ def test_written_out_2x2_product_is_the_loop_bit_for_bit(products):
     # each product is ((a_re, a_im), (b_re, b_im)) on Python floats
     for a, b in products:
         assert _bits(_scalar_product(a, b)) == _bits(_scalar_loop(a, b))
-    # float64 columns, as _unitarity_gaps gives the scan's grid: position i is product i
+    # float64 columns, one per entry: position i is product i
     a, b = [
         tuple(np.array([m[part] for m in ms], dtype=float).transpose(1, 2, 0) for part in (0, 1))
         for ms in zip(*products)

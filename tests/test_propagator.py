@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from groupoidqm import (
@@ -23,7 +23,8 @@ from groupoidqm import (
     uniform_free_spectrum,
     unitarity_residuals,
 )
-from groupoidqm.histories import fixed_order_matmul
+from groupoidqm import propagator
+from groupoidqm.histories import _complex, _not_finite, _scalar_product, fixed_order_matmul
 from groupoidqm.propagator import _residuals, _scan_step, _unitarity_gaps
 
 SQRT2 = math.sqrt(2.0)
@@ -389,13 +390,105 @@ def test_residuals_follow_the_fixed_order_bit_for_bit(seed):
     assert fixed_order_matmul(us, us.conj()).tobytes() == b"".join(
         fixed_order_matmul(u, u.conj()).tobytes() for u in us
     )
-    re, im = _unitarity_gaps(us.real.transpose(1, 2, 0), us.imag.transpose(1, 2, 0))  # one column per model
-    for m, u, row in zip(models, us, np.hypot(re, im).T):
+    a, d, x, y, b, e, v, w = _unitarity_gaps(us.real.transpose(1, 2, 0), us.imag.transpose(1, 2, 0))  # a column per model
+    left, right = np.hypot(x, y), np.hypot(v, w)  # [0][1] and [1][0]; the diagonal gaps are real
+    rows = np.stack([np.abs(a), left, left, np.abs(d), np.abs(b), right, right, np.abs(e)], axis=1)
+    for m, u, row in zip(models, us, rows):
         report = unitarity_residuals(m)
         assert repr(list(report.residuals)) == repr(row.tolist()) == repr(python_residuals(u.tolist()))
     for mu in scan.mu.tolist():
         sol = solve_unitary_gammas(v_plus, v_minus, mu, delta_, p, tau, hbar, lam=lam, sigma=sigma, gauge=gauge)
         assert sol.report == unitarity_residuals(sol.model)
+
+
+def _all_gaps(re, im):
+    """(re, im) of all eight entries of U U* - 1, then of U* U - 1, row by row: both products in full.
+
+    The former _unitarity_gaps, kept as the oracle of the independent parts.
+    """
+    u = re, im
+    uh = [[re[0][0], re[1][0]], [re[0][1], re[1][1]]], [[-im[0][0], -im[1][0]], [-im[0][1], -im[1][1]]]
+    gap_re, gap_im = [], []
+    for pr, pi in (_scalar_product(u, uh), _scalar_product(uh, u)):
+        gap_re += [pr[0][0] - 1.0, pr[0][1], pr[1][0], pr[1][1] - 1.0]
+        gap_im += [*pi[0], *pi[1]]
+    return gap_re, gap_im
+
+
+def _nan_bits(x) -> bytes:
+    """The bytes of x as float64, every nan made the one default nan."""
+    a = np.array(x, dtype=float)
+    return np.where(np.isnan(a), np.nan, a).tobytes()
+
+
+_U_PART = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-154, -1e-154, 1e154, -1e154]),
+    st.floats(1.5e154, 1e308), st.floats(-1e308, -1.5e154),  # their squares overflow
+    st.floats(-4.0, 4.0),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+)
+# (re, im) of one U: every part ordinary, so that any one gap can be the largest, or each part from _U_PART
+_U = st.one_of(st.lists(st.floats(-4.0, 4.0), min_size=8, max_size=8), st.lists(_U_PART, min_size=8, max_size=8)).map(
+    lambda v: ([v[0:2], v[2:4]], [v[4:6], v[6:8]])
+)
+
+
+_A, _B = math.sqrt(0.3), math.sqrt(0.7)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(us=st.lists(_U, min_size=1, max_size=6))
+# the largest gap off the diagonal of U* U, then of U U*: [[a, ia], [b, ib]] and its transpose
+@example(us=[([[_A, 0.0], [_B, 0.0]], [[0.0, _A], [0.0, _B]]), ([[_A, _B], [0.0, 0.0]], [[0.0, 0.0], [_A, _B]])])
+def test_the_independent_gaps_decide_all_eight(us):
+    # each U on Python floats; then one float64 column per entry (a column position per U), and
+    # the scan's layout: the diagonal on Python floats (the first U's), the flips as columns
+    columns = tuple(np.array([u[part] for u in us]).transpose(1, 2, 0) for part in (0, 1))
+    mixed = tuple(
+        [[first[0][0], column[0][1]], [column[1][0], first[1][1]]] for first, column in zip(us[0], columns)
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        for re, im in [*us, columns, mixed]:
+            full_re, full_im = _all_gaps(re, im)
+            independent = [full_re[0], full_re[3], full_re[1], full_im[1], full_re[4], full_re[7], full_re[5], full_im[5]]
+            assert _nan_bits(_unitarity_gaps(re, im)) == _nan_bits(independent)
+            for k in (1, 5):  # [0][1] of each product: [1][0] is its conjugate
+                assert _nan_bits(full_re[k + 1]) == _nan_bits(full_re[k])
+                # the imaginary parts may differ in the sign of a zero: -(a - b) is -0.0 where b - a is +0.0
+                assert np.array_equal(full_im[k + 1], np.negative(full_im[k]), equal_nan=True)
+            for k in (0, 3, 4, 7):  # the diagonal is real where its imaginary part is finite
+                d_re, d_im = np.asarray(full_re[k]), np.asarray(full_im[k])
+                finite = np.isfinite(d_im)
+                assert _nan_bits(d_im[finite]) == _nan_bits(np.zeros(finite.sum()))
+                assert not np.isfinite(d_re[~finite]).any()
+
+    # the single-point magnitudes, or the same message naming the same complex value
+    for re, im in us:
+        full_re, full_im = _all_gaps(re, im)
+        if all(map(math.isfinite, full_re + full_im)):
+            assert _residuals(_complex(re, im)).tobytes() == np.hypot(full_re, full_im).tobytes()
+        else:
+            message = str(_not_finite("unitarity gap", _complex(full_re, full_im)))
+            with pytest.raises(OverflowError) as caught:
+                _residuals(_complex(re, im))
+            assert str(caught.value) == message
+
+    # the scan's min_residual, or the same message naming the same grid point
+    for step in (columns, mixed):
+        with np.errstate(over="ignore", invalid="ignore"):
+            full_re, full_im = _all_gaps(*step)
+            worst = np.hypot(full_re[0], full_im[0])
+            for re, im in zip(full_re[1:], full_im[1:]):
+                worst = np.maximum(worst, np.hypot(re, im))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(propagator, "_scan_step", lambda model, mus: step)
+            if np.isfinite(worst).all():
+                scan = quantization_scan(0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 0.0, 0.0, 1.0, np.zeros(len(us)))
+                assert scan.min_residual.tobytes() == worst.tobytes()
+            else:
+                with pytest.raises(OverflowError) as caught:
+                    quantization_scan(0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 0.0, 0.0, 1.0, np.zeros(len(us)))
+                assert str(caught.value) == str(_not_finite("min_residual", worst))
 
 
 def test_scan_of_an_empty_grid_is_empty():
@@ -439,7 +532,7 @@ def test_scan_peak_memory_per_point_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 250 * 20000, f"{peak / 20000:.0f} B per point"
+    assert peak < 175 * 20000, f"{peak / 20000:.0f} B per point"
 
 
 _GRID_VALUE = st.one_of(st.floats(-20.0, 20.0), st.sampled_from([0.0, -0.0]))
