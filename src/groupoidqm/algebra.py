@@ -12,8 +12,6 @@ import numpy as np
 from .groupoid import FiniteGroupoid
 from .lagrangian import QLagrangian
 
-DENSITY_TOL = 1e-10
-
 
 @dataclass(frozen=True, eq=False)
 class AlgebraElement:
@@ -170,82 +168,9 @@ def fundamental_rep(a: AlgebraElement) -> np.ndarray:
     return m.reshape(k, k)
 
 
-def element_from_matrix(g: FiniteGroupoid, matrix: np.ndarray, tol: float = 1e-12) -> AlgebraElement:
-    """Invert fundamental_rep where that is possible.
-
-    Requires at most one transition per ordered outcome pair; entries at pairs
-    with no transition must vanish within tol (relative to the matrix norm).
-    """
-    matrix = np.asarray(matrix, dtype=complex)
-    n = len(g.outcomes)
-    if matrix.shape != (n, n):
-        raise ValueError(f"matrix shape {matrix.shape} does not match {n} outcomes")
-    cell = g.target.array * n + g.source.array  # each element's flat [target, source] index
-    cells, first = np.unique(cell, return_index=True)
-    if len(cells) < len(cell):
-        later = np.ones(len(cell), dtype=bool)
-        later[first] = False
-        e = int(np.flatnonzero(later)[0])  # the first element whose cell an earlier one carries
-        bt, bs = divmod(int(cell[e]), n)
-        raise ValueError(
-            "fundamental representation is not injective for this groupoid: "
-            f"both {g.elements[int(first[cells == cell[e]][0])]} and {g.elements[e]} "
-            f"map {g.outcomes[bs]} -> {g.outcomes[bt]}"
-        )
-    scale = max(1.0, float(np.max(np.abs(matrix))))
-    owner = np.full(n * n, -1, dtype=np.intp)
-    owner[cell] = np.arange(len(cell))
-    flat = matrix.ravel()
-    stray = np.flatnonzero((owner < 0) & (np.abs(flat) > tol * scale))
-    if stray.size:
-        bt, bs = divmod(int(stray[0]), n)
-        raise ValueError(
-            f"matrix entry at ({g.outcomes[bt]}, {g.outcomes[bs]}) = {matrix[bt, bs]} has no transition to carry it"
-        )
-    held = np.flatnonzero(owner >= 0)  # row-major, as the coefficients are keyed
-    names = g.elements
-    return AlgebraElement(g, {names[k]: z for k, z in zip(owner[held].tolist(), flat[held].tolist())})
-
-
 def operator_norm(a: AlgebraElement) -> float:
     """Largest singular value of the fundamental representation."""
     return float(np.linalg.norm(fundamental_rep(a), 2))
-
-
-def commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    return convolve(a, b) - convolve(b, a)
-
-
-def heisenberg_rhs(a: AlgebraElement, h: AlgebraElement, hbar: float, tol: float = 1e-10) -> AlgebraElement:
-    """Right-hand side i*hbar*[a, h] of the printed evolution equation.
-
-    Kept verbatim; see evolve_observable for the automorphism flow whose
-    derivative is (i/hbar)[h, a].
-    """
-    if hbar <= 0:
-        raise ValueError("hbar must be positive")
-    if not is_observable(h, tol):
-        raise ValueError("generator h is not self-adjoint")
-    return (1j * hbar) * commutator(a, h)
-
-
-def evolve_observable(
-    a: AlgebraElement, h: AlgebraElement, t: float, hbar: float, tol: float = 1e-10
-) -> AlgebraElement:
-    """Conjugate the representation of a by exp((i t / hbar) rep(h)) and pull back."""
-    if hbar <= 0:
-        raise ValueError("hbar must be positive")
-    if not is_observable(h, tol):
-        raise ValueError("generator h is not self-adjoint")
-    g = a.groupoid
-    hm = fundamental_rep(h)
-    # h self-adjoint makes hm Hermitian, so the exponential comes from an
-    # eigendecomposition and the flow is exactly unitary.
-    evals, vecs = np.linalg.eigh(hm)
-    phases = np.exp(1j * t / hbar * evals)
-    flow = (vecs * phases) @ vecs.conj().T
-    moved = flow @ fundamental_rep(a) @ flow.conj().T
-    return element_from_matrix(g, moved, tol=1e-9)
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,45 +192,6 @@ class StateVector:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.amplitudes, dtype=complex)
-
-
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """Hermitian, positive semi-definite, unit-trace matrix on the outcome basis."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("density matrix must be square")
-        if np.max(np.abs(m - m.conj().T)) > DENSITY_TOL:
-            raise ValueError("density matrix is not Hermitian")
-        evals = np.linalg.eigvalsh((m + m.conj().T) / 2)
-        if evals.min() < -DENSITY_TOL:
-            raise ValueError(f"density matrix has negative eigenvalue {evals.min()}")
-        if abs(np.trace(m) - 1.0) > DENSITY_TOL:
-            raise ValueError(f"density matrix trace is {np.trace(m)}, expected 1")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-
-def state_expectation(state: StateVector | DensityMatrix, a: AlgebraElement) -> complex:
-    """Expectation of a in a pure or mixed state over the outcome basis."""
-    m = fundamental_rep(a)
-    if isinstance(state, StateVector):
-        psi = state.as_array()
-        if psi.shape != (m.shape[0],):
-            raise ValueError(f"state has {psi.shape[0]} amplitudes, groupoid has {m.shape[0]} outcomes")
-        norm_sq = float(np.real(np.vdot(psi, psi)))
-        if norm_sq == 0.0:
-            raise ValueError("pure state must have nonzero norm")
-        return complex(np.vdot(psi, m @ psi) / norm_sq)
-    if isinstance(state, DensityMatrix):
-        if state.matrix.shape != m.shape:
-            raise ValueError("density matrix shape does not match the outcome count")
-        return complex(np.trace(state.matrix @ m))
-    raise TypeError(f"unsupported state type {type(state).__name__}")
 
 
 def element_from_lines(g: FiniteGroupoid, text: str) -> AlgebraElement:

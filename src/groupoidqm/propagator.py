@@ -490,20 +490,6 @@ def special_case_spectrum(a: complex, b: complex, case: SignCase) -> tuple[compl
     return (r, -r)
 
 
-def uniform_free_matrix(gamma: complex, gamma_prime: complex, mu: float, tau: float, hbar: float) -> np.ndarray:
-    """Unbiased step with no potentials: (1/2) [[G, G' e], [G' e, G]], e = exp(i mu tau / hbar)."""
-    e = cmath.exp(1j * mu * tau / hbar)
-    return 0.5 * np.array([[gamma, gamma_prime * e], [gamma_prime * e, gamma]], dtype=complex)
-
-
-def uniform_free_spectrum(
-    gamma: complex, gamma_prime: complex, mu: float, tau: float, hbar: float
-) -> tuple[complex, complex]:
-    """Eigenvalues (1/2)(G ± G' exp(i mu tau / hbar)) of the unbiased free step."""
-    e = cmath.exp(1j * mu * tau / hbar)
-    return (0.5 * (gamma + gamma_prime * e), 0.5 * (gamma - gamma_prime * e))
-
-
 def evolve_state(u: np.ndarray, state: StateVector, n: int) -> StateVector:
     """Apply n propagation steps to a pure state: fixed_order_power(u, n) times the state, in its fixed order.
 

@@ -19,8 +19,6 @@ from groupoidqm import (
     sign_case_matrix,
     solve_unitary_gammas,
     special_case_spectrum,
-    uniform_free_matrix,
-    uniform_free_spectrum,
     unitarity_residuals,
 )
 from groupoidqm import propagator
@@ -597,28 +595,6 @@ def test_sign_case_spectra_random():
         b = complex(rng.normal(), rng.normal())
         for case in SignCase:
             assert _matched(special_case_spectrum(a, b, case), sign_case_matrix(a, b, case))
-
-
-def test_uniform_free_spectrum():
-    lam_plus, lam_minus = uniform_free_spectrum(SQRT2, SQRT2, math.pi / 2, 1.0, 1.0)
-    assert lam_plus == pytest.approx((1 + 1j) / SQRT2)
-    assert lam_minus == pytest.approx((1 - 1j) / SQRT2)
-    assert abs(lam_plus) == pytest.approx(1.0)
-    assert abs(lam_minus) == pytest.approx(1.0)
-    # degenerate and rank-one corners
-    assert uniform_free_spectrum(3.0, 0.0, 1.0, 1.0, 1.0) == (1.5, 1.5)
-    lam_plus, lam_minus = uniform_free_spectrum(2.0, 2.0, 0.0, 1.0, 1.0)
-    assert (lam_plus, lam_minus) == (2.0, 0.0)
-    m = uniform_free_matrix(SQRT2, SQRT2, math.pi / 2, 1.0, 1.0)
-    assert _matched(uniform_free_spectrum(SQRT2, SQRT2, math.pi / 2, 1.0, 1.0), m)
-    # the phase is mu tau / hbar: tau and hbar away from 1 tell it from mu tau hbar, mu / tau, ...
-    g, g_prime, mu, tau, hbar = 1.3 - 0.2j, 0.4 + 0.9j, 0.7, 0.3, 1.9
-    e = cmath.exp(1j * mu * tau / hbar)
-    m = uniform_free_matrix(g, g_prime, mu, tau, hbar)
-    assert np.allclose(m, 0.5 * np.array([[g, g_prime * e], [g_prime * e, g]]), rtol=0, atol=1e-15)
-    lam_plus, lam_minus = uniform_free_spectrum(g, g_prime, mu, tau, hbar)
-    assert lam_plus == pytest.approx(0.5 * (g + g_prime * e), abs=1e-15)
-    assert lam_minus == pytest.approx(0.5 * (g - g_prime * e), abs=1e-15)
 
 
 def test_power_propagator():
