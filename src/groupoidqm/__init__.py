@@ -50,10 +50,7 @@ from .algebra import (
     operator_norm,
 )
 from .histories import (
-    DEFAULT_HISTORY_CAP,
     EnumerationCapExceeded,
-    History,
-    Segment,
     TimeGrid,
     action,
     amplitude_via_reference,
@@ -66,17 +63,14 @@ from .histories import (
     is_loop,
     make_history,
     n_step_path_sum,
-    normalization,
     single_step_matrix,
     total_variation,
     unit_history,
 )
 from .propagator import (
-    GammaSolution,
     PropagatorModel,
     QuantizationScan,
     SignCase,
-    UnitarityReport,
     evolve_state,
     quantization_scan,
     qubit_propagator,
@@ -88,74 +82,3 @@ from .propagator import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALPHA",
-    "ALPHA_INV",
-    "AlgebraElement",
-    "AxiomFailure",
-    "DEFAULT_HISTORY_CAP",
-    "EnumerationCapExceeded",
-    "FiniteGroupoid",
-    "GammaSolution",
-    "GroupoidParseError",
-    "History",
-    "MAX_ELEMENTS",
-    "NOT_COMPOSABLE",
-    "NotComposable",
-    "OUT_MINUS",
-    "OUT_PLUS",
-    "OutcomeBias",
-    "OutcomePartition",
-    "PropagatorModel",
-    "QLagrangian",
-    "QuantizationScan",
-    "Segment",
-    "SignCase",
-    "StateVector",
-    "TimeGrid",
-    "UNIT_MINUS",
-    "UNIT_PLUS",
-    "UnitarityReport",
-    "ValidationReport",
-    "action",
-    "algebra_unit",
-    "amplitude_via_reference",
-    "build_a2",
-    "build_from_table",
-    "build_pair_groupoid",
-    "coarse_grain",
-    "compose_histories",
-    "convolve",
-    "decompose_history",
-    "delta",
-    "element_from_lines",
-    "enumerate_histories",
-    "evolve_state",
-    "fixed_order_power",
-    "fundamental_rep",
-    "history_amplitude",
-    "invert_history",
-    "involute",
-    "is_loop",
-    "is_observable",
-    "is_principal",
-    "lagrangian_element",
-    "make_history",
-    "multiplication_table",
-    "n_step_path_sum",
-    "normalization",
-    "operator_norm",
-    "pair_element",
-    "quantization_scan",
-    "qubit_bias",
-    "qubit_lagrangian",
-    "qubit_propagator",
-    "sign_case_matrix",
-    "single_step_matrix",
-    "solve_unitary_gammas",
-    "special_case_spectrum",
-    "total_variation",
-    "unit_history",
-    "unitarity_residuals",
-    "validate_axioms",
-]

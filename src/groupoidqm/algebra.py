@@ -173,7 +173,7 @@ def operator_norm(a: AlgebraElement) -> float:
     return float(np.linalg.norm(fundamental_rep(a), 2))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class StateVector:
     """Pure state amplitudes in the groupoid's outcome order."""
 
@@ -181,11 +181,6 @@ class StateVector:
 
     def __post_init__(self):
         object.__setattr__(self, "amplitudes", tuple(complex(z) for z in self.amplitudes))
-
-    def __eq__(self, other):
-        if not isinstance(other, StateVector):
-            return NotImplemented
-        return self.amplitudes == other.amplitudes
 
     def norm(self) -> float:
         return math.hypot(*(x for z in self.amplitudes for x in (z.real, z.imag)))

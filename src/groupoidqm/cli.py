@@ -33,7 +33,7 @@ from .groupoid import (
     multiplication_table,
     validate_axioms,
 )
-from .lagrangian import OutcomeBias, QLagrangian, _qubit_weights, qubit_bias
+from .lagrangian import OutcomeBias, QLagrangian, qubit_bias, qubit_lagrangian
 from .algebra import StateVector, element_from_lines
 from .coarse import _coarse_grain, pair_index
 from .histories import fixed_order_matmul, fixed_order_power, single_step_matrix
@@ -356,8 +356,8 @@ def _build_lagrangian(cfg: RunConfig, g: FiniteGroupoid) -> QLagrangian | None:
     parse_config has checked a pair_lagrangian spec's kind and number; a weight
     file is read here.
     """
-    if cfg.groupoid_spec == "a2":  # g is the a2 that _build_groupoid built
-        return QLagrangian(g, _qubit_weights(cfg.v_plus, cfg.v_minus, cfg.mu, cfg.delta))
+    if cfg.groupoid_spec == "a2":  # qubit_lagrangian's groupoid is the a2 that _build_groupoid returned
+        return qubit_lagrangian(cfg.v_plus, cfg.v_minus, cfg.mu, cfg.delta)
     if cfg.pair_lagrangian is None:
         return None
     kind, _, arg = cfg.pair_lagrangian.partition(":")

@@ -21,7 +21,6 @@ reader (validation, rendering, equality, convolution) reads the arrays.
 
 from __future__ import annotations
 
-from collections.abc import ItemsView
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -131,14 +130,8 @@ class _IndexMap(Mapping):
     def __iter__(self) -> Iterator[str]:
         return iter(self.keys_)
 
-    def __reversed__(self) -> Iterator[str]:
-        return reversed(self.keys_)
-
     def __len__(self) -> int:
         return len(self.keys_)
-
-    def items(self) -> "_Items":
-        return _Items(self)
 
     def __repr__(self) -> str:
         return f"_IndexMap({dict(self)!r})"
@@ -188,26 +181,11 @@ class _ComposeTable(Mapping):
         names = self.elements
         return ((names[b], names[a]) for b, a in zip(*self._defined()))
 
-    def __reversed__(self) -> Iterator[tuple[str, str]]:
-        names = self.elements
-        rows, cols = self._defined()
-        return ((names[b], names[a]) for b, a in zip(reversed(rows), reversed(cols)))
-
     def __len__(self) -> int:
         return len(self._defined()[0])
 
-    def items(self) -> "_Items":
-        return _Items(self)
-
     def __repr__(self) -> str:
         return f"_ComposeTable({dict(self)!r})"
-
-
-class _Items(ItemsView):
-    """Items of an _IndexMap or a _ComposeTable; reversible, like a dict's."""
-
-    def __reversed__(self) -> Iterator[tuple[tuple[str, str], str]]:
-        return ((key, self._mapping[key]) for key in reversed(self._mapping))
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,28 +227,29 @@ class FiniteGroupoid:
             raise ValueError("a groupoid needs at least one outcome")
         oindex = _index(outcomes)
 
-        def view(mapping, keys, index, labels, label_index, cover, undeclared) -> _IndexMap:
+        def view(mapping, name, keys, index, key_kind, labels, label_index, label_kind) -> _IndexMap:
             if isinstance(mapping, _IndexMap) and mapping.keys_ == keys and mapping.labels == labels:
                 return mapping
-            if set(mapping) != index.keys():
-                raise ValueError(cover)
-            found = [label_index.get(mapping[k], -1) for k in keys]
+            found = [label_index.get(mapping.get(k), -1) for k in keys]
             if -1 in found:
-                raise ValueError(undeclared.format(keys[found.index(-1)]))
+                k = keys[found.index(-1)]
+                if k not in mapping:
+                    raise ValueError(f"no {name} for {key_kind} {k!r}")
+                raise ValueError(f"{name} of {key_kind} {k!r} is {mapping[k]!r}, not a declared {label_kind}")
+            if len(mapping) != len(keys):
+                extra = next(k for k in mapping if k not in index)
+                raise ValueError(f"{name} given for {extra!r}, not a declared {key_kind}")
             return _IndexMap(keys, index, labels, np.array(found, dtype=np.intp))
 
-        source = view(self.source, elements, eindex, outcomes, oindex,
-                      "source map must cover exactly the elements", "source of {!r} is not a declared outcome")
-        target = view(self.target, elements, eindex, outcomes, oindex,
-                      "target map must cover exactly the elements", "target of {!r} is not a declared outcome")
-        unit_of = view(self.unit_of, outcomes, oindex, elements, eindex,
-                       "unit_of must cover exactly the outcomes", "unit_of points at an undeclared element")
-        inverse = view(self.inverse, elements, eindex, elements, eindex,
-                       "inverse map must cover exactly the elements", "inverse points at an undeclared element")
+        source = view(self.source, "source", elements, eindex, "element", outcomes, oindex, "outcome")
+        target = view(self.target, "target", elements, eindex, "element", outcomes, oindex, "outcome")
+        unit_of = view(self.unit_of, "unit", outcomes, oindex, "outcome", elements, eindex, "element")
+        inverse = view(self.inverse, "inverse", elements, eindex, "element", elements, eindex, "element")
         if not held:
             for (b, a), c in law.items():
                 if b not in eindex or a not in eindex or c not in eindex:
-                    raise ValueError(f"compose table mentions undeclared elements: ({b!r}, {a!r}) -> {c!r}")
+                    x = next(x for x in (b, a, c) if x not in eindex)
+                    raise ValueError(f"composition {b!r} ∘ {a!r} = {c!r} names {x!r}, not a declared element")
             law = _ComposeTable.from_mapping(elements, eindex, law)
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "elements", elements)
@@ -653,8 +632,10 @@ def build_from_table(text: str) -> FiniteGroupoid:
     - ``inverse: NAME NAME``         symmetric; every element needs one
     - ``compose: BETA ALPHA = GAMMA``  every composable pair must be listed
 
-    The parsed groupoid must pass :func:`validate_axioms`; otherwise parsing
-    fails naming the violated axiom.
+    A label that no line declares fails the :class:`FiniteGroupoid`
+    constructor, whose message becomes the parse error.  The parsed groupoid
+    must pass :func:`validate_axioms`; otherwise parsing fails naming the
+    violated axiom.
     """
     outcomes: list[str] | None = None
     elements: list[str] = []
@@ -717,17 +698,6 @@ def build_from_table(text: str) -> FiniteGroupoid:
 
     if outcomes is None:
         raise GroupoidParseError("missing outcomes line")
-    oset, eset = set(outcomes), set(elements)
-    for e in elements:
-        if source[e] not in oset:
-            raise GroupoidParseError(f"element {e} has unknown source {source[e]}")
-        if target[e] not in oset:
-            raise GroupoidParseError(f"element {e} has unknown target {target[e]}")
-    for o, u in unit_of.items():
-        if o not in oset:
-            raise GroupoidParseError(f"unit declared for unknown outcome {o}")
-        if u not in eset:
-            raise GroupoidParseError(f"unit of {o} names unknown element {u}")
     for o in outcomes:
         if o not in unit_of:
             loops = [e for e in elements if source[e] == o and target[e] == o]
@@ -740,22 +710,10 @@ def build_from_table(text: str) -> FiniteGroupoid:
     for e in elements:
         if e not in inverse:
             raise GroupoidParseError(f"inverse undefined for {e}")
-        if inverse[e] not in eset:
-            raise GroupoidParseError(f"inverse of {e} names unknown element {inverse[e]}")
-    for (b, a), c in table.items():
-        for name in (b, a, c):
-            if name not in eset:
-                raise GroupoidParseError(f"compose line mentions unknown element {name}")
-
-    g = FiniteGroupoid(
-        outcomes=tuple(outcomes),
-        elements=tuple(elements),
-        source=source,
-        target=target,
-        unit_of=unit_of,
-        inverse=inverse,
-        compose_table=table,
-    )
+    try:
+        g = FiniteGroupoid(tuple(outcomes), tuple(elements), source, target, unit_of, inverse, table)
+    except ValueError as exc:  # a label no line declares
+        raise GroupoidParseError(str(exc)) from None
     report = validate_axioms(g)
     if not report.ok:
         raise GroupoidParseError("groupoid axioms violated: " + "; ".join(str(f) for f in report.failures[:5]))

@@ -31,7 +31,6 @@ from .groupoid import FiniteGroupoid
 from .lagrangian import OutcomeBias, QLagrangian
 
 DEFAULT_HISTORY_CAP = 10_000_000
-_TIME_TOL = 1e-9
 _COUNT_LIMIT = 10**18  # counts saturate above max(cap, this); being >= 0 they stay exact below
 # One matrix of at most this side is multiplied on Python floats, anything
 # larger, and every stack, on float64 arrays: the side where each costs less
@@ -51,7 +50,7 @@ class EnumerationCapExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid: start time, positive step tau, and total step count."""
+    """Uniform grid: finite start time, positive step tau, and total step count."""
 
     t_start: float
     tau: float
@@ -62,6 +61,8 @@ class TimeGrid:
             raise ValueError(f"n_steps must be a non-negative integer, got {self.n_steps!r}")
         if not (self.tau > 0 and math.isfinite(self.tau)):
             raise ValueError(f"tau must be positive and finite, got {self.tau!r}")
+        if not math.isfinite(self.t_start):  # a time that is not finite lies on no tick
+            raise ValueError(f"t_start must be finite, got {self.t_start!r}")
 
     @property
     def t_end(self) -> float:
@@ -175,7 +176,7 @@ def unit_history(g: FiniteGroupoid, outcome: str, t_start: float = 0.0, tau: flo
 
 
 def compose_histories(w2: History, w1: History) -> History:
-    """w2 ∘ w1: first walk w1, then w2; endpoints must match in outcome and time."""
+    """w2 ∘ w1: first walk w1, then w2; endpoints must match in outcome and, to within half a tick, in time."""
     if w1.groupoid != w2.groupoid:
         raise ValueError("histories live over different groupoids")
     if w1.grid.tau != w2.grid.tau:
@@ -185,13 +186,18 @@ def compose_histories(w2: History, w1: History) -> History:
             f"cannot compose: first history ends at {w1.end_outcome!r}, "
             f"second starts at {w2.start_outcome!r}"
         )
-    if not math.isclose(w1.end_time, w2.start_time, rel_tol=_TIME_TOL, abs_tol=_TIME_TOL):
+    if not _same_tick(w1.end_time, w2.start_time, w1.grid.tau):
         raise ValueError(
             f"cannot compose: first history ends at t={w1.end_time!r}, "
             f"second starts at t={w2.start_time!r}"
         )
     grid = TimeGrid(w1.grid.t_start, w1.grid.tau, w1.n_steps + w2.n_steps)
     return History(w1.groupoid, grid, w1.segments + w2.segments, w1.anchor)
+
+
+def _same_tick(t1: float, t2: float, tau: float) -> bool:
+    """Whether times t1 and t2, on grids of step tau, are within half a tick of each other."""
+    return abs(t1 - t2) < tau / 2
 
 
 def invert_history(w: History) -> History:
@@ -239,11 +245,6 @@ def action(w: History, ell: QLagrangian, tau: float | None = None) -> complex:
                 raise ValueError(f"lagrangian has no value for step {step!r}") from None
         total += seg.orientation * seg_sum * tau
     return total
-
-
-def normalization(w: History, bias: OutcomeBias) -> float:
-    """Endpoint factor sqrt(p(start) p(end))."""
-    return math.sqrt(bias[w.start_outcome] * bias[w.end_outcome])
 
 
 def _exp(z: complex) -> complex:
@@ -546,10 +547,8 @@ def decompose_history(w: History, w_ref: History) -> History:
     """
     if w.start_outcome != w_ref.start_outcome or w.end_outcome != w_ref.end_outcome:
         raise ValueError("histories must share both endpoints")
-    if not (
-        math.isclose(w.start_time, w_ref.start_time, rel_tol=_TIME_TOL, abs_tol=_TIME_TOL)
-        and math.isclose(w.end_time, w_ref.end_time, rel_tol=_TIME_TOL, abs_tol=_TIME_TOL)
-    ):
+    tau = w.grid.tau
+    if not (_same_tick(w.start_time, w_ref.start_time, tau) and _same_tick(w.end_time, w_ref.end_time, tau)):
         raise ValueError("histories must share start and end times")
     sigma = compose_histories(invert_history(w_ref), w)
     if not is_loop(sigma):
@@ -575,11 +574,10 @@ def amplitude_via_reference(
     """Endpoint amplitude computed through an arbitrary reference history.
 
     The loop weight exp(-(i/hbar) action(sigma)) with sigma = base^-1 ∘ w_ref
-    gauges the base reference to weight one; the result is then independent
-    of which w_ref was chosen.
+    gauges the base reference to weight one; the result, loop weight times
+    z_vertex times history_amplitude(w_ref, ...), is then independent of which
+    w_ref was chosen.
     """
-    if hbar <= 0:
-        raise ValueError("hbar must be positive")
+    amplitude = history_amplitude(w_ref, ell, bias, hbar)
     sigma = decompose_history(w_ref, base)
-    weight = cmath.exp(-1j * action(sigma, ell) / hbar)
-    return weight * z_vertex * normalization(w_ref, bias) * cmath.exp(1j * action(w_ref, ell) / hbar)
+    return _exp(-1j * action(sigma, ell) / hbar) * z_vertex * amplitude

@@ -13,6 +13,9 @@ from .groupoid import FiniteGroupoid, _IndexMap, build_a2
 
 SELF_ADJOINT_TOL = 1e-12
 BIAS_SUM_TOL = 1e-12
+# The groupoid of qubit_lagrangian: build_a2() returns this one immutable value,
+# so a command that has built a2 builds it no second time for its weights.
+_A2 = build_a2()
 
 
 @dataclass(frozen=True)
@@ -79,13 +82,12 @@ class QLagrangian:
 
 
 def qubit_lagrangian(v_plus: float, v_minus: float, mu: float, delta: float) -> QLagrangian:
-    """Weights on the two-outcome groupoid: units carry -V, the flips mu ± i delta."""
-    return QLagrangian(build_a2(), _qubit_weights(v_plus, v_minus, mu, delta))
+    """Weights on the two-outcome groupoid: units carry -V, the flips mu ± i delta.
 
-
-def _qubit_weights(v_plus: float, v_minus: float, mu: float, delta: float) -> np.ndarray:
-    """The values of qubit_lagrangian, in a2's element order (1+, 1-, alpha, alpha^-1)."""
-    return np.array([complex(-v_plus, 0.0), complex(-v_minus, 0.0), complex(mu, delta), complex(mu, -delta)])
+    They are given in a2's element order (1+, 1-, alpha, alpha^-1).
+    """
+    weights = [complex(-v_plus, 0.0), complex(-v_minus, 0.0), complex(mu, delta), complex(mu, -delta)]
+    return QLagrangian(_A2, np.array(weights))
 
 
 @dataclass(frozen=True)

@@ -372,7 +372,6 @@ def solve_unitary_gammas(
     lam: float = 0.0,
     sigma: float = 0.0,
     gauge: float = 1.0,
-    feasible_tol: float = FEASIBLE_TOL,
 ) -> GammaSolution:
     """Vertex factors making the step unitary, with the phases lam/sigma pinned.
 
@@ -382,7 +381,7 @@ def solve_unitary_gammas(
     decided algebraically: it holds exactly when the radicand
     s = 1 - gauge^2 p+ p- exp(2 delta tau / hbar) is non-negative and the
     global phase constraint is met, checked as the candidate's unitarity
-    residual being within feasible_tol.  min_residual is that candidate's
+    residual being within FEASIBLE_TOL.  min_residual is that candidate's
     joint residual; for s < 0 it equals |s|.  u is the candidate's step
     matrix, equal to qubit_propagator(model), and report is
     unitarity_residuals(model).
@@ -391,7 +390,7 @@ def solve_unitary_gammas(
     model, s = _pinned_model(v_plus, v_minus, mu, delta, p_plus, tau, hbar, lam, sigma, gauge)
     u = qubit_propagator(model)
     report = _step_report(model, u)
-    feasible = s >= 0.0 and all(r <= feasible_tol for r in report.residuals)
+    feasible = s >= 0.0 and all(r <= FEASIBLE_TOL for r in report.residuals)
     return GammaSolution(feasible, model, report, report.max_residual, u)
 
 
@@ -432,7 +431,6 @@ def quantization_scan(
     sigma: float,
     gauge: float,
     grid: np.ndarray,
-    feasible_tol: float = FEASIBLE_TOL,
 ) -> QuantizationScan:
     """Solve for unitary vertex factors along a grid of mu*tau/hbar values.
 
@@ -465,7 +463,7 @@ def quantization_scan(
             np.maximum(worst, np.abs(diagonal, out=diagonal), out=worst)
     if not np.isfinite(worst).all():
         raise _not_finite("min_residual", worst)
-    columns = (mus, xs, worst, np.logical_and(s >= 0.0, worst <= feasible_tol))
+    columns = (mus, xs, worst, np.logical_and(s >= 0.0, worst <= FEASIBLE_TOL))
     for column in columns:
         column.flags.writeable = False
     return QuantizationScan(model, *columns)

@@ -76,6 +76,9 @@ def test_time_grid_validation():
         TimeGrid(0.0, -1.0, 3)
     with pytest.raises(ValueError):
         TimeGrid(0.0, 1.0, -1)
+    for t_start in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="t_start must be finite"):
+            TimeGrid(t_start, 1.0, 1)
     assert TimeGrid(1.0, 0.5, 4).t_end == 3.0
 
 
@@ -168,6 +171,23 @@ def test_compose_rejects_mismatches():
         compose_histories(hist([ALPHA], t_start=1.0), hist([UNIT_MINUS]))
     with pytest.raises(ValueError, match="t="):
         compose_histories(hist([ALPHA], t_start=5.0), hist([ALPHA_INV]))
+
+
+@pytest.mark.parametrize("t_start, tau", [(1e12, 1e-3), (0.0, 1e-12)])
+def test_endpoint_times_match_to_within_half_a_tick(t_start, tau):
+    w1 = hist([ALPHA_INV], t_start=t_start, tau=tau)
+    # a rounding away from w1's end is the same tick
+    on_time = hist([ALPHA], t_start=math.nextafter(w1.end_time, math.inf), tau=tau)
+    assert compose_histories(on_time, w1).n_steps == 2
+    # one tick late at t = 1e12, 999 ticks late at tau = 1e-12: both used to pass a 1e-9 tolerance
+    late = t_start + 2 * tau if t_start else 1e-9
+    with pytest.raises(ValueError, match="t="):
+        compose_histories(hist([ALPHA], t_start=late, tau=tau), w1)
+    # same endpoints, net ticks 2 against 0: the end times differ by two ticks
+    forward = hist([UNIT_MINUS, UNIT_MINUS], t_start=t_start, tau=tau)
+    there_and_back = make_history(A2, TimeGrid(t_start, tau, 2), ((+1, (UNIT_MINUS,)), (-1, (UNIT_MINUS,))))
+    with pytest.raises(ValueError, match="^histories must share start and end times$"):
+        decompose_history(forward, there_and_back)
 
 
 def test_is_loop_cases():
@@ -501,6 +521,19 @@ def test_decompose_four_step_loop():
 def test_decompose_requires_shared_endpoints():
     with pytest.raises(ValueError, match="endpoints"):
         decompose_history(hist([ALPHA_INV]), hist([UNIT_MINUS]))
+
+
+def test_reference_amplitude_overflow_is_the_history_amplitude_error():
+    # the action overflows to inf; the amplitude is one formula, so one error
+    ell = qubit_lagrangian(1e308, -1e308, 1e308, 0.0)
+    bias = qubit_bias(0.5)
+    for steps in ([UNIT_MINUS, UNIT_MINUS], [ALPHA, UNIT_MINUS]):
+        w = hist(steps, start="+" if steps[0] == ALPHA else None)
+        with pytest.raises(OverflowError) as direct:
+            history_amplitude(w, ell, bias, 1e-300)
+        with pytest.raises(OverflowError) as via:
+            amplitude_via_reference(w, w, ell, bias, 1e-300)
+        assert str(via.value) == str(direct.value)
 
 
 def test_reference_independence_quick():
