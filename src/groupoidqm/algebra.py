@@ -70,13 +70,6 @@ class AlgebraElement:
             raise ValueError("elements live over different groupoids")
 
 
-def delta(g: FiniteGroupoid, element: str, coefficient: complex = 1) -> AlgebraElement:
-    """Basis element: coefficient on a single transition."""
-    if element not in g.source:
-        raise ValueError(f"unknown element {element!r}")
-    return AlgebraElement(g, {element: coefficient})
-
-
 def algebra_unit(g: FiniteGroupoid) -> AlgebraElement:
     """Sum of all unit transitions; the multiplicative identity."""
     return AlgebraElement(g, {g.unit_of[o]: 1 for o in g.outcomes})

@@ -35,7 +35,7 @@ from .groupoid import (
 )
 from .lagrangian import OutcomeBias, QLagrangian, qubit_bias, qubit_lagrangian
 from .algebra import StateVector, element_from_lines
-from .coarse import _coarse_grain, pair_index
+from .coarse import coarse_grain
 from .histories import fixed_order_matmul, fixed_order_power, single_step_matrix
 from .propagator import (
     PropagatorModel,
@@ -584,9 +584,6 @@ def cmd_evolve(cfg: RunConfig, state_spec: str, steps: int | None) -> tuple[int,
 
 def cmd_coarse_grain(cfg: RunConfig, partition_spec: str) -> tuple[int, str]:
     g = _build_groupoid(cfg)
-    at = pair_index(g)  # derived once: the check here, the weights' gather in _coarse_grain
-    if at is None:
-        raise ConfigError("coarse-grain command requires a pair groupoid")
     ell = _build_lagrangian(cfg, g)
     if ell is None:
         raise ConfigError("coarse-grain requires pair_lagrangian")
@@ -595,7 +592,7 @@ def cmd_coarse_grain(cfg: RunConfig, partition_spec: str) -> tuple[int, str]:
         for block in partition_spec.split("|")
     )
     partition = OutcomePartition(blocks)
-    quotient, ell2 = _coarse_grain(g, at, partition, ell)
+    quotient, ell2 = coarse_grain(g, partition, ell)
     names = [e.replace("%", "%%") for e in quotient.elements]  # a label is literal text in the template
     template = "\nlagrangian:\n" + "".join(f"{e} = %.17g,%.17g\n" for e in names)
     values = [x for z in ell2.weights_on(quotient).tolist() for x in (z.real, z.imag)]

@@ -24,11 +24,6 @@ def pair_index(g: FiniteGroupoid) -> np.ndarray | None:
     return at.reshape(k, k) if len(g.elements) == k * k and at.min() >= 0 else None
 
 
-def is_principal(g: FiniteGroupoid) -> bool:
-    """True when there is exactly one transition per ordered outcome pair."""
-    return pair_index(g) is not None
-
-
 def coarse_grain(
     g: FiniteGroupoid, partition: OutcomePartition, ell: QLagrangian
 ) -> tuple[FiniteGroupoid, QLagrangian]:
@@ -45,13 +40,6 @@ def coarse_grain(
     if at is None:
         raise ValueError("coarse graining requires a pair-structured groupoid "
                          "(exactly one transition per ordered outcome pair)")
-    return _coarse_grain(g, at, partition, ell)
-
-
-def _coarse_grain(
-    g: FiniteGroupoid, at: np.ndarray, partition: OutcomePartition, ell: QLagrangian
-) -> tuple[FiniteGroupoid, QLagrangian]:
-    """coarse_grain on a groupoid g whose pair_index is at, for a caller that has checked it."""
     if ell.groupoid != g:
         raise ValueError("lagrangian is defined on a different groupoid")
     partition.validate_against(g.outcomes)

@@ -633,7 +633,8 @@ def build_from_table(text: str) -> FiniteGroupoid:
     - ``compose: BETA ALPHA = GAMMA``  every composable pair must be listed
 
     A label that no line declares fails the :class:`FiniteGroupoid`
-    constructor, whose message becomes the parse error.  The parsed groupoid
+    constructor, whose message becomes the parse error, before an outcome
+    with no unit line and no single loop is reported.  The parsed groupoid
     must pass :func:`validate_axioms`; otherwise parsing fails naming the
     violated axiom.
     """
@@ -698,21 +699,24 @@ def build_from_table(text: str) -> FiniteGroupoid:
 
     if outcomes is None:
         raise GroupoidParseError("missing outcomes line")
+
+    def loops(o: str) -> list[str]:
+        return [e for e in elements if source[e] == o and target[e] == o]
+
     for o in outcomes:
-        if o not in unit_of:
-            loops = [e for e in elements if source[e] == o and target[e] == o]
-            if len(loops) == 1:
-                unit_of[o] = loops[0]
-            else:
-                raise GroupoidParseError(
-                    f"unit undefined for {o}: found {len(loops)} loop candidates, add a unit line"
-                )
+        if o not in unit_of and len(candidates := loops(o)) == 1:
+            unit_of[o] = candidates[0]
     for e in elements:
         if e not in inverse:
             raise GroupoidParseError(f"inverse undefined for {e}")
     try:
         g = FiniteGroupoid(tuple(outcomes), tuple(elements), source, target, unit_of, inverse, table)
-    except ValueError as exc:  # a label no line declares
+    except ValueError as exc:  # a label no line declares, reported before a unit left undefined
+        o = next((o for o in outcomes if o not in unit_of), None)
+        if o is not None and str(exc) == f"no unit for outcome {o!r}":
+            raise GroupoidParseError(
+                f"unit undefined for {o}: found {len(loops(o))} loop candidates, add a unit line"
+            ) from None
         raise GroupoidParseError(str(exc)) from None
     report = validate_axioms(g)
     if not report.ok:

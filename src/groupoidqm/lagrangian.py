@@ -9,13 +9,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .groupoid import FiniteGroupoid, _IndexMap, build_a2
+from .groupoid import OUT_MINUS, OUT_PLUS, FiniteGroupoid, _IndexMap, build_a2
 
 SELF_ADJOINT_TOL = 1e-12
 BIAS_SUM_TOL = 1e-12
-# The groupoid of qubit_lagrangian: build_a2() returns this one immutable value,
-# so a command that has built a2 builds it no second time for its weights.
-_A2 = build_a2()
 
 
 @dataclass(frozen=True)
@@ -87,7 +84,7 @@ def qubit_lagrangian(v_plus: float, v_minus: float, mu: float, delta: float) -> 
     They are given in a2's element order (1+, 1-, alpha, alpha^-1).
     """
     weights = [complex(-v_plus, 0.0), complex(-v_minus, 0.0), complex(mu, delta), complex(mu, -delta)]
-    return QLagrangian(_A2, np.array(weights))
+    return QLagrangian(build_a2(), np.array(weights))
 
 
 @dataclass(frozen=True)
@@ -121,6 +118,4 @@ def qubit_bias(p_plus: float) -> OutcomeBias:
     """Bias on the two-outcome groupoid from the + probability, constrained to [0, 1/2]."""
     if not 0.0 <= p_plus <= 0.5:
         raise ValueError(f"p_plus must lie in [0, 1/2], got {p_plus}")
-    from .groupoid import OUT_MINUS, OUT_PLUS
-
     return OutcomeBias({OUT_MINUS: 1.0 - p_plus, OUT_PLUS: p_plus})

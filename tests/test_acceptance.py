@@ -11,38 +11,37 @@ import time
 
 import numpy as np
 
-from groupoidqm import (
+from groupoidqm.groupoid import build_a2, build_pair_groupoid, pair_element
+from groupoidqm.lagrangian import OutcomeBias, QLagrangian, qubit_bias, qubit_lagrangian
+from groupoidqm.algebra import (
     AlgebraElement,
-    OutcomeBias,
-    PropagatorModel,
-    QLagrangian,
-    SignCase,
     StateVector,
+    algebra_unit,
+    convolve,
+    fundamental_rep,
+    involute,
+    operator_norm,
+)
+from groupoidqm.histories import (
     TimeGrid,
     action,
-    algebra_unit,
     amplitude_via_reference,
-    build_a2,
-    build_pair_groupoid,
     compose_histories,
-    convolve,
     enumerate_histories,
-    evolve_state,
     fixed_order_power,
-    fundamental_rep,
     history_amplitude,
     invert_history,
-    involute,
     make_history,
     n_step_path_sum,
-    operator_norm,
-    pair_element,
+    single_step_matrix,
+)
+from groupoidqm.propagator import (
+    PropagatorModel,
+    SignCase,
+    evolve_state,
     quantization_scan,
-    qubit_bias,
-    qubit_lagrangian,
     qubit_propagator,
     sign_case_matrix,
-    single_step_matrix,
     solve_unitary_gammas,
     special_case_spectrum,
 )

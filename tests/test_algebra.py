@@ -7,29 +7,29 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from groupoidqm import (
+from groupoidqm.groupoid import (
     ALPHA,
     ALPHA_INV,
-    AlgebraElement,
     FiniteGroupoid,
-    QLagrangian,
     UNIT_MINUS,
     UNIT_PLUS,
-    algebra_unit,
     build_a2,
     build_from_table,
     build_pair_groupoid,
+    pair_element,
+    validate_axioms,
+)
+from groupoidqm.lagrangian import QLagrangian, qubit_lagrangian
+from groupoidqm.algebra import (
+    AlgebraElement,
+    algebra_unit,
     convolve,
-    delta,
     element_from_lines,
     fundamental_rep,
     involute,
     is_observable,
     lagrangian_element,
     operator_norm,
-    pair_element,
-    qubit_lagrangian,
-    validate_axioms,
 )
 
 from groupoid_text import groupoid_to_text
@@ -52,10 +52,11 @@ def close(a: AlgebraElement, b: AlgebraElement, tol=1e-10) -> bool:
 
 
 def test_delta_products_match_table():
-    assert convolve(delta(A2, ALPHA_INV), delta(A2, ALPHA)) == delta(A2, UNIT_PLUS)
-    assert convolve(delta(A2, ALPHA), delta(A2, ALPHA_INV)) == delta(A2, UNIT_MINUS)
+    alpha, alpha_inv = AlgebraElement(A2, {ALPHA: 1}), AlgebraElement(A2, {ALPHA_INV: 1})
+    assert convolve(alpha_inv, alpha) == AlgebraElement(A2, {UNIT_PLUS: 1})
+    assert convolve(alpha, alpha_inv) == AlgebraElement(A2, {UNIT_MINUS: 1})
     # non-composable pairs vanish
-    assert convolve(delta(A2, ALPHA), delta(A2, ALPHA)) == AlgebraElement(A2, {})
+    assert convolve(alpha, alpha) == AlgebraElement(A2, {})
 
 
 def test_unit_element():
@@ -117,11 +118,11 @@ def test_fundamental_rep_layout():
     m = fundamental_rep(a)
     # basis order (-, +); alpha: + -> - sits at row -, column +
     assert np.array_equal(m, np.array([[1.0, 3.0], [4.0, 2.0]], dtype=complex))
-    assert np.array_equal(fundamental_rep(delta(A2, ALPHA)), np.array([[0, 1], [0, 0]], dtype=complex))
+    assert np.array_equal(fundamental_rep(AlgebraElement(A2, {ALPHA: 1})), np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 def test_operator_norm_of_transition_is_one():
-    assert operator_norm(delta(A2, ALPHA)) == pytest.approx(1.0, abs=1e-14)
+    assert operator_norm(AlgebraElement(A2, {ALPHA: 1})) == pytest.approx(1.0, abs=1e-14)
     assert operator_norm(algebra_unit(A2)) == pytest.approx(1.0, abs=1e-14)
 
 
@@ -179,8 +180,8 @@ def test_non_finite_weight_is_not_self_adjoint(z):
 
 
 def test_scalar_and_linear_ops():
-    a = delta(A2, ALPHA, 2.0)
-    b = delta(A2, ALPHA_INV, 3.0)
+    a = AlgebraElement(A2, {ALPHA: 2.0})
+    b = AlgebraElement(A2, {ALPHA_INV: 3.0})
     assert (a + b)[ALPHA] == 2.0
     assert (a - b)[ALPHA_INV] == -3.0
     assert (2j * a)[ALPHA] == 4j
@@ -189,7 +190,7 @@ def test_scalar_and_linear_ops():
 
 def test_cross_groupoid_operations_rejected():
     with pytest.raises(ValueError):
-        convolve(delta(A2, ALPHA), delta(P3, pair_element("x1", "x2")))
+        convolve(AlgebraElement(A2, {ALPHA: 1}), AlgebraElement(P3, {pair_element("x1", "x2"): 1}))
 
 
 def _reference_convolve(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:

@@ -17,17 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupoidqm import (
-    FiniteGroupoid,
-    PropagatorModel,
-    build_a2,
-    build_pair_groupoid,
-    multiplication_table,
-    qubit_propagator,
-    solve_unitary_gammas,
-)
 from groupoidqm import cli, coarse, histories, lagrangian, propagator
+from groupoidqm.groupoid import FiniteGroupoid, build_a2, build_pair_groupoid, multiplication_table
 from groupoidqm.coarse import pair_index
+from groupoidqm.propagator import PropagatorModel, qubit_propagator, solve_unitary_gammas
 from groupoidqm.cli import (
     MAX_ELEMENTS,
     MAX_SWEEP_POINTS,
@@ -875,16 +868,17 @@ def test_help_lists_every_command_and_option(capsys, argv):
 
 @pytest.mark.parametrize("argv", [("propagator",), ("evolve", "--state", "1,0;0,0")])
 def test_solve_command_builds_a2_once(tmp_path, capsys, monkeypatch, argv):
-    calls = []
+    builds = []
 
     def counted():
-        calls.append(1)
-        return build_a2()
+        builds.append(build_a2())
+        return builds[-1]
 
     for module in (cli, lagrangian):
         monkeypatch.setattr(module, "build_a2", counted)
     rc, _, _ = run(capsys, argv[0], "-c", cfg_file(tmp_path, SOLVE_SQRT2), *argv[1:])
-    assert rc == 0 and len(calls) == 1
+    # a2 is built once, at import: every call the command makes returns that one object
+    assert rc == 0 and builds and all(g is build_a2() for g in builds)
 
 
 @pytest.mark.parametrize("argv, text", [
@@ -898,8 +892,8 @@ def test_a2_command_builds_a2_once_and_never_compares_it(tmp_path, capsys, monke
     equal = FiniteGroupoid.__eq__
 
     def counted():
-        builds.append(1)
-        return build_a2()
+        builds.append(build_a2())
+        return builds[-1]
 
     def structural(self, other):
         if self is not other:
@@ -911,7 +905,7 @@ def test_a2_command_builds_a2_once_and_never_compares_it(tmp_path, capsys, monke
     monkeypatch.setattr(FiniteGroupoid, "__eq__", structural)
     rc, out, _ = run(capsys, argv[0], "-c", cfg_file(tmp_path, text), *argv[1:])
     assert rc == 0 and out
-    assert len(builds) == 1 and not compares
+    assert builds and all(g is build_a2() for g in builds) and not compares
 
 
 def test_coarse_grain_index_diff(tmp_path, capsys):
@@ -936,7 +930,6 @@ def test_coarse_grain_counts_outcome_pairs_once(tmp_path, capsys, monkeypatch):
         calls.append(g)
         return pair_index(g)
 
-    monkeypatch.setattr(cli, "pair_index", counted)
     monkeypatch.setattr(coarse, "pair_index", counted)
     text = "groupoid = pair:4\npair_lagrangian = index_diff:1.0\n"
     rc, out, err = run(capsys, "coarse-grain", "-c", cfg_file(tmp_path, text), "--partition", "x1,x2|x3,x4")
@@ -945,9 +938,10 @@ def test_coarse_grain_counts_outcome_pairs_once(tmp_path, capsys, monkeypatch):
     z1 = tmp_path / "z1.g"
     z1.write_text("outcomes: o\nelement: e o o\nelement: s o o\nunit: o e\ninverse: e e\ninverse: s s\n"
                   "compose: e e = e\ncompose: e s = s\ncompose: s e = s\ncompose: s s = e\n", encoding="utf-8")
-    rc, out, err = run(capsys, "coarse-grain", "-c", cfg_file(tmp_path, f"groupoid = {z1}\n", "z.cfg"),
+    rc, out, err = run(capsys, "coarse-grain", "-c",
+                       cfg_file(tmp_path, f"groupoid = {z1}\npair_lagrangian = constant:1\n", "z.cfg"),
                        "--partition", "o")
-    assert rc == 1 and "requires a pair groupoid" in err and len(calls) == 1
+    assert rc == 1 and "requires a pair-structured groupoid" in err and len(calls) == 1
 
 
 def test_coarse_grain_requires_pair_groupoid(tmp_path, capsys):
@@ -968,11 +962,19 @@ def test_coarse_grain_requires_pair_groupoid(tmp_path, capsys):
     )
     rc, out, err = run(
         capsys,
-        "coarse-grain", "-c", cfg_file(tmp_path, f"groupoid = {z2}\n"),
+        "coarse-grain", "-c", cfg_file(tmp_path, f"groupoid = {z2}\npair_lagrangian = constant:1\n"),
         "--partition", "o",
     )
-    assert rc == 1
-    assert "requires a pair groupoid" in err
+    assert (rc, out) == (1, "")
+    assert err == ("error: coarse graining requires a pair-structured groupoid "
+                   "(exactly one transition per ordered outcome pair)\n")
+    # without weights, the missing pair_lagrangian reports before the groupoid's shape
+    rc, out, err = run(
+        capsys,
+        "coarse-grain", "-c", cfg_file(tmp_path, f"groupoid = {z2}\n", "z.cfg"),
+        "--partition", "o",
+    )
+    assert (rc, out, err) == (1, "", "error: coarse-grain requires pair_lagrangian\n")
 
     rc, out, err = run(
         capsys,

@@ -11,7 +11,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from groupoidqm import groupoid as groupoid_module
-from groupoidqm import (
+from groupoidqm.groupoid import (
     ALPHA,
     ALPHA_INV,
     AxiomFailure,
@@ -22,19 +22,18 @@ from groupoidqm import (
     OUT_MINUS,
     OUT_PLUS,
     OutcomePartition,
-    QLagrangian,
     UNIT_MINUS,
     UNIT_PLUS,
     ValidationReport,
     build_a2,
     build_from_table,
     build_pair_groupoid,
-    coarse_grain,
-    is_principal,
     multiplication_table,
     pair_element,
     validate_axioms,
 )
+from groupoidqm.lagrangian import QLagrangian
+from groupoidqm.coarse import coarse_grain, pair_index
 
 from groupoid_text import groupoid_to_text
 
@@ -221,24 +220,26 @@ compose: u u = u
 def test_build_from_table_group_and_principality():
     g = build_from_table(GROUP_Z2)
     assert validate_axioms(g).ok
-    assert not is_principal(g)
-    assert is_principal(build_a2())
-    assert is_principal(build_pair_groupoid(4))
+    assert pair_index(g) is None
+    assert pair_index(build_a2()).tolist() == [[1, 2], [3, 0]]
+    assert pair_index(build_pair_groupoid(4)).tolist() == [[4 * t + s for s in range(4)] for t in range(4)]
 
 
-def _reference_is_principal(g: FiniteGroupoid) -> bool:
-    """The label-dict count is_principal replaced: the oracle."""
-    counts: dict[tuple[str, str], int] = {}
-    for e in g.elements:
-        key = (g.target[e], g.source[e])
-        counts[key] = counts.get(key, 0) + 1
-    return all(counts.get((b, a), 0) == 1 for b in g.outcomes for a in g.outcomes)
+def _reference_pair_index(g: FiniteGroupoid) -> list[list[int]] | None:
+    """The label-dict count is_principal replaced, with each pair's element index: the oracle."""
+    found: dict[tuple[str, str], list[int]] = {}
+    for i, e in enumerate(g.elements):
+        found.setdefault((g.target[e], g.source[e]), []).append(i)
+    rows = [[found.get((b, a), []) for a in g.outcomes] for b in g.outcomes]
+    if any(len(cell) != 1 for row in rows for cell in row):
+        return None
+    return [[cell[0] for cell in row] for row in rows]
 
 
-def test_is_principal_matches_dict_count_oracle():
+def test_pair_index_matches_dict_count_oracle():
     z3 = build_from_table(Z3_BESIDE_UNIT)
     assert len(z3.elements) == len(z3.outcomes) ** 2
-    assert not is_principal(z3) and not _reference_is_principal(z3)
+    assert pair_index(z3) is None and _reference_pair_index(z3) is None
     groupoids = [
         build_a2(), z3, build_from_table(GROUP_Z2),
         *(build_pair_groupoid(n) for n in range(1, 6)), build_pair_groupoid(("q", "p", "r")),
@@ -246,9 +247,9 @@ def test_is_principal_matches_dict_count_oracle():
     rng = random.Random(5)
     for base in (build_a2(), build_pair_groupoid(3), z3):
         groupoids += [_corrupt(base, rng, kinds=("source", "target"), count=1 + k % 2) for k in range(30)]
-    verdicts = [_reference_is_principal(g) for g in groupoids]
-    assert [is_principal(g) for g in groupoids] == verdicts
-    assert True in verdicts and False in verdicts
+    verdicts = [_reference_pair_index(g) for g in groupoids]
+    assert [None if (at := pair_index(g)) is None else at.tolist() for g in groupoids] == verdicts
+    assert None in verdicts and any(v is not None for v in verdicts)
 
 
 def test_build_from_table_missing_inverse():

@@ -8,44 +8,40 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupoidqm import (
+from groupoidqm.groupoid import (
     ALPHA,
     ALPHA_INV,
-    EnumerationCapExceeded,
-    OutcomeBias,
-    QLagrangian,
-    StateVector,
-    TimeGrid,
     UNIT_MINUS,
     UNIT_PLUS,
-    action,
-    amplitude_via_reference,
     build_a2,
     build_from_table,
     build_pair_groupoid,
+)
+from groupoidqm.lagrangian import OutcomeBias, QLagrangian, qubit_bias, qubit_lagrangian
+from groupoidqm.algebra import StateVector
+from groupoidqm.histories import (
+    EnumerationCapExceeded,
+    TimeGrid,
+    _SCALAR_MAX_SIDE,
+    _scalar_loop,
+    _scalar_product,
+    action,
+    amplitude_via_reference,
     compose_histories,
     decompose_history,
     enumerate_histories,
-    evolve_state,
+    fixed_order_matmul,
+    fixed_order_power,
     history_amplitude,
     invert_history,
     is_loop,
     make_history,
     n_step_path_sum,
-    qubit_bias,
-    qubit_lagrangian,
     single_step_matrix,
     total_variation,
     unit_history,
 )
-
-from groupoidqm.histories import (
-    _SCALAR_MAX_SIDE,
-    _scalar_loop,
-    _scalar_product,
-    fixed_order_matmul,
-    fixed_order_power,
-)
+from groupoidqm.propagator import evolve_state
 
 from groupoid_text import groupoid_to_text
 
@@ -164,6 +160,16 @@ def test_compose_and_invert_round_trip():
     assert back.start_time == pytest.approx(2.0)
     again = invert_history(back)
     assert again == w
+
+
+def test_unit_history_is_a_two_sided_unit():
+    # the zero-step history at either end of w composes with w to w itself
+    past = invert_history(hist([ALPHA, ALPHA_INV], t_start=2.0))
+    for w in (hist([ALPHA_INV], t_start=0.5), past, *enumerate_histories(A2, "-", "+", 3)):
+        left = unit_history(A2, w.end_outcome, w.end_time, w.grid.tau)
+        right = unit_history(A2, w.start_outcome, w.start_time, w.grid.tau)
+        assert compose_histories(left, w) == w
+        assert compose_histories(w, right) == w
 
 
 def test_compose_rejects_mismatches():

@@ -8,12 +8,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from groupoidqm import (
+from groupoidqm import propagator
+from groupoidqm.algebra import StateVector
+from groupoidqm.histories import (
+    _complex,
+    _not_finite,
+    _scalar_product,
+    fixed_order_matmul,
+    fixed_order_power,
+)
+from groupoidqm.propagator import (
     PropagatorModel,
     SignCase,
-    StateVector,
+    _residuals,
+    _scan_step,
+    _unitarity_gaps,
     evolve_state,
-    fixed_order_power,
     quantization_scan,
     qubit_propagator,
     sign_case_matrix,
@@ -21,9 +31,6 @@ from groupoidqm import (
     special_case_spectrum,
     unitarity_residuals,
 )
-from groupoidqm import propagator
-from groupoidqm.histories import _complex, _not_finite, _scalar_product, fixed_order_matmul
-from groupoidqm.propagator import _residuals, _scan_step, _unitarity_gaps
 
 SQRT2 = math.sqrt(2.0)
 

@@ -16,23 +16,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupoidqm import (
+from groupoidqm.groupoid import (
     FiniteGroupoid,
-    OutcomeBias,
     OutcomePartition,
-    QLagrangian,
     build_from_table,
     build_pair_groupoid,
-    coarse_grain,
-    fundamental_rep,
-    is_principal,
-    n_step_path_sum,
     pair_element,
-    single_step_matrix,
 )
-from groupoidqm.algebra import AlgebraElement
+from groupoidqm.lagrangian import OutcomeBias, QLagrangian, SELF_ADJOINT_TOL
+from groupoidqm.algebra import AlgebraElement, fundamental_rep
+from groupoidqm.coarse import coarse_grain, pair_index
+from groupoidqm.histories import n_step_path_sum, single_step_matrix
 from groupoidqm.cli import RunConfig, _build_lagrangian
-from groupoidqm.lagrangian import SELF_ADJOINT_TOL
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -162,11 +157,11 @@ def test_equality_matches_label_dict_comparison(case, changed, seed):
 
 
 # ---------------------------------------------------------------------------
-# is_principal
+# pair_index
 
 
 def _reference_is_principal(g: FiniteGroupoid) -> bool:
-    """The label comprehension is_principal replaced."""
+    """The label comprehension that pair_index's check replaced."""
     k = len(g.outcomes)
     idx = {o: i for i, o in enumerate(g.outcomes)}
     pairs = [idx[g.target[e]] * k + idx[g.source[e]] for e in g.elements]
@@ -175,15 +170,19 @@ def _reference_is_principal(g: FiniteGroupoid) -> bool:
 
 @PROPERTY
 @given(groupoid_files())
-def test_is_principal_matches_comprehension(case):
+def test_pair_index_matches_comprehension(case):
     g = build_from_table(case[0])
-    assert is_principal(g) == _reference_is_principal(g)
+    assert (pair_index(g) is not None) == _reference_is_principal(g)
 
 
-def test_is_principal_on_pair_groupoids():
+def test_pair_index_on_pair_groupoids():
     for n in range(1, 9):
         g = build_pair_groupoid(n)
-        assert is_principal(g) and _reference_is_principal(g)
+        at = pair_index(g)
+        assert _reference_is_principal(g)
+        assert [[g.elements[i] for i in row] for row in at.tolist()] == [
+            [pair_element(t, s) for s in g.outcomes] for t in g.outcomes
+        ]
 
 
 # ---------------------------------------------------------------------------
