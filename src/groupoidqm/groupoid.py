@@ -17,6 +17,9 @@ arrays by index arithmetic; label mappings given to the constructor are
 converted to them once.  ``source``, ``target``, ``inverse``, ``unit_of`` and
 ``compose_table`` are always read-only mapping views of the arrays, and every
 reader (validation, rendering, equality, convolution) reads the arrays.
+Because they are immutable, ``build_a2()`` and ``build_pair_groupoid(n)`` for
+an integer n build each value once per process and return it on every later
+call; a process that builds the same pair:n again saves the rebuild.
 """
 
 from __future__ import annotations
@@ -49,6 +52,8 @@ _TABLE_BYTES = 96 * 1024
 # characters, two bytes each because of "∗"; the gather buffer is 95 KiB).  The
 # CLI's `table` command peaks at ~55 MiB when it writes that text: encoding it
 # as UTF-8 reserves three bytes per character.  `validate` peaks at ~6.1 MiB.
+# build_pair_groupoid keeps each integer size it builds for the process: ~4.2 MB
+# of compose table for pair:32, ~29 MB if all 32 sizes are built.
 MAX_ELEMENTS = 1024
 
 
@@ -343,25 +348,42 @@ def _check_label(label: str) -> str:
     return label
 
 
+# pair:n by size, each built on its first call; at most 32 entries (MAX_ELEMENTS).
+_PAIRS: dict[int, FiniteGroupoid] = {}
+
+
 def build_pair_groupoid(labels_or_size: int | Sequence[str]) -> FiniteGroupoid:
     """Pair groupoid over given outcome labels (or x1..xn for an integer size).
 
     There is exactly one transition (y,x): x -> y per ordered outcome pair,
     composing as (z,y) ∘ (y,x) = (z,x).  At most MAX_ELEMENTS transitions,
-    which is checked before any label or array is built.
+    which is checked on every call, before any label or array is built.
+
+    An integer size is built once per process, like :func:`build_a2`: the value
+    is immutable (every array behind its views is read-only), so each later
+    call for that size returns the same one.  That pays only when one process
+    builds the same size again; a one-command process builds it once either
+    way.  A process holds at most one pair:n per size: ~4.2 MB of compose
+    table for pair:32, ~29 MB for all 32 sizes (the sum of 4(n^2 + 1)^2
+    bytes).  Label sequences are built on every call.
     """
     if isinstance(labels_or_size, int):
         if labels_or_size < 1:
             raise ValueError("pair groupoid size must be at least 1")
         _check_pair_size(labels_or_size)
-        labels = tuple(f"x{i}" for i in range(1, labels_or_size + 1))
-    else:
-        labels = tuple(_check_label(str(x)) for x in labels_or_size)
-        if not labels:
-            raise ValueError("pair groupoid needs at least one outcome label")
-        if len(set(labels)) != len(labels):
-            raise ValueError("duplicate outcome labels")
-        _check_pair_size(len(labels))
+        if labels_or_size not in _PAIRS:  # setdefault: racing first calls all get the value stored first
+            _PAIRS.setdefault(labels_or_size, _pair(tuple(f"x{i}" for i in range(1, labels_or_size + 1))))
+        return _PAIRS[labels_or_size]
+    labels = tuple(_check_label(str(x)) for x in labels_or_size)
+    if not labels:
+        raise ValueError("pair groupoid needs at least one outcome label")
+    if len(set(labels)) != len(labels):
+        raise ValueError("duplicate outcome labels")
+    _check_pair_size(len(labels))
+    return _pair(labels)
+
+
+def _pair(labels: tuple[str, ...]) -> FiniteGroupoid:
     # Element (y,x) has index k = y*n + x: source x = k % n, target y = k // n,
     # inverse (x,y), and the unit of x is (x,x) = x*(n + 1).  (z,y) ∘ (y,x) = (z,x):
     # viewed as [z, y, y', x], the table's first n*n rows and columns hold z*n + x

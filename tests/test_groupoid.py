@@ -120,6 +120,23 @@ def test_pair_groupoid_rejects_bad_labels():
         build_pair_groupoid(["a,b"])
 
 
+def test_pair_groupoid_of_a_size_is_one_shared_read_only_value():
+    g = build_pair_groupoid(3)
+    assert build_pair_groupoid(3) is g
+    assert build_pair_groupoid(("x1", "x2", "x3")) == g
+    listed = build_pair_groupoid(["a", "b"])
+    assert listed.outcomes == ("a", "b") and len(listed.elements) == 4 and validate_axioms(listed).ok
+    for array in (g.source.array, g.target.array, g.inverse.array, g.unit_of.array, g.compose_table.table):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    assert build_pair_groupoid(3) == build_pair_groupoid(["x1", "x2", "x3"])
+    # a size the checks reject raises on every call: no error is kept
+    for size, message in ((0, "at least 1"), (-40, "at least 1"), (33, "more than MAX_ELEMENTS")):
+        for _ in range(3):
+            with pytest.raises(ValueError, match=message):
+                build_pair_groupoid(size)
+
+
 def _corrupted_a2() -> FiniteGroupoid:
     g = build_a2()
     table = dict(g.compose_table)
@@ -912,7 +929,7 @@ def test_validate_axioms_memory_stays_bounded():
 def test_groupoid_equality_is_structural():
     g = build_pair_groupoid(3)
     assert g == g
-    assert g == build_pair_groupoid(3)
+    assert g == build_pair_groupoid(("x1", "x2", "x3"))  # built apart from g
     reordered = FiniteGroupoid(
         outcomes=tuple(reversed(g.outcomes)),
         elements=tuple(reversed(g.elements)),
