@@ -362,17 +362,18 @@ def build_pair_groupoid(labels_or_size: int | Sequence[str]) -> FiniteGroupoid:
     An integer size is built once per process, like :func:`build_a2`: the value
     is immutable (every array behind its views is read-only), so each later
     call for that size returns the same one.  That pays only when one process
-    builds the same size again; a one-command process builds it once either
-    way.  A process holds at most one pair:n per size: ~4.2 MB of compose
-    table for pair:32, ~29 MB for all 32 sizes (the sum of 4(n^2 + 1)^2
-    bytes).  Label sequences are built on every call.
+    builds the same size again, as the benchmark's in-process replay of the
+    structure commands and the test suite do; a one-command process builds it
+    once either way.  A process holds at most one pair:n per size: ~4.2 MB of
+    compose table for pair:32, ~29 MB for all 32 sizes (the sum of
+    4(n^2 + 1)^2 bytes).  Label sequences are built on every call.
     """
     if isinstance(labels_or_size, int):
         if labels_or_size < 1:
             raise ValueError("pair groupoid size must be at least 1")
         _check_pair_size(labels_or_size)
-        if labels_or_size not in _PAIRS:  # setdefault: racing first calls all get the value stored first
-            _PAIRS.setdefault(labels_or_size, _pair(tuple(f"x{i}" for i in range(1, labels_or_size + 1))))
+        if labels_or_size not in _PAIRS:
+            _PAIRS[labels_or_size] = _pair(tuple(f"x{i}" for i in range(1, labels_or_size + 1)))
         return _PAIRS[labels_or_size]
     labels = tuple(_check_label(str(x)) for x in labels_or_size)
     if not labels:

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupoidqm import cli, coarse, histories, lagrangian, propagator
+from groupoidqm import groupoid as groupoid_module
 from groupoidqm.groupoid import FiniteGroupoid, build_a2, build_pair_groupoid, multiplication_table
 from groupoidqm.coarse import pair_index
 from groupoidqm.propagator import PropagatorModel, qubit_propagator, solve_unitary_gammas
@@ -165,12 +166,15 @@ def test_groupoid_file_past_the_ceiling_exits_1(tmp_path, capsys):
     assert (rc, out, err) == (1, "", f"error: line {MAX_ELEMENTS + 2}: more than MAX_ELEMENTS = 1024 elements\n")
 
 
-def test_commands_at_the_element_ceiling_stay_within_the_stated_memory(tmp_path, capsys):
+def test_commands_at_the_element_ceiling_stay_within_the_stated_memory(tmp_path, capsys, monkeypatch):
     import tracemalloc
 
     cfg = cfg_file(tmp_path, "groupoid = pair:32\npair_lagrangian = index_diff:0.3\n")
     peaks = {}
     for command, stated_mib in (("validate", 9), ("table", 49)):
+        # each command starts from an empty cache, so its peak includes the
+        # pair:32 build that a one-command process pays
+        monkeypatch.setattr(groupoid_module, "_PAIRS", {})
         tracemalloc.start()
         try:
             rc, out, _ = run(capsys, command, "-c", cfg)

@@ -1060,7 +1060,10 @@ def test_array_born_groupoid_equals_dict_born_in_any_order(spec):
         assert changed != g and g != changed
 
 
-def test_pair_groupoid_retained_memory_is_bounded():
+def test_pair_groupoid_retained_memory_is_bounded(monkeypatch):
+    # an empty cache, so pair:16 is built here even when an earlier test built it;
+    # the figure covers the build and the entry the process keeps
+    monkeypatch.setattr(groupoid_module, "_PAIRS", {})
     build_pair_groupoid(2)
     tracemalloc.start()
     try:
