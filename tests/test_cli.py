@@ -653,6 +653,33 @@ def test_overflowing_infeasible_point_exits_2(tmp_path, capsys, argv):
     assert err.startswith("error: no unitary vertex factors") and "pinned candidate residual" in err
 
 
+_SOLVE_POINT = (
+    "gamma_mode = solve\nV_plus = 0.3\nV_minus = -0.1\ndelta = 0.1\np_plus = 0.3\n"
+    "Lambda = 0.4\nSigma = 0.2\n"
+)
+
+
+@pytest.mark.parametrize("argv", [("propagator",), ("propagator", "--power", "3"), ("evolve", "--state", "1,0;0,1")])
+@pytest.mark.parametrize(
+    "text, residual",
+    [
+        # s = 1 - 9 p+ p- exp(0.2) < 0: the candidate's residual is |s|
+        ("mu = 1.7707963267948966\ngauge = 3\n", "1.3084512129227206"),
+        # s > 0, but mu is off the phase level
+        ("mu = 0.3\ngauge = 1.5\n", "0.98309959557221593"),
+    ],
+    ids=["negative_radicand", "mu_off_level"],
+)
+def test_infeasible_point_exits_2_with_its_residual(tmp_path, capsys, argv, text, residual):
+    # exit 2, not the exit 1 of tests/errors/: the exact stderr is pinned here
+    rc, out, err = run(capsys, argv[0], "-c", cfg_file(tmp_path, _SOLVE_POINT + text), *argv[1:])
+    assert (rc, out) == (2, "")
+    assert err == (
+        "error: no unitary vertex factors satisfy the requested phases; "
+        f"pinned candidate residual {residual}\n"
+    )
+
+
 def test_labels_holding_percent_signs_and_braces_print_literally(tmp_path, capsys):
     # a label is literal text in the output templates
     gfile = tmp_path / "g.txt"
