@@ -36,16 +36,10 @@ from .groupoid import (
 from .lagrangian import OutcomeBias, QLagrangian, qubit_bias, qubit_lagrangian
 from .algebra import StateVector, element_from_lines
 from .coarse import coarse_grain
-from .histories import fixed_order_matmul, fixed_order_power, single_step_matrix
-from .propagator import (
-    PropagatorModel,
-    UnitarityReport,
-    _step_report,
-    evolve_state,
-    qubit_propagator,
-    quantization_scan,
-    solve_unitary_gammas,
+from .histories import (
+    _finite_product, _power, _scalar_product, fixed_order_matmul, fixed_order_power, single_step_matrix,
 )
+from .propagator import PropagatorModel, _solve_point, _step_report, qubit_propagator, quantization_scan
 
 SWEEP_HEADER = (
     "mu_tau_over_hbar,feasible,min_residual,"
@@ -409,19 +403,33 @@ def _require_a2(cfg: RunConfig, command: str) -> FiniteGroupoid:
     return build_a2()
 
 
-def _step_from_config(cfg: RunConfig) -> tuple[PropagatorModel, np.ndarray, UnitarityReport | None]:
-    """The step's model and matrix; in solve mode also the solver's unitarity report."""
+def _step_from_config(cfg: RunConfig, report: bool) -> tuple[list[list], list[list], list[float]]:
+    """The a2 step's (re, im) as 2x2 nested lists, and the floats printed after it.
+
+    In solve mode the scalar core solves the point (no model, report or array
+    is built) and those floats are its vertex factors and report figures.
+    Otherwise they are the report's figures when report is true, else none.
+    """
     if cfg.gamma_mode == "solve":
-        solution = solve_unitary_gammas(
-            cfg.v_plus, cfg.v_minus, cfg.mu, cfg.delta, cfg.p_plus, cfg.tau, cfg.hbar,
-            lam=cfg.lam, sigma=cfg.sigma, gauge=cfg.gauge,
+        feasible, gammas, re, im, figures = _solve_point(
+            cfg.v_plus, cfg.v_minus, cfg.mu, cfg.delta, cfg.p_plus, cfg.tau, cfg.hbar, cfg.lam, cfg.sigma, cfg.gauge
         )
-        if not solution.feasible:
-            raise InfeasibleModel(solution.min_residual)
-        return solution.model, solution.u, solution.report
+        if not feasible:
+            raise InfeasibleModel(figures[8])  # max_residual
+        return re, im, [x for z in gammas for x in (z.real, z.imag)] + figures
     gammas = (cfg.gamma_mm, cfg.gamma_mp, cfg.gamma_pm, cfg.gamma_pp) if cfg.gamma_mode == "explicit" else ()
     model = PropagatorModel(cfg.v_plus, cfg.v_minus, cfg.mu, cfg.delta, cfg.p_plus, cfg.tau, cfg.hbar, *gammas)
-    return model, qubit_propagator(model), None
+    u = qubit_propagator(model)
+    re, im = u.real.tolist(), u.imag.tolist()
+    return re, im, _step_report(model, re, im) if report else []
+
+
+_IDENTITY = ([[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]])  # (re, im) of np.eye(2)
+
+
+def _step_power(step: tuple[list[list], list[list]], n: int) -> tuple[list[list], list[list]]:
+    """step^n for the (re, im) lists of a 2x2 step: fixed_order_power's products, bits and errors, on the lists."""
+    return _finite_product(*_power(_scalar_product, step, n)) if n else _IDENTITY
 
 
 def _matrix_text(entry: str, m: np.ndarray, outcomes: tuple[str, ...]) -> str:
@@ -431,7 +439,19 @@ def _matrix_text(entry: str, m: np.ndarray, outcomes: tuple[str, ...]) -> str:
     return _format(template, [x for row in m.tolist() for z in row for x in (z.real, z.imag)])
 
 
-# cmd_propagator's lines after U: one %.17g per printed float
+def _a2_matrix(name: str) -> str:
+    """The template of an a2 matrix, one 'name[b][a] = %.17g,%.17g' line per entry, row by row."""
+    outcomes = build_a2().outcomes
+    return "".join(f"{name}[{b}][{a}] = %.17g,%.17g\n" for b in outcomes for a in outcomes)
+
+
+def _parts(re: list[list], im: list[list]) -> list[float]:
+    """Re and im of each entry of a matrix given as nested lists, row by row: the values of its template."""
+    return [x for re_row, im_row in zip(re, im) for pair in zip(re_row, im_row) for x in pair]
+
+
+# cmd_propagator's lines: one %.17g per printed float
+_STEP = _a2_matrix("U")
 _GAMMAS = "".join(f"{name} = %.17g,%.17g\n" for name in ("gamma_mm", "gamma_mp", "gamma_pm", "gamma_pp"))
 _REPORT = "".join(
     [f"residual_{block}_{entry} = %.17g\n" for block in (1, 2) for entry in (1, 2, 3, 4)]
@@ -439,6 +459,7 @@ _REPORT = "".join(
         "max_residual", "relation1_gap", "relation2_gap", "global_phase_gap", "frobenius_left", "frobenius_right"
     )]
 )
+_PSI = "".join(f"psi[{o}] = %.17g,%.17g\n" for o in build_a2().outcomes) + "norm = %.17g\n"
 
 
 def _text(lines: list[str]) -> str:
@@ -475,21 +496,13 @@ def cmd_table(cfg: RunConfig) -> tuple[int, str]:
 
 
 def cmd_propagator(cfg: RunConfig, power: int | None) -> tuple[int, str]:
-    g = _require_a2(cfg, "propagator")
+    _require_a2(cfg, "propagator")
     if power is not None and power < 0:
         raise ConfigError(f"--power must be non-negative, got {power}")
-    model, u, report = _step_from_config(cfg)
-    if report is None:  # the step matrix is already built: take its residuals, do not rebuild it
-        report = _step_report(model, u)
-    text = _matrix_text("U[{b}][{a}] = %.17g,%.17g\n", u, g.outcomes)
-    if cfg.gamma_mode == "solve":
-        text += _format(_GAMMAS, [x for z in model.gammas for x in (z.real, z.imag)])
-    text += _format(_REPORT, [
-        *report.residuals, report.max_residual, report.relation1_gap, report.relation2_gap,
-        report.global_phase_gap, report.frobenius_left, report.frobenius_right,
-    ])
+    re, im, after = _step_from_config(cfg, report=True)
+    text = _format(_STEP + (_GAMMAS if cfg.gamma_mode == "solve" else "") + _REPORT, _parts(re, im) + after)
     if power is not None:
-        text += _matrix_text(f"U^{power}[{{b}}][{{a}}] = %.17g,%.17g\n", fixed_order_power(u, power), g.outcomes)
+        text += _format(_a2_matrix(f"U^{power}"), _parts(*_step_power((re, im), power)))
     return 0, text
 
 
@@ -576,10 +589,11 @@ def cmd_evolve(cfg: RunConfig, state_spec: str, steps: int | None) -> tuple[int,
     n = cfg.steps if steps is None else steps
     if n < 0:
         raise ConfigError(f"steps must be non-negative, got {n}")
-    _, u, _ = _step_from_config(cfg)
-    final = evolve_state(u, state, n)
-    template = "".join(f"psi[{o}] = %.17g,%.17g\n" for o in g.outcomes) + "norm = %.17g\n"
-    return 0, _format(template, [x for z in final.amplitudes for x in (z.real, z.imag)] + [final.norm()])
+    re, im, _ = _step_from_config(cfg, report=False)
+    # step^n times the state as a 2x1 matrix, in fixed_order_matmul's order: evolve_state on the lists
+    psi = [[z.real] for z in state.amplitudes], [[z.imag] for z in state.amplitudes]
+    ((re_m,), (re_p,)), ((im_m,), (im_p,)) = _finite_product(*_scalar_product(_step_power((re, im), n), psi))
+    return 0, _format(_PSI, [re_m, im_m, re_p, im_p, math.hypot(re_m, im_m, re_p, im_p)])
 
 
 def cmd_coarse_grain(cfg: RunConfig, partition_spec: str) -> tuple[int, str]:

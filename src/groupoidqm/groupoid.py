@@ -8,8 +8,9 @@ composition table.  ``compose_table[(beta, alpha)] = gamma`` encodes
 same reading: the cell at (row, column) holds row ∘ column, with "∗" marking
 non-composable pairs.
 
-Every groupoid holds its structure as read-only integer arrays over element
-indices 0..E-1 and outcome indices 0..O-1, both in declaration order: the
+Every groupoid holds its structure as integer arrays, over element indices
+0..E-1 and outcome indices 0..O-1, both in declaration order, that no one
+can make writable (each lies over an immutable bytes buffer): the
 source and target outcome of each element, the inverse of each element, the
 unit of each outcome, and the composition law as one ``(E+1) x (E+1)`` int32
 table in which E means "undefined" and absorbs.  Pair groupoids build these
@@ -105,13 +106,24 @@ def _index(labels: tuple[str, ...]) -> dict[str, int]:
     return dict(zip(labels, range(len(labels))))
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """A copy of array over an immutable bytes buffer: setflags(write=True) raises on it and on its base.
+
+    A view only flagged read-only can be made writable again by whoever holds
+    it, and a write through it would change a groupoid that every later
+    build_a2() or build_pair_groupoid(n) caller shares.
+    """
+    return np.frombuffer(array.tobytes(), dtype=array.dtype).reshape(array.shape)
+
+
 class _IndexMap(Mapping):
     """Read-only ``keys[i] -> labels[array[i]]`` mapping over an integer array.
 
     ``index`` maps each key to its position i.  Without ``labels`` the values
     are the array's own entries, as Python scalars.  Keys iterate in order.
-    The array is checked to index ``labels`` once, here; it is read-only, so
-    every groupoid given this view can take it as it is.
+    The array is checked to index ``labels`` once, here, and held as a
+    _frozen copy that no one can write, so every groupoid given this view can
+    take it as it is.  ``index`` stays a plain dict, so lookups cost no more.
     """
 
     __slots__ = ("keys_", "index", "labels", "array")
@@ -122,8 +134,7 @@ class _IndexMap(Mapping):
         # A negative entry wraps to a huge unsigned one, so one maximum bounds both ends.
         if labels is not None and array.size and array.astype(np.uintp).max() >= len(labels):
             raise ValueError("index array points outside its labels")
-        array.setflags(write=False)
-        self.keys_, self.index, self.labels, self.array = keys, index, labels, array
+        self.keys_, self.index, self.labels, self.array = keys, index, labels, _frozen(array)
 
     def __getitem__(self, key: str):
         value = self.array.item(self.index[key])
@@ -147,16 +158,16 @@ class _ComposeTable(Mapping):
 
     ``table[b, a]`` is the index of ``elements[b] ∘ elements[a]``, or E (the
     element count) where the pair does not compose; row and column E are E.
-    Keys iterate row by row, beta-major, in element order.
+    Keys iterate row by row, beta-major, in element order.  The table is
+    held as a _frozen copy, which no one can write.
     """
 
     __slots__ = ("elements", "index", "table")
 
     def __init__(self, elements: tuple[str, ...], index: dict[str, int], table: np.ndarray):
-        table.setflags(write=False)
         self.elements = elements
         self.index = index
-        self.table = table
+        self.table = _frozen(table)
 
     @classmethod
     def from_mapping(
@@ -360,7 +371,7 @@ def build_pair_groupoid(labels_or_size: int | Sequence[str]) -> FiniteGroupoid:
     which is checked on every call, before any label or array is built.
 
     An integer size is built once per process, like :func:`build_a2`: the value
-    is immutable (every array behind its views is read-only), so each later
+    is immutable (no array behind its views can be made writable), so each later
     call for that size returns the same one.  That pays only when one process
     builds the same size again, as the benchmark's in-process replay of the
     structure commands and the test suite do; a one-command process builds it

@@ -470,16 +470,24 @@ def _fixed_order(evaluate, *ms: np.ndarray) -> np.ndarray:
     (_not_finite) on either path.
     """
     if all(m.ndim == 2 and max(m.shape) <= _SCALAR_MAX_SIDE for m in ms):
-        re, im = evaluate(_scalar_product, *[(m.real.tolist(), m.imag.tolist()) for m in ms])
-        finite = all(map(math.isfinite, itertools.chain(*re, *im)))
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            re, im = evaluate(_product, *[(m.real, m.imag) for m in ms])
-        finite = bool(np.isfinite(re).all() and np.isfinite(im).all())
+        return _complex(*_finite_product(*evaluate(_scalar_product, *[(m.real.tolist(), m.imag.tolist()) for m in ms])))
+    with np.errstate(over="ignore", invalid="ignore"):
+        re, im = evaluate(_product, *[(m.real, m.imag) for m in ms])
     z = _complex(re, im)
-    if not finite:
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise _not_finite("product entry", z)
     return z
+
+
+def _finite_product(re: list[list], im: list[list]) -> tuple[list[list], list[list]]:
+    """(re, im), a product's parts as nested lists of Python floats, once every entry is finite.
+
+    Otherwise the OverflowError (_not_finite) naming its first "product
+    entry" that is not, as _fixed_order reports it.
+    """
+    if not all(map(math.isfinite, itertools.chain(*re, *im))):
+        raise _not_finite("product entry", _complex(re, im))
+    return re, im
 
 
 def fixed_order_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

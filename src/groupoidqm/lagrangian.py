@@ -22,10 +22,10 @@ class QLagrangian:
     The constraint makes the induced algebra element an observable and keeps
     history actions compatible with orientation reversal.  ``values`` may be
     given as a label mapping or as an array of weights in the groupoid's
-    element order.  It is held as one read-only complex128 array,
-    ``values.array``, and ``values`` is its mapping view; the constraint is
-    one comparison of that array with its conjugate permuted by
-    ``groupoid.inverse.array``.
+    element order.  It is held as one complex128 array, ``values.array``,
+    that no one can make writable (groupoid._IndexMap's), and ``values`` is
+    its mapping view; the constraint is one comparison of that array with
+    its conjugate permuted by ``groupoid.inverse.array``.
     """
 
     groupoid: FiniteGroupoid

@@ -15,6 +15,16 @@ Unitarity pins |G_mp| / |G_pm| = exp(2 delta tau / hbar) and
 where Lambda = hbar arg(G_pm / G_mp) and Sigma = hbar arg(G_mm / G_pp).
 With those phase conventions the constraint above is exactly what the
 orthogonality of the rows of U demands.
+
+One point is solved by one scalar core, _solve_point, on Python floats: the
+radicand and the pinned vertex factors (_pinned_gammas), the step's entries
+as nested lists (_step, over _kernel) and the report's eight residuals and
+six figures (_report).  solve_unitary_gammas builds its GammaSolution,
+UnitarityReport and PropagatorModel from that result; the propagator and
+evolve commands format straight from its floats.  qubit_propagator and
+unitarity_residuals evaluate a given model through the same _step and
+_report, and quantization_scan shares _pinned_gammas, the diagonal kernel
+and the gap formulas, so each formula is stated once.
 """
 
 from __future__ import annotations
@@ -117,20 +127,22 @@ class SignCase(enum.Enum):
     IV = (-1.0, -1.0)
 
 
-def _diagonal_kernel(m: PropagatorModel) -> tuple[complex, complex]:
-    """K[-][-] and K[+][+] of model m: the one-step amplitudes of histories.single_step_matrix on the units.
+def _diagonal_kernel(v_plus: float, v_minus: float, p_plus: float, tau: float, hbar: float) -> tuple[complex, complex]:
+    """K[-][-] and K[+][+]: the one-step amplitudes of histories.single_step_matrix on the units.
 
     The units are weighted -V, so neither entry depends on mu.
     """
-    bias, tau, hbar = (m.p_minus, m.p_plus), m.tau, m.hbar  # qubit_bias, by index (-, +)
+    bias = (1.0 - p_plus, p_plus)  # qubit_bias, by index (-, +)
     # single_step_matrix adds each amplitude onto a zero entry, hence the 0j +
-    k_pp = 0j + _amplitude(bias, 1, 1, complex(-m.v_plus, 0.0) * tau, hbar)
-    k_mm = 0j + _amplitude(bias, 0, 0, complex(-m.v_minus, 0.0) * tau, hbar)
+    k_pp = 0j + _amplitude(bias, 1, 1, complex(-v_plus, 0.0) * tau, hbar)
+    k_mm = 0j + _amplitude(bias, 0, 0, complex(-v_minus, 0.0) * tau, hbar)
     return k_mm, k_pp
 
 
-def _kernel(m: PropagatorModel) -> tuple[complex, complex, complex, complex]:
-    """K[-][-], K[-][+], K[+][-] and K[+][+] of model m, on Python complex numbers.
+def _kernel(
+    v_plus: float, v_minus: float, mu: float, delta: float, p_plus: float, tau: float, hbar: float
+) -> tuple[complex, complex, complex, complex]:
+    """K[-][-], K[-][+], K[+][-] and K[+][+] at one point, on Python complex numbers.
 
     Each entry is the one-step amplitude of histories.single_step_matrix
     (units weighted -V, the flips mu ± i delta), so with unit vertex factors a
@@ -140,10 +152,10 @@ def _kernel(m: PropagatorModel) -> tuple[complex, complex, complex, complex]:
     that is not finite is an OverflowError.  quantization_scan takes the
     flips of a whole grid from numpy's complex exp instead (see _scan_step).
     """
-    k_mm, k_pp = _diagonal_kernel(m)
-    root, tau, hbar = math.sqrt(m.p_plus * m.p_minus), m.tau, m.hbar
-    k_mp = 0j + root * _exp(1j * (complex(m.mu, m.delta) * tau) / hbar)
-    k_pm = 0j + root * _exp(1j * (complex(m.mu, -m.delta) * tau) / hbar)
+    k_mm, k_pp = _diagonal_kernel(v_plus, v_minus, p_plus, tau, hbar)
+    root = math.sqrt(p_plus * (1.0 - p_plus))
+    k_mp = 0j + root * _exp(1j * (complex(mu, delta) * tau) / hbar)
+    k_pm = 0j + root * _exp(1j * (complex(mu, -delta) * tau) / hbar)
     return k_mm, k_mp, k_pm, k_pp
 
 
@@ -158,22 +170,31 @@ def _vertex_times(g, k_re, k_im):
     return g.real * k_re - g.imag * k_im, g.real * k_im + g.imag * k_re
 
 
+def _step(gammas, v_plus, v_minus, mu, delta, p_plus, tau, hbar) -> tuple[list[list], list[list]]:
+    """(re, im) of the step matrix at one point, as 2x2 nested lists of Python floats.
+
+    gammas are the vertex factors G_mm, G_mp, G_pm, G_pp; each scales its
+    kernel entry.  An entry that is not finite is an OverflowError naming it.
+    """
+    (re_mm, im_mm), (re_mp, im_mp), (re_pm, im_pm), (re_pp, im_pp) = [
+        _vertex_times(g, k.real, k.imag) for g, k in zip(gammas, _kernel(v_plus, v_minus, mu, delta, p_plus, tau, hbar))
+    ]
+    re, im = [[re_mm, re_mp], [re_pm, re_pp]], [[im_mm, im_mp], [im_pm, im_pp]]
+    if not all(map(math.isfinite, (re_mm, re_mp, re_pm, re_pp, im_mm, im_mp, im_pm, im_pp))):
+        raise _not_finite("step matrix entry", _complex(re, im))
+    return re, im
+
+
 def qubit_propagator(model: PropagatorModel) -> np.ndarray:
     """2x2 step matrix on the (-, +) basis; vertex factors scale each entry.
 
     With unit vertex factors this reproduces the one-step path sum bit for
     bit, because the kernel is computed through the same amplitude
-    arithmetic.  The point is evaluated on Python floats; an entry that is
-    not finite is an OverflowError naming it.
+    arithmetic.  The point is evaluated on Python floats (_step); an entry
+    that is not finite is an OverflowError naming it.
     """
-    gammas, kernel = model.gammas, _kernel(model)
-    (re_mm, im_mm), (re_mp, im_mp), (re_pm, im_pm), (re_pp, im_pp) = [
-        _vertex_times(g, k.real, k.imag) for g, k in zip(gammas, kernel)
-    ]
-    u = _complex([[re_mm, re_mp], [re_pm, re_pp]], [[im_mm, im_mp], [im_pm, im_pp]])
-    if not all(map(math.isfinite, (re_mm, re_mp, re_pm, re_pp, im_mm, im_mp, im_pm, im_pp))):
-        raise _not_finite("step matrix entry", u)
-    return u
+    m = model
+    return _complex(*_step(m.gammas, m.v_plus, m.v_minus, m.mu, m.delta, m.p_plus, m.tau, m.hbar))
 
 
 def _scan_step(model: PropagatorModel, mus: np.ndarray) -> tuple[list[list], list[list]]:
@@ -188,7 +209,7 @@ def _scan_step(model: PropagatorModel, mus: np.ndarray) -> tuple[list[list], lis
     multiply may fuse.  That np.exp is glibc's cexp, which computes
     exp(x) cos y and exp(x) sin y through libm as cmath.exp does for
     x <= 708.39 (above it cmath.exp takes exp(x - 1) e).  A flip that
-    reaches the step has |x| below ~373: for delta > 0, _pinned_model's
+    reaches the step has |x| below ~373: for delta > 0, _pinned_gammas'
     exp(2 delta tau / hbar) overflows once x passes ~355; for delta < 0 the
     flip with x > 0 meets G_mp = gauge exp(2 delta tau / hbar), which is
     exactly 0 once x passes ~373.
@@ -196,7 +217,9 @@ def _scan_step(model: PropagatorModel, mus: np.ndarray) -> tuple[list[list], lis
     tau, hbar = model.tau, model.hbar
     (re_mm, im_mm), (re_pp, im_pp) = [
         _vertex_times(g, k.real, k.imag)
-        for g, k in zip((model.gamma_mm, model.gamma_pp), _diagonal_kernel(model))
+        for g, k in zip(
+            (model.gamma_mm, model.gamma_pp), _diagonal_kernel(model.v_plus, model.v_minus, model.p_plus, tau, hbar)
+        )
     ]
     z = np.empty((2, len(mus)), dtype=complex)  # the exponents of K[-][+] and K[+][-]
     z.real[0], z.real[1], z.imag = -(model.delta * tau) / hbar, (model.delta * tau) / hbar, mus * tau / hbar
@@ -242,8 +265,8 @@ def _unitarity_gaps(re: list[list], im: list[list]) -> list:
     ]
 
 
-def _residuals(u: np.ndarray) -> np.ndarray:
-    """|U U* - 1| then |U* U - 1|, entries row by row, of one 2x2 step matrix: shape (8,).
+def _residuals(re: list[list], im: list[list]) -> list[float]:
+    """|U U* - 1| then |U* U - 1|, entries row by row, of one 2x2 step matrix with parts re and im.
 
     The gaps are _unitarity_gaps' on Python floats, [1][0] being conj([0][1])
     and each diagonal entry real; the magnitudes are np.hypot, as abs() of a
@@ -251,7 +274,6 @@ def _residuals(u: np.ndarray) -> np.ndarray:
     finite is an OverflowError naming its position in that order and its
     complex value.
     """
-    re, im = u.real.tolist(), u.imag.tolist()
     a, d, x, y, b, e, v, w = _unitarity_gaps(re, im)
     gap_re, gap_im = [a, x, x, d, b, v, v, e], [0.0, y, -y, 0.0, 0.0, w, -w, 0.0]
     if not all(map(math.isfinite, gap_re + gap_im)):  # the diagonal imaginary parts, in the same terms
@@ -262,7 +284,7 @@ def _residuals(u: np.ndarray) -> np.ndarray:
         gap_im[4] = (r00 * i00 + -i00 * r00) + (r10 * i10 + -i10 * r10)
         gap_im[7] = (r01 * i01 + -i01 * r01) + (r11 * i11 + -i11 * r11)
         raise _not_finite("unitarity gap", _complex(gap_re, gap_im))
-    return np.hypot(gap_re, gap_im)
+    return np.hypot(gap_re, gap_im).tolist()
 
 
 def _growth(delta: float, tau: float, hbar: float) -> float:
@@ -277,33 +299,41 @@ def _growth(delta: float, tau: float, hbar: float) -> float:
         raise OverflowError(f"exp of exponent {x} overflows") from None
 
 
-def _step_report(model: PropagatorModel, u: np.ndarray) -> UnitarityReport:
-    """The report on model, whose step matrix is u."""
-    r = tuple(_residuals(u).tolist())
-    growth = _growth(model.delta, model.tau, model.hbar)
-    pm = abs(model.gamma_pm)
-    relation1_gap = abs(abs(model.gamma_mp) / pm - growth) if pm else math.inf
-    relation2_gap = abs(abs(model.gamma_mm) * model.p_minus - abs(model.gamma_pp) * model.p_plus)
-    v_bar = 0.5 * (model.v_plus + model.v_minus)
-    theta = (model.mu + v_bar) * 2.0 * model.tau / model.hbar - (
-        (model.sigma + model.lam) / model.hbar + math.pi
-    )
+def _report(re, im, gammas, v_plus, v_minus, mu, delta, p_plus, tau, hbar, lam, sigma) -> list[float]:
+    """The fourteen figures of the UnitarityReport on one point, in field order, on Python floats.
+
+    re and im are the point's step matrix (_step), gammas its vertex factors
+    G_mm, G_mp, G_pm, G_pp and lam, sigma its vertex phases: the eight
+    residuals, then max_residual, the two relation gaps, the global phase gap
+    and the two Frobenius norms.
+    """
+    r = _residuals(re, im)
+    growth = _growth(delta, tau, hbar)
+    g_mm, g_mp, g_pm, g_pp = gammas
+    pm = abs(g_pm)
+    relation1_gap = abs(abs(g_mp) / pm - growth) if pm else math.inf
+    relation2_gap = abs(abs(g_mm) * (1.0 - p_plus) - abs(g_pp) * p_plus)
+    v_bar = 0.5 * (v_plus + v_minus)
+    theta = (mu + v_bar) * 2.0 * tau / hbar - ((sigma + lam) / hbar + math.pi)
     if not math.isfinite(theta):  # math.remainder would call it a domain error
         raise OverflowError(f"phase constraint gap {theta} is not finite")
-    return UnitarityReport(
-        residuals=r,
-        max_residual=max(r),
-        relation1_gap=relation1_gap,
-        relation2_gap=relation2_gap,
-        global_phase_gap=abs(math.remainder(theta, TWO_PI)),
-        frobenius_left=math.hypot(*r[:4]),
-        frobenius_right=math.hypot(*r[4:]),
-    )
+    return [
+        *r, max(r), relation1_gap, relation2_gap, abs(math.remainder(theta, TWO_PI)),
+        math.hypot(*r[:4]), math.hypot(*r[4:]),
+    ]
+
+
+def _step_report(model: PropagatorModel, re: list[list], im: list[list]) -> list[float]:
+    """_report's figures on model, whose step matrix has parts re and im."""
+    m = model
+    return _report(re, im, m.gammas, m.v_plus, m.v_minus, m.mu, m.delta, m.p_plus, m.tau, m.hbar, m.lam, m.sigma)
 
 
 def unitarity_residuals(model: PropagatorModel) -> UnitarityReport:
     """Evaluate all eight unitarity equations and the derived gap quantities."""
-    return _step_report(model, qubit_propagator(model))
+    u = qubit_propagator(model)
+    figures = _step_report(model, u.real.tolist(), u.imag.tolist())
+    return UnitarityReport(tuple(figures[:8]), *figures[8:])
 
 
 @dataclass(frozen=True)
@@ -326,39 +356,43 @@ def _check_solve_args(p_plus: float, tau: float, hbar: float, gauge: float) -> N
         raise ValueError("tau and hbar must be positive")
 
 
-def _pinned_model(
-    v_plus: float,
-    v_minus: float,
-    mu: float,
-    delta: float,
-    p_plus: float,
-    tau: float,
-    hbar: float,
-    lam: float,
-    sigma: float,
-    gauge: float,
-) -> tuple[PropagatorModel, float]:
-    """The pinned-gauge candidate at mu and its radicand s.
+def _pinned_gammas(
+    delta: float, p_plus: float, tau: float, hbar: float, lam: float, sigma: float, gauge: float
+) -> tuple[float, tuple[complex, complex, complex, complex]]:
+    """The radicand s and the pinned-gauge vertex factors G_mm, G_mp, G_pm, G_pp.
 
     The candidate meets the structural relations exactly, and the only
     freedom they leave, the sign of the real G_pp, changes neither
     orthogonality nor the phase gap, so no search can do better.  With s < 0
-    it takes G_pp = G_mm = 0, whose residual is |s|.  Its vertex factors do
+    it takes G_pp = G_mm = 0, whose residual is |s|.  The vertex factors do
     not depend on mu.
     """
     p_minus = 1.0 - p_plus
     growth = _growth(delta, tau, hbar)
     s = 1.0 - gauge * gauge * p_plus * p_minus * growth
     g_pp = math.sqrt(max(s, 0.0)) / p_plus
-    model = PropagatorModel(
-        v_plus, v_minus, mu, delta, p_plus, tau, hbar,
-        gamma_mm=g_pp * (p_plus / p_minus) * _exp(1j * sigma / hbar),
-        gamma_mp=gauge * growth * _exp(-1j * lam / hbar),
-        gamma_pm=complex(gauge, 0.0),
-        gamma_pp=complex(g_pp, 0.0),
-        lam=lam, sigma=sigma,
+    return s, (
+        g_pp * (p_plus / p_minus) * _exp(1j * sigma / hbar),
+        gauge * growth * _exp(-1j * lam / hbar),
+        complex(gauge, 0.0),
+        complex(g_pp, 0.0),
     )
-    return model, s
+
+
+def _solve_point(v_plus, v_minus, mu, delta, p_plus, tau, hbar, lam, sigma, gauge):
+    """The one solve of a single point on Python floats: (feasible, gammas, re, im, figures).
+
+    gammas are the pinned vertex factors (_pinned_gammas), re and im the
+    step's parts as 2x2 nested lists (_step) and figures its fourteen report
+    figures (_report).  feasible holds exactly when the radicand is
+    non-negative and every residual is within FEASIBLE_TOL.  No model, report
+    or array is built: solve_unitary_gammas builds those from this result.
+    """
+    _check_solve_args(p_plus, tau, hbar, gauge)
+    s, gammas = _pinned_gammas(delta, p_plus, tau, hbar, lam, sigma, gauge)
+    re, im = _step(gammas, v_plus, v_minus, mu, delta, p_plus, tau, hbar)
+    figures = _report(re, im, gammas, v_plus, v_minus, mu, delta, p_plus, tau, hbar, lam, sigma)
+    return s >= 0.0 and all(r <= FEASIBLE_TOL for r in figures[:8]), gammas, re, im, figures
 
 
 def solve_unitary_gammas(
@@ -385,13 +419,15 @@ def solve_unitary_gammas(
     joint residual; for s < 0 it equals |s|.  u is the candidate's step
     matrix, equal to qubit_propagator(model), and report is
     unitarity_residuals(model).
+
+    The point is solved once, on Python floats, by _solve_point, the scalar
+    core the propagator and evolve commands call directly; the model, the
+    report and u are built from its floats afterwards, with the same bits.
     """
-    _check_solve_args(p_plus, tau, hbar, gauge)
-    model, s = _pinned_model(v_plus, v_minus, mu, delta, p_plus, tau, hbar, lam, sigma, gauge)
-    u = qubit_propagator(model)
-    report = _step_report(model, u)
-    feasible = s >= 0.0 and all(r <= FEASIBLE_TOL for r in report.residuals)
-    return GammaSolution(feasible, model, report, report.max_residual, u)
+    feasible, gammas, re, im, figures = _solve_point(v_plus, v_minus, mu, delta, p_plus, tau, hbar, lam, sigma, gauge)
+    model = PropagatorModel(v_plus, v_minus, mu, delta, p_plus, tau, hbar, *gammas, lam=lam, sigma=sigma)
+    report = UnitarityReport(tuple(figures[:8]), *figures[8:])
+    return GammaSolution(feasible, model, report, report.max_residual, _complex(re, im))
 
 
 @dataclass(frozen=True, eq=False)
@@ -453,7 +489,8 @@ def quantization_scan(
     xs = np.array(grid, dtype=float)  # a copy: the caller's grid stays writable
     if not np.isfinite(xs).all():
         raise _not_finite("grid point", xs)
-    model, s = _pinned_model(v_plus, v_minus, 0.0, delta, p_plus, tau, hbar, lam, sigma, gauge)
+    s, gammas = _pinned_gammas(delta, p_plus, tau, hbar, lam, sigma, gauge)
+    model = PropagatorModel(v_plus, v_minus, 0.0, delta, p_plus, tau, hbar, *gammas, lam=lam, sigma=sigma)
     with np.errstate(over="ignore", invalid="ignore"):
         mus = xs * hbar / tau
         a, d, x, y, b, e, v, w = _unitarity_gaps(*_scan_step(model, mus))

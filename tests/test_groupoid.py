@@ -137,6 +137,27 @@ def test_pair_groupoid_of_a_size_is_one_shared_read_only_value():
                 build_pair_groupoid(size)
 
 
+@pytest.mark.parametrize("build", [build_a2, lambda: build_pair_groupoid(3)], ids=["a2", "pair3"])
+def test_shared_groupoid_arrays_cannot_be_made_writable(build):
+    # build_a2() and build_pair_groupoid(3) hand every caller the same value: no holder of
+    # an array behind its views, or of a weight array on it, can turn its write flag back on
+    g = build()
+    ell = QLagrangian(g, {e: 0.0 for e in g.elements})
+    arrays = [g.source.array, g.target.array, g.inverse.array, g.unit_of.array, g.compose_table.table, ell.values.array]
+    for array in arrays:
+        chain = [array]
+        while isinstance(chain[-1].base, np.ndarray):
+            chain.append(chain[-1].base)
+        assert isinstance(chain[-1].base, bytes)
+        for a in chain:
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                a.setflags(write=True)
+            assert not a.flags.writeable
+    assert build() is g
+    # the label index dicts stay plain dicts, so lookups cost no more
+    assert all(type(view.index) is dict for view in (g.source, g.unit_of, g.compose_table))
+
+
 def _corrupted_a2() -> FiniteGroupoid:
     g = build_a2()
     table = dict(g.compose_table)

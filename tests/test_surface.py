@@ -22,6 +22,7 @@ PAPER_CONTENT = {
     "histories.make_history": "tests/test_acceptance.py::test_criterion_04_action_axioms",
     "propagator.sign_case_matrix": "tests/test_acceptance.py::test_criterion_08_sign_case_spectra",
     "propagator.special_case_spectrum": "tests/test_acceptance.py::test_criterion_08_sign_case_spectra",
+    "propagator.evolve_state": "tests/test_acceptance.py::test_criterion_09_worked_unitary_instance",
     "histories.amplitude_via_reference": "tests/test_acceptance.py::test_criterion_10_reference_independence",
     "algebra.lagrangian_element": "tests/test_algebra.py::test_lagrangian_element_is_observable",
     "algebra.is_observable": "tests/test_algebra.py::test_lagrangian_element_is_observable",
