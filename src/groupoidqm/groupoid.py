@@ -110,8 +110,9 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     """A copy of array over an immutable bytes buffer: setflags(write=True) raises on it and on its base.
 
     A view only flagged read-only can be made writable again by whoever holds
-    it, and a write through it would change a groupoid that every later
-    build_a2() or build_pair_groupoid(n) caller shares.
+    it, and a write through it would change the value every other holder
+    shares: the groupoid that build_a2() or build_pair_groupoid(n) returns to
+    every later caller, or the weights of a QLagrangian on it.
     """
     return np.frombuffer(array.tobytes(), dtype=array.dtype).reshape(array.shape)
 

@@ -470,7 +470,8 @@ def _fixed_order(evaluate, *ms: np.ndarray) -> np.ndarray:
     (_not_finite) on either path.
     """
     if all(m.ndim == 2 and max(m.shape) <= _SCALAR_MAX_SIDE for m in ms):
-        return _complex(*_finite_product(*evaluate(_scalar_product, *[(m.real.tolist(), m.imag.tolist()) for m in ms])))
+        parts = evaluate(_scalar_product, *[(m.real.tolist(), m.imag.tolist()) for m in ms])
+        return _complex(*_finite_product(*parts))
     with np.errstate(over="ignore", invalid="ignore"):
         re, im = evaluate(_product, *[(m.real, m.imag) for m in ms])
     z = _complex(re, im)
