@@ -114,7 +114,7 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     shares: the groupoid that build_a2() or build_pair_groupoid(n) returns to
     every later caller, or the weights of a QLagrangian on it.
     """
-    return np.frombuffer(array.tobytes(), dtype=array.dtype).reshape(array.shape)
+    return np.ndarray(array.shape, array.dtype, array.tobytes())
 
 
 class _IndexMap(Mapping):
