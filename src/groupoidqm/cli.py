@@ -439,10 +439,12 @@ def _matrix_text(entry: str, m: np.ndarray, outcomes: tuple[str, ...]) -> str:
     return _format(template, [x for row in m.tolist() for z in row for x in (z.real, z.imag)])
 
 
+_A2_OUTCOMES = build_a2().outcomes
+
+
 def _a2_matrix(name: str) -> str:
     """The template of an a2 matrix, one 'name[b][a] = %.17g,%.17g' line per entry, row by row."""
-    outcomes = build_a2().outcomes
-    return "".join(f"{name}[{b}][{a}] = %.17g,%.17g\n" for b in outcomes for a in outcomes)
+    return "".join(f"{name}[{b}][{a}] = %.17g,%.17g\n" for b in _A2_OUTCOMES for a in _A2_OUTCOMES)
 
 
 def _parts(re: list[list], im: list[list]) -> list[float]:
@@ -459,7 +461,7 @@ _REPORT = "".join(
         "max_residual", "relation1_gap", "relation2_gap", "global_phase_gap", "frobenius_left", "frobenius_right"
     )]
 )
-_PSI = "".join(f"psi[{o}] = %.17g,%.17g\n" for o in build_a2().outcomes) + "norm = %.17g\n"
+_PSI = "".join(f"psi[{o}] = %.17g,%.17g\n" for o in _A2_OUTCOMES) + "norm = %.17g\n"
 
 
 def _text(lines: list[str]) -> str:

@@ -107,12 +107,13 @@ def _index(labels: tuple[str, ...]) -> dict[str, int]:
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
-    """A copy of array over an immutable bytes buffer: setflags(write=True) raises on it and on its base.
+    """A copy of array over an immutable bytes buffer, so that setflags(write=True) raises on it.
 
-    A view only flagged read-only can be made writable again by whoever holds
-    it, and a write through it would change the value every other holder
-    shares: the groupoid that build_a2() or build_pair_groupoid(n) returns to
-    every later caller, or the weights of a QLagrangian on it.
+    An array that owns its data and is only flagged read-only can be made
+    writable again by whoever holds it, and a write through it would change
+    the value every other holder shares: the groupoid that build_a2() or
+    build_pair_groupoid(n) returns to every later caller, or the weights of a
+    QLagrangian on it.
     """
     return np.ndarray(array.shape, array.dtype, array.tobytes())
 
