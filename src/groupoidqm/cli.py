@@ -36,10 +36,10 @@ from .groupoid import (
 from .lagrangian import OutcomeBias, QLagrangian, qubit_bias, qubit_lagrangian
 from .algebra import StateVector, element_from_lines
 from .coarse import coarse_grain
-from .histories import (
-    _finite_product, _power, _scalar_product, fixed_order_matmul, fixed_order_power, single_step_matrix,
+from .histories import _scalar_power, fixed_order_matmul, fixed_order_power, single_step_matrix
+from .propagator import (
+    _MAX_RESIDUAL, PropagatorModel, _evolve, _solve_point, _step_report, qubit_propagator, quantization_scan,
 )
-from .propagator import PropagatorModel, _solve_point, _step_report, qubit_propagator, quantization_scan
 
 SWEEP_HEADER = (
     "mu_tau_over_hbar,feasible,min_residual,"
@@ -403,33 +403,25 @@ def _require_a2(cfg: RunConfig, command: str) -> FiniteGroupoid:
     return build_a2()
 
 
-def _step_from_config(cfg: RunConfig, report: bool) -> tuple[list[list], list[list], list[float]]:
-    """The a2 step's (re, im) as 2x2 nested lists, and the floats printed after it.
+def _step_from_config(cfg: RunConfig, report: bool) -> tuple[list[list], list[list], tuple, list[float]]:
+    """The a2 step's (re, im) as 2x2 nested lists, its solved vertex factors and its report's figures.
 
     In solve mode the scalar core solves the point (no model, report or array
-    is built) and those floats are its vertex factors and report figures.
-    Otherwise they are the report's figures when report is true, else none.
+    is built) and gives all four.  Otherwise there are no solved vertex
+    factors, and the figures are the report's when report is true, else none.
     """
     if cfg.gamma_mode == "solve":
         feasible, gammas, re, im, figures = _solve_point(
             cfg.v_plus, cfg.v_minus, cfg.mu, cfg.delta, cfg.p_plus, cfg.tau, cfg.hbar, cfg.lam, cfg.sigma, cfg.gauge
         )
         if not feasible:
-            raise InfeasibleModel(figures[8])  # max_residual
-        return re, im, [x for z in gammas for x in (z.real, z.imag)] + figures
+            raise InfeasibleModel(figures[_MAX_RESIDUAL])
+        return re, im, gammas, figures
     gammas = (cfg.gamma_mm, cfg.gamma_mp, cfg.gamma_pm, cfg.gamma_pp) if cfg.gamma_mode == "explicit" else ()
     model = PropagatorModel(cfg.v_plus, cfg.v_minus, cfg.mu, cfg.delta, cfg.p_plus, cfg.tau, cfg.hbar, *gammas)
     u = qubit_propagator(model)
     re, im = u.real.tolist(), u.imag.tolist()
-    return re, im, _step_report(model, re, im) if report else []
-
-
-_IDENTITY = ([[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]])  # (re, im) of np.eye(2)
-
-
-def _step_power(step: tuple[list[list], list[list]], n: int) -> tuple[list[list], list[list]]:
-    """step^n for the (re, im) lists of a 2x2 step: fixed_order_power's products, bits and errors, on the lists."""
-    return _finite_product(*_power(_scalar_product, step, n)) if n else _IDENTITY
+    return re, im, (), _step_report(model, re, im) if report else []
 
 
 def _matrix_text(entry: str, m: np.ndarray, outcomes: tuple[str, ...]) -> str:
@@ -501,10 +493,11 @@ def cmd_propagator(cfg: RunConfig, power: int | None) -> tuple[int, str]:
     _require_a2(cfg, "propagator")
     if power is not None and power < 0:
         raise ConfigError(f"--power must be non-negative, got {power}")
-    re, im, after = _step_from_config(cfg, report=True)
-    text = _format(_STEP + (_GAMMAS if cfg.gamma_mode == "solve" else "") + _REPORT, _parts(re, im) + after)
+    re, im, gammas, figures = _step_from_config(cfg, report=True)
+    solved = [x for z in gammas for x in (z.real, z.imag)]
+    text = _format(_STEP + (_GAMMAS if gammas else "") + _REPORT, _parts(re, im) + solved + figures)
     if power is not None:
-        text += _format(_a2_matrix(f"U^{power}"), _parts(*_step_power((re, im), power)))
+        text += _format(_a2_matrix(f"U^{power}"), _parts(*_scalar_power((re, im), power)))
     return 0, text
 
 
@@ -591,11 +584,9 @@ def cmd_evolve(cfg: RunConfig, state_spec: str, steps: int | None) -> tuple[int,
     n = cfg.steps if steps is None else steps
     if n < 0:
         raise ConfigError(f"steps must be non-negative, got {n}")
-    re, im, _ = _step_from_config(cfg, report=False)
-    # step^n times the state as a 2x1 matrix, in fixed_order_matmul's order: evolve_state on the lists
-    psi = [[z.real] for z in state.amplitudes], [[z.imag] for z in state.amplitudes]
-    ((re_m,), (re_p,)), ((im_m,), (im_p,)) = _finite_product(*_scalar_product(_step_power((re, im), n), psi))
-    return 0, _format(_PSI, [re_m, im_m, re_p, im_p, math.hypot(re_m, im_m, re_p, im_p)])
+    re, im, _, _ = _step_from_config(cfg, report=False)
+    final = _evolve((re, im), state, n)
+    return 0, _format(_PSI, [x for z in final.amplitudes for x in (z.real, z.imag)] + [final.norm()])
 
 
 def cmd_coarse_grain(cfg: RunConfig, partition_spec: str) -> tuple[int, str]:

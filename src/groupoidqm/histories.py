@@ -505,18 +505,36 @@ def _square(m) -> np.ndarray:
     return m
 
 
-def fixed_order_power(m: np.ndarray, n: int) -> np.ndarray:
-    """m^n for any integer n >= 0 by repeated squaring (_power), every product in the fixed order of _product.
-
-    O(log n) products; m^0 is the identity.  n may be any integer type
-    (operator.index), a numpy integer too; anything else is a ValueError.
-    """
+def _exponent(n) -> int:
+    """n as an int exponent; a ValueError unless n is a non-negative integer of any integer type (operator.index)."""
     try:
         k = operator.index(n)
     except TypeError:
         k = -1
     if k < 0:
         raise ValueError(f"power must be a non-negative integer, got {n!r}")
+    return k
+
+
+def _scalar_power(m, k: int) -> tuple[list[list], list[list]]:
+    """m^k for k >= 0, m being the (re, im) of a square matrix as nested lists of Python floats.
+
+    fixed_order_power's products (_power over _scalar_product), bits and
+    "product entry" error, on the lists; m^0 is the identity.
+    """
+    if k:
+        return _finite_product(*_power(_scalar_product, m, k))
+    side = range(len(m[0]))
+    return [[float(i == j) for j in side] for i in side], [[0.0 for _ in side] for _ in side]
+
+
+def fixed_order_power(m: np.ndarray, n: int) -> np.ndarray:
+    """m^n for any integer n >= 0 by repeated squaring (_power), every product in the fixed order of _product.
+
+    O(log n) products; m^0 is the identity.  n may be any integer type
+    (operator.index), a numpy integer too; anything else is a ValueError.
+    """
+    k = _exponent(n)
     m = _square(m)
     if k == 0:
         return np.eye(len(m), dtype=complex)

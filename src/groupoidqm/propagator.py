@@ -38,7 +38,7 @@ import numpy as np
 
 from .algebra import StateVector
 from .histories import (
-    _amplitude, _complex, _exp, _not_finite, _square, fixed_order_matmul, fixed_order_power,
+    _amplitude, _complex, _exp, _exponent, _finite_product, _not_finite, _scalar_power, _scalar_product, _square,
 )
 
 FEASIBLE_TOL = 1e-10
@@ -299,6 +299,9 @@ def _growth(delta: float, tau: float, hbar: float) -> float:
         raise OverflowError(f"exp of exponent {x} overflows") from None
 
 
+_MAX_RESIDUAL = 8  # the position of max_residual in _report's figures, after the eight residuals
+
+
 def _report(re, im, gammas, v_plus, v_minus, mu, delta, p_plus, tau, hbar, lam, sigma) -> list[float]:
     """The fourteen figures of the UnitarityReport on one point, in field order, on Python floats.
 
@@ -333,7 +336,7 @@ def unitarity_residuals(model: PropagatorModel) -> UnitarityReport:
     """Evaluate all eight unitarity equations and the derived gap quantities."""
     u = qubit_propagator(model)
     figures = _step_report(model, u.real.tolist(), u.imag.tolist())
-    return UnitarityReport(tuple(figures[:8]), *figures[8:])
+    return UnitarityReport(tuple(figures[:_MAX_RESIDUAL]), *figures[_MAX_RESIDUAL:])
 
 
 @dataclass(frozen=True)
@@ -392,7 +395,7 @@ def _solve_point(v_plus, v_minus, mu, delta, p_plus, tau, hbar, lam, sigma, gaug
     s, gammas = _pinned_gammas(delta, p_plus, tau, hbar, lam, sigma, gauge)
     re, im = _step(gammas, v_plus, v_minus, mu, delta, p_plus, tau, hbar)
     figures = _report(re, im, gammas, v_plus, v_minus, mu, delta, p_plus, tau, hbar, lam, sigma)
-    return s >= 0.0 and all(r <= FEASIBLE_TOL for r in figures[:8]), gammas, re, im, figures
+    return s >= 0.0 and figures[_MAX_RESIDUAL] <= FEASIBLE_TOL, gammas, re, im, figures
 
 
 def solve_unitary_gammas(
@@ -426,7 +429,7 @@ def solve_unitary_gammas(
     """
     feasible, gammas, re, im, figures = _solve_point(v_plus, v_minus, mu, delta, p_plus, tau, hbar, lam, sigma, gauge)
     model = PropagatorModel(v_plus, v_minus, mu, delta, p_plus, tau, hbar, *gammas, lam=lam, sigma=sigma)
-    report = UnitarityReport(tuple(figures[:8]), *figures[8:])
+    report = UnitarityReport(tuple(figures[:_MAX_RESIDUAL]), *figures[_MAX_RESIDUAL:])
     return GammaSolution(feasible, model, report, report.max_residual, _complex(re, im))
 
 
@@ -525,16 +528,31 @@ def special_case_spectrum(a: complex, b: complex, case: SignCase) -> tuple[compl
     return (r, -r)
 
 
-def evolve_state(u: np.ndarray, state: StateVector, n: int) -> StateVector:
-    """Apply n propagation steps to a pure state: fixed_order_power(u, n) times the state, in its fixed order.
+def _evolve(step: tuple[list[list], list[list]], state: StateVector, n: int) -> StateVector:
+    """step^n times state, step being the (re, im) of the step matrix as nested lists of Python floats.
 
-    For n = 0 the state is still multiplied by the identity, whose products
-    turn -0.0 into 0.0 as the fixed order does.
+    fixed_order_power(u, n) times the state as a column, in
+    fixed_order_matmul's order (histories._scalar_power, then _scalar_product
+    on the lists): the same bits and the same "product entry" error.  For
+    n = 0 the state is still multiplied by the identity, whose products turn
+    -0.0 into 0.0 as the fixed order does.
+    """
+    psi = [[z.real] for z in state.amplitudes], [[z.imag] for z in state.amplitudes]
+    re, im = _finite_product(*_scalar_product(_scalar_power(step, n), psi))
+    return StateVector(tuple(complex(r, i) for (r,), (i,) in zip(re, im)))
+
+
+def evolve_state(u: np.ndarray, state: StateVector, n: int) -> StateVector:
+    """Apply n propagation steps to a pure state: u^n times the state, in the fixed order (_evolve).
+
+    The products run on Python floats at any side, so they suit the few
+    outcomes of a qubit step; a large u is better raised with
+    fixed_order_power, whose products go to float64 arrays past
+    histories._SCALAR_MAX_SIDE.
     """
     if state.norm() == 0.0:
         raise ValueError("state must have nonzero norm")
     u = _square(u)
     if len(state.amplitudes) != len(u):
         raise ValueError(f"state has {len(state.amplitudes)} amplitudes, the step matrix has side {len(u)}")
-    moved = fixed_order_matmul(fixed_order_power(u, n), state.as_array()[:, None])
-    return StateVector(tuple(moved[:, 0].tolist()))
+    return _evolve((u.real.tolist(), u.imag.tolist()), state, _exponent(n))

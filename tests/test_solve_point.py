@@ -4,10 +4,11 @@
 and format straight from its floats.  ``_oracle_propagator`` and
 ``_oracle_evolve`` are those commands as they were before the scalar core: the
 former ``solve_unitary_gammas`` (a ``PropagatorModel``, its step matrix and its
-``UnitarityReport`` on numpy arrays), then ``fixed_order_power`` and
-``evolve_state``.  The solve is written out here; the rest runs on helpers the
-core did not change (``histories``' ``_exp``, ``_amplitude``, ``_complex``,
-``_not_finite`` and products, ``propagator._unitarity_gaps``, ``cli._format``,
+``UnitarityReport`` on numpy arrays), then ``fixed_order_power`` and the
+former ``evolve_state``.  The solve and the evolution are written out here; the
+rest runs on helpers the core did not change (``histories``' ``_exp``,
+``_amplitude``, ``_complex``, ``_not_finite``, ``fixed_order_matmul`` and
+``fixed_order_power``, ``propagator._unitarity_gaps``, ``cli._format``,
 ``_matrix_text``, ``_parse_state`` and ``_require_a2``).  A derandomized
 hypothesis test runs each drawn command through ``cli.main`` twice, once with
 the oracle in the command table, and compares (rc, stdout, stderr).
@@ -28,8 +29,9 @@ from groupoidqm import cli
 from groupoidqm.cli import (
     _GAMMAS, _REPORT, ConfigError, InfeasibleModel, _format, _matrix_text, _parse_state, _require_a2, main,
 )
-from groupoidqm.histories import _amplitude, _complex, _exp, _not_finite, fixed_order_power
-from groupoidqm.propagator import FEASIBLE_TOL, TWO_PI, PropagatorModel, UnitarityReport, _unitarity_gaps, evolve_state
+from groupoidqm.algebra import StateVector
+from groupoidqm.histories import _amplitude, _complex, _exp, _not_finite, fixed_order_matmul, fixed_order_power
+from groupoidqm.propagator import FEASIBLE_TOL, TWO_PI, PropagatorModel, UnitarityReport, _unitarity_gaps
 
 
 def _oracle_growth(delta, tau, hbar):
@@ -146,7 +148,8 @@ def _oracle_evolve(cfg, state_spec, steps):
     if n < 0:
         raise ConfigError(f"steps must be non-negative, got {n}")
     _, u, _ = _oracle_step_from_config(cfg)
-    final = evolve_state(u, state, n)
+    moved = fixed_order_matmul(fixed_order_power(u, n), state.as_array()[:, None])  # the former evolve_state
+    final = StateVector(tuple(moved[:, 0].tolist()))
     template = "".join(f"psi[{o}] = %.17g,%.17g\n" for o in g.outcomes) + "norm = %.17g\n"
     return 0, _format(template, [x for z in final.amplitudes for x in (z.real, z.imag)] + [final.norm()])
 
@@ -177,8 +180,9 @@ def _command(draw):
     The parameters take the benchmark's ranges, the radicand clearly positive
     or negative, or one of the edges: a radicand of exactly 0 or one step
     either side of it (p+ = 1/2, delta = 0, gauge = 2), a delta or gauge
-    whose growth factor, radicand or step overflows, and mu on a phase level,
-    within the feasibility tolerance of it, or off it.
+    whose growth factor, radicand or step overflows, mu on a phase level,
+    within the feasibility tolerance of it, or off it, and a state whose
+    product with the step overflows.
     """
     p = {
         "V_plus": draw(_unit(-1.0, 1.0)), "V_minus": draw(_unit(-1.0, 1.0)),
@@ -216,7 +220,8 @@ def _command(draw):
     if draw(st.booleans()):
         return ["propagator", *(() if draw(st.integers(0, 3)) == 0 else ("--power", str(n)))], text
     components = [f"{draw(_unit(-1.0, 1.0))!r},{draw(_unit(-1.0, 1.0))!r}" for _ in range(2)]
-    state = draw(st.sampled_from([";".join(components)] * 6 + ["-0.6,0.1;-0.3,0.7", "0,0;0,0"]))
+    huge = "1.7e308,0;1.7e308,1e-300"  # its product with a step of entries near 1 can overflow
+    state = draw(st.sampled_from([";".join(components)] * 6 + ["-0.6,0.1;-0.3,0.7", "0,0;0,0", huge]))
     steps = () if draw(st.integers(0, 4)) == 0 else ("--steps", str(n))  # then the config's steps = 1
     return ["evolve", f"--state={state}", *steps], text
 
