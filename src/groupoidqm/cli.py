@@ -38,7 +38,7 @@ from .algebra import StateVector, element_from_lines
 from .coarse import coarse_grain
 from .histories import _scalar_power, fixed_order_matmul, fixed_order_power, single_step_matrix
 from .propagator import (
-    _MAX_RESIDUAL, PropagatorModel, _evolve, _solve_point, _step_report, qubit_propagator, quantization_scan,
+    PropagatorModel, UnitarityReport, _evolve, _step_report, quantization_scan, solve_unitary_gammas,
 )
 
 SWEEP_HEADER = (
@@ -403,25 +403,23 @@ def _require_a2(cfg: RunConfig, command: str) -> FiniteGroupoid:
     return build_a2()
 
 
-def _step_from_config(cfg: RunConfig, report: bool) -> tuple[list[list], list[list], tuple, list[float]]:
-    """The a2 step's (re, im) as 2x2 nested lists, its solved vertex factors and its report's figures.
+def _step_from_config(cfg: RunConfig, report: bool) -> tuple[tuple, tuple, UnitarityReport | None]:
+    """The a2 step's (re, im) as 2x2 nested lists, its solved vertex factors and its UnitarityReport.
 
-    In solve mode the scalar core solves the point (no model, report or array
-    is built) and gives all four.  Otherwise there are no solved vertex
-    factors, and the figures are the report's when report is true, else none.
+    In solve mode solve_unitary_gammas gives all three.  Otherwise there are
+    no solved vertex factors, and the report is built when report is true.
     """
     if cfg.gamma_mode == "solve":
-        feasible, gammas, re, im, figures = _solve_point(
+        feasible, gammas, step, report = solve_unitary_gammas(
             cfg.v_plus, cfg.v_minus, cfg.mu, cfg.delta, cfg.p_plus, cfg.tau, cfg.hbar, cfg.lam, cfg.sigma, cfg.gauge
         )
         if not feasible:
-            raise InfeasibleModel(figures[_MAX_RESIDUAL])
-        return re, im, gammas, figures
+            raise InfeasibleModel(report.max_residual)
+        return step, gammas, report
     gammas = (cfg.gamma_mm, cfg.gamma_mp, cfg.gamma_pm, cfg.gamma_pp) if cfg.gamma_mode == "explicit" else ()
     model = PropagatorModel(cfg.v_plus, cfg.v_minus, cfg.mu, cfg.delta, cfg.p_plus, cfg.tau, cfg.hbar, *gammas)
-    u = qubit_propagator(model)
-    re, im = u.real.tolist(), u.imag.tolist()
-    return re, im, (), _step_report(model, re, im) if report else []
+    step, unitarity = _step_report(model, report)
+    return step, (), unitarity
 
 
 def _matrix_text(entry: str, m: np.ndarray, outcomes: tuple[str, ...]) -> str:
@@ -493,11 +491,12 @@ def cmd_propagator(cfg: RunConfig, power: int | None) -> tuple[int, str]:
     _require_a2(cfg, "propagator")
     if power is not None and power < 0:
         raise ConfigError(f"--power must be non-negative, got {power}")
-    re, im, gammas, figures = _step_from_config(cfg, report=True)
+    step, gammas, report = _step_from_config(cfg, report=True)
     solved = [x for z in gammas for x in (z.real, z.imag)]
-    text = _format(_STEP + (_GAMMAS if gammas else "") + _REPORT, _parts(re, im) + solved + figures)
+    figures = [*report.residuals, *report[1:]]
+    text = _format(_STEP + (_GAMMAS if gammas else "") + _REPORT, _parts(*step) + solved + figures)
     if power is not None:
-        text += _format(_a2_matrix(f"U^{power}"), _parts(*_scalar_power((re, im), power)))
+        text += _format(_a2_matrix(f"U^{power}"), _parts(*_scalar_power(step, power)))
     return 0, text
 
 
@@ -543,8 +542,8 @@ def cmd_sweep(cfg: RunConfig) -> tuple[int, str]:
         cfg.v_plus, cfg.v_minus, cfg.delta, cfg.p_plus, cfg.tau, cfg.hbar,
         cfg.lam, cfg.sigma, cfg.gauge, grid,
     )
-    m = scan.model  # the vertex factors do not depend on mu
-    gammas = [x for z in (m.gamma_mm, m.gamma_pm, m.gamma_mp, m.gamma_pp) for x in (z.real, z.imag)]
+    g_mm, g_mp, g_pm, g_pp = scan.gammas  # the vertex factors do not depend on mu
+    gammas = [x for z in (g_mm, g_pm, g_mp, g_pp) for x in (z.real, z.imag)]
     tail = _format(",%.17g" * 8, gammas) + "\n"  # the same gamma columns end every row
     rows = ("%.17g,0,%.17g\n", "%.17g,1,%.17g\n")  # by the feasible flag
     # One % per block of rows, then one replace of its newlines by the tail: % reads its
@@ -584,8 +583,8 @@ def cmd_evolve(cfg: RunConfig, state_spec: str, steps: int | None) -> tuple[int,
     n = cfg.steps if steps is None else steps
     if n < 0:
         raise ConfigError(f"steps must be non-negative, got {n}")
-    re, im, _, _ = _step_from_config(cfg, report=False)
-    final = _evolve((re, im), state, n)
+    step, _, _ = _step_from_config(cfg, report=False)
+    final = _evolve(step, state, n)
     return 0, _format(_PSI, [x for z in final.amplitudes for x in (z.real, z.imag)] + [final.norm()])
 
 

@@ -96,11 +96,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def __str__(self) -> str:
-        if self.ok:
-            return "all groupoid axioms hold"
-        return "\n".join(str(f) for f in self.failures)
-
 
 def _index(labels: tuple[str, ...]) -> dict[str, int]:
     return dict(zip(labels, range(len(labels))))

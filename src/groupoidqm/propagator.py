@@ -16,12 +16,12 @@ where Lambda = hbar arg(G_pm / G_mp) and Sigma = hbar arg(G_mm / G_pp).
 With those phase conventions the constraint above is exactly what the
 orthogonality of the rows of U demands.
 
-One point is solved by one scalar core, _solve_point, on Python floats: the
-radicand and the pinned vertex factors (_pinned_gammas), the step's entries
-as nested lists (_step, over _kernel) and the report's eight residuals and
-six figures (_report).  solve_unitary_gammas builds its GammaSolution,
-UnitarityReport and PropagatorModel from that result; the propagator and
-evolve commands format straight from its floats.  qubit_propagator and
+One point is solved by solve_unitary_gammas on Python floats: the radicand
+and the pinned vertex factors (_pinned_gammas), the step's entries as nested
+lists (_step, over _kernel) and the UnitarityReport of its eight residuals
+and six figures (_report), returned as plain values in a GammaSolution; no
+model and no array is built.  The propagator and evolve commands call it in
+solve mode and format straight from its floats.  qubit_propagator and
 unitarity_residuals evaluate a given model through the same _step and
 _report, and quantization_scan shares _pinned_gammas, the diagonal kernel
 and the gap formulas, so each formula is stated once.
@@ -32,7 +32,8 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,8 +98,7 @@ class PropagatorModel:
         return (self.gamma_mm, self.gamma_mp, self.gamma_pm, self.gamma_pp)
 
 
-@dataclass(frozen=True)
-class UnitarityReport:
+class UnitarityReport(NamedTuple):
     """Residuals of the eight unitarity equations plus the derived relations.
 
     residuals holds, in order, the magnitudes of the four entries of
@@ -106,7 +106,8 @@ class UnitarityReport:
     Both matrices are Hermitian, so residuals[2] == residuals[1] and
     residuals[6] == residuals[5] by construction (the printed
     residual_1_3 = residual_1_2 and residual_2_3 = residual_2_2), and the
-    diagonal gaps are real.
+    diagonal gaps are real.  report[1:] are the six figures after the
+    residuals, in the order the propagator command prints them.
     """
 
     residuals: tuple[float, float, float, float, float, float, float, float]
@@ -197,38 +198,35 @@ def qubit_propagator(model: PropagatorModel) -> np.ndarray:
     return _complex(*_step(m.gammas, m.v_plus, m.v_minus, m.mu, m.delta, m.p_plus, m.tau, m.hbar))
 
 
-def _scan_step(model: PropagatorModel, mus: np.ndarray) -> tuple[list[list], list[list]]:
-    """(re, im) of the step matrices of model with mu set to each of mus, as 2x2 nested lists.
+def _scan_step(gammas, v_plus, v_minus, mus, delta, p_plus, tau, hbar) -> tuple[list[list], list[list]]:
+    """(re, im) of _step's matrices with mu set to each of mus, as 2x2 nested lists.
 
-    The diagonal does not depend on mu and is qubit_propagator's, on Python
-    floats; each flip entry is a float64 column over mus.  Position i of a
-    column has qubit_propagator's bits at mu = mus[i]: the exponents are
-    _kernel's, formed in the same operations, and both flips come from one
-    np.exp over a (2, P) complex array, then sqrt(p+ p-) and the vertex
-    factors are applied in separate float64 ufuncs, since numpy's complex
-    multiply may fuse.  That np.exp is glibc's cexp, which computes
-    exp(x) cos y and exp(x) sin y through libm as cmath.exp does for
-    x <= 708.39 (above it cmath.exp takes exp(x - 1) e).  A flip that
-    reaches the step has |x| below ~373: for delta > 0, _pinned_gammas'
-    exp(2 delta tau / hbar) overflows once x passes ~355; for delta < 0 the
-    flip with x > 0 meets G_mp = gauge exp(2 delta tau / hbar), which is
-    exactly 0 once x passes ~373.
+    The diagonal does not depend on mu and is _step's, on Python floats; each
+    flip entry is a float64 column over mus.  Position i of a column has
+    _step's bits at mu = mus[i]: the exponents are _kernel's, formed in the
+    same operations, and both flips come from one np.exp over a (2, P)
+    complex array, then sqrt(p+ p-) and the vertex factors are applied in
+    separate float64 ufuncs, since numpy's complex multiply may fuse.  That
+    np.exp is glibc's cexp, which computes exp(x) cos y and exp(x) sin y
+    through libm as cmath.exp does for x <= 708.39 (above it cmath.exp takes
+    exp(x - 1) e).  A flip that reaches the step has |x| below ~373: for
+    delta > 0, _pinned_gammas' exp(2 delta tau / hbar) overflows once x
+    passes ~355; for delta < 0 the flip with x > 0 meets
+    G_mp = gauge exp(2 delta tau / hbar), which is exactly 0 once x passes
+    ~373.
     """
-    tau, hbar = model.tau, model.hbar
-    (re_mm, im_mm), (re_pp, im_pp) = [
-        _vertex_times(g, k.real, k.imag)
-        for g, k in zip(
-            (model.gamma_mm, model.gamma_pp), _diagonal_kernel(model.v_plus, model.v_minus, model.p_plus, tau, hbar)
-        )
-    ]
+    g_mm, g_mp, g_pm, g_pp = gammas
+    k_mm, k_pp = _diagonal_kernel(v_plus, v_minus, p_plus, tau, hbar)
+    re_mm, im_mm = _vertex_times(g_mm, k_mm.real, k_mm.imag)
+    re_pp, im_pp = _vertex_times(g_pp, k_pp.real, k_pp.imag)
     z = np.empty((2, len(mus)), dtype=complex)  # the exponents of K[-][+] and K[+][-]
-    z.real[0], z.real[1], z.imag = -(model.delta * tau) / hbar, (model.delta * tau) / hbar, mus * tau / hbar
+    z.real[0], z.real[1], z.imag = -(delta * tau) / hbar, (delta * tau) / hbar, mus * tau / hbar
     if not np.isfinite(z).all():
         raise _not_finite("exponent", z)
     np.exp(z, out=z)
-    root = math.sqrt(model.p_plus * model.p_minus)
+    root = math.sqrt(p_plus * (1.0 - p_plus))
     k_re, k_im = root * z.real + 0.0, root * z.imag + 0.0  # 0j + root * exp(...), as _kernel forms it
-    (re_mp, re_pm), (im_mp, im_pm) = _vertex_times(np.array([[model.gamma_mp], [model.gamma_pm]]), k_re, k_im)
+    (re_mp, re_pm), (im_mp, im_pm) = _vertex_times(np.array([[g_mp], [g_pm]]), k_re, k_im)
     return [[re_mm, re_mp], [re_pm, re_pp]], [[im_mm, im_mp], [im_pm, im_pp]]
 
 
@@ -299,16 +297,11 @@ def _growth(delta: float, tau: float, hbar: float) -> float:
         raise OverflowError(f"exp of exponent {x} overflows") from None
 
 
-_MAX_RESIDUAL = 8  # the position of max_residual in _report's figures, after the eight residuals
-
-
-def _report(re, im, gammas, v_plus, v_minus, mu, delta, p_plus, tau, hbar, lam, sigma) -> list[float]:
-    """The fourteen figures of the UnitarityReport on one point, in field order, on Python floats.
+def _report(re, im, gammas, v_plus, v_minus, mu, delta, p_plus, tau, hbar, lam, sigma) -> UnitarityReport:
+    """The UnitarityReport of one point, on Python floats.
 
     re and im are the point's step matrix (_step), gammas its vertex factors
-    G_mm, G_mp, G_pm, G_pp and lam, sigma its vertex phases: the eight
-    residuals, then max_residual, the two relation gaps, the global phase gap
-    and the two Frobenius norms.
+    G_mm, G_mp, G_pm, G_pp and lam, sigma its vertex phases.
     """
     r = _residuals(re, im)
     growth = _growth(delta, tau, hbar)
@@ -320,34 +313,39 @@ def _report(re, im, gammas, v_plus, v_minus, mu, delta, p_plus, tau, hbar, lam, 
     theta = (mu + v_bar) * 2.0 * tau / hbar - ((sigma + lam) / hbar + math.pi)
     if not math.isfinite(theta):  # math.remainder would call it a domain error
         raise OverflowError(f"phase constraint gap {theta} is not finite")
-    return [
-        *r, max(r), relation1_gap, relation2_gap, abs(math.remainder(theta, TWO_PI)),
+    return UnitarityReport(
+        tuple(r), max(r), relation1_gap, relation2_gap, abs(math.remainder(theta, TWO_PI)),
         math.hypot(*r[:4]), math.hypot(*r[4:]),
-    ]
+    )
 
 
-def _step_report(model: PropagatorModel, re: list[list], im: list[list]) -> list[float]:
-    """_report's figures on model, whose step matrix has parts re and im."""
+def _step_report(model: PropagatorModel, report: bool = True) -> tuple[tuple, UnitarityReport | None]:
+    """model's step matrix as (re, im) nested lists (_step), and its UnitarityReport (_report) if report is true."""
     m = model
-    return _report(re, im, m.gammas, m.v_plus, m.v_minus, m.mu, m.delta, m.p_plus, m.tau, m.hbar, m.lam, m.sigma)
+    step = _step(m.gammas, m.v_plus, m.v_minus, m.mu, m.delta, m.p_plus, m.tau, m.hbar)
+    if not report:
+        return step, None
+    return step, _report(*step, m.gammas, m.v_plus, m.v_minus, m.mu, m.delta, m.p_plus, m.tau, m.hbar, m.lam, m.sigma)
 
 
 def unitarity_residuals(model: PropagatorModel) -> UnitarityReport:
     """Evaluate all eight unitarity equations and the derived gap quantities."""
-    u = qubit_propagator(model)
-    figures = _step_report(model, u.real.tolist(), u.imag.tolist())
-    return UnitarityReport(tuple(figures[:_MAX_RESIDUAL]), *figures[_MAX_RESIDUAL:])
+    return _step_report(model)[1]
 
 
-@dataclass(frozen=True)
-class GammaSolution:
-    """Outcome of solve_unitary_gammas; model carries the pinned-gauge candidate and u its step matrix."""
+class GammaSolution(NamedTuple):
+    """Outcome of solve_unitary_gammas, as plain values.
+
+    gammas are the pinned-gauge vertex factors G_mm, G_mp, G_pm, G_pp, step
+    the candidate's step matrix as (re, im) 2x2 nested lists of Python
+    floats and report its UnitarityReport; report.max_residual is the
+    candidate's joint residual.
+    """
 
     feasible: bool
-    model: PropagatorModel
+    gammas: tuple[complex, complex, complex, complex]
+    step: tuple[list[list], list[list]]
     report: UnitarityReport
-    min_residual: float
-    u: np.ndarray = field(compare=False)
 
 
 def _check_solve_args(p_plus: float, tau: float, hbar: float, gauge: float) -> None:
@@ -382,22 +380,6 @@ def _pinned_gammas(
     )
 
 
-def _solve_point(v_plus, v_minus, mu, delta, p_plus, tau, hbar, lam, sigma, gauge):
-    """The one solve of a single point on Python floats: (feasible, gammas, re, im, figures).
-
-    gammas are the pinned vertex factors (_pinned_gammas), re and im the
-    step's parts as 2x2 nested lists (_step) and figures its fourteen report
-    figures (_report).  feasible holds exactly when the radicand is
-    non-negative and every residual is within FEASIBLE_TOL.  No model, report
-    or array is built: solve_unitary_gammas builds those from this result.
-    """
-    _check_solve_args(p_plus, tau, hbar, gauge)
-    s, gammas = _pinned_gammas(delta, p_plus, tau, hbar, lam, sigma, gauge)
-    re, im = _step(gammas, v_plus, v_minus, mu, delta, p_plus, tau, hbar)
-    figures = _report(re, im, gammas, v_plus, v_minus, mu, delta, p_plus, tau, hbar, lam, sigma)
-    return s >= 0.0 and figures[_MAX_RESIDUAL] <= FEASIBLE_TOL, gammas, re, im, figures
-
-
 def solve_unitary_gammas(
     v_plus: float,
     v_minus: float,
@@ -418,37 +400,37 @@ def solve_unitary_gammas(
     decided algebraically: it holds exactly when the radicand
     s = 1 - gauge^2 p+ p- exp(2 delta tau / hbar) is non-negative and the
     global phase constraint is met, checked as the candidate's unitarity
-    residual being within FEASIBLE_TOL.  min_residual is that candidate's
-    joint residual; for s < 0 it equals |s|.  u is the candidate's step
-    matrix, equal to qubit_propagator(model), and report is
-    unitarity_residuals(model).
+    residual report.max_residual being within FEASIBLE_TOL; for s < 0 that
+    residual equals |s|.
 
-    The point is solved once, on Python floats, by _solve_point, the scalar
-    core the propagator and evolve commands call directly; the model, the
-    report and u are built from its floats afterwards, with the same bits.
+    The point is solved once, on Python floats, and no model or array is
+    built: step is the step matrix qubit_propagator gives the candidate's
+    PropagatorModel, as nested lists, and report is unitarity_residuals of
+    that model, with the same bits.
     """
-    feasible, gammas, re, im, figures = _solve_point(v_plus, v_minus, mu, delta, p_plus, tau, hbar, lam, sigma, gauge)
-    model = PropagatorModel(v_plus, v_minus, mu, delta, p_plus, tau, hbar, *gammas, lam=lam, sigma=sigma)
-    report = UnitarityReport(tuple(figures[:_MAX_RESIDUAL]), *figures[_MAX_RESIDUAL:])
-    return GammaSolution(feasible, model, report, report.max_residual, _complex(re, im))
+    _check_solve_args(p_plus, tau, hbar, gauge)
+    s, gammas = _pinned_gammas(delta, p_plus, tau, hbar, lam, sigma, gauge)
+    step = _step(gammas, v_plus, v_minus, mu, delta, p_plus, tau, hbar)
+    report = _report(*step, gammas, v_plus, v_minus, mu, delta, p_plus, tau, hbar, lam, sigma)
+    return GammaSolution(s >= 0.0 and report.max_residual <= FEASIBLE_TOL, gammas, step, report)
 
 
 @dataclass(frozen=True, eq=False)
 class QuantizationScan:
-    """Outcome of quantization_scan: one candidate model and a read-only array per column.
+    """Outcome of quantization_scan: the vertex factors and a read-only array per column.
 
-    The pinned-gauge vertex factors do not depend on mu, so model (built at
-    mu = 0) carries them once; the candidate at grid point i is
-    dataclasses.replace(model, mu=mu[i]), which is solve_unitary_gammas'
-    model there.  feasible_mask[i] and min_residual[i] are that solve's
-    verdict and joint residual, bit for bit: the scan takes the flip entries
-    from numpy's complex exp where the solve takes cmath.exp, and the two
-    agree on every flip that can reach a result (_scan_step says why).
+    The pinned-gauge vertex factors G_mm, G_mp, G_pm, G_pp do not depend on
+    mu, so gammas holds them once: they are solve_unitary_gammas' gammas at
+    every grid point.  feasible_mask[i] and min_residual[i] are that solve's
+    verdict and report.max_residual at mu[i], bit for bit: the scan takes the
+    flip entries from numpy's complex exp where the solve takes cmath.exp,
+    and the two agree on every flip that can reach a result (_scan_step
+    says why).
     feasible is the verdict on the whole scan, one bool like
     GammaSolution.feasible: some grid point admits a unitary step.
     """
 
-    model: PropagatorModel
+    gammas: tuple[complex, complex, complex, complex]
     mu: np.ndarray
     mu_tau_over_hbar: np.ndarray
     min_residual: np.ndarray
@@ -493,10 +475,9 @@ def quantization_scan(
     if not np.isfinite(xs).all():
         raise _not_finite("grid point", xs)
     s, gammas = _pinned_gammas(delta, p_plus, tau, hbar, lam, sigma, gauge)
-    model = PropagatorModel(v_plus, v_minus, 0.0, delta, p_plus, tau, hbar, *gammas, lam=lam, sigma=sigma)
     with np.errstate(over="ignore", invalid="ignore"):
         mus = xs * hbar / tau
-        a, d, x, y, b, e, v, w = _unitarity_gaps(*_scan_step(model, mus))
+        a, d, x, y, b, e, v, w = _unitarity_gaps(*_scan_step(gammas, v_plus, v_minus, mus, delta, p_plus, tau, hbar))
         worst = np.hypot(x, y)
         np.maximum(worst, np.hypot(v, w), out=worst)
         for diagonal in (a, d, b, e):
@@ -506,7 +487,7 @@ def quantization_scan(
     columns = (mus, xs, worst, np.logical_and(s >= 0.0, worst <= FEASIBLE_TOL))
     for column in columns:
         column.flags.writeable = False
-    return QuantizationScan(model, *columns)
+    return QuantizationScan(gammas, *columns)
 
 
 def sign_case_matrix(a: complex, b: complex, case: SignCase) -> np.ndarray:

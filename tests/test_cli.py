@@ -484,10 +484,9 @@ def _sweep_reference(v, start, stop, count):
             v["V_plus"], v["V_minus"], x * v["hbar"] / v["tau"], v["delta"], v["p_plus"],
             v["tau"], v["hbar"], lam=v["Lambda"], sigma=v["Sigma"], gauge=v["gauge"],
         )
-        m = sol.model
-        gammas = ["%.17g" % part for z in (m.gamma_mm, m.gamma_pm, m.gamma_mp, m.gamma_pp)
-                  for part in (z.real, z.imag)]
-        rows.append(",".join(["%.17g" % x, "1" if sol.feasible else "0", "%.17g" % sol.min_residual, *gammas]))
+        g_mm, g_mp, g_pm, g_pp = sol.gammas
+        gammas = ["%.17g" % part for z in (g_mm, g_pm, g_mp, g_pp) for part in (z.real, z.imag)]
+        rows.append(",".join(["%.17g" % x, "1" if sol.feasible else "0", "%.17g" % sol.report.max_residual, *gammas]))
     return "\n".join(rows) + "\n"
 
 
@@ -576,21 +575,46 @@ def test_sweep_error_paths_exit_1(tmp_path, capsys, text, message):
     assert message in err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [("propagator",), ("propagator", "--power", "3"), ("evolve", "--state", "-0.6,0.1;0.3,-0.5")],
-)
+_SOLVE_ARGV = [("propagator",), ("propagator", "--power", "3"), ("evolve", "--state", "-0.6,0.1;0.3,-0.5")]
+
+
+@pytest.mark.parametrize("argv", _SOLVE_ARGV)
 def test_solve_mode_reuses_the_solution(tmp_path, capsys, monkeypatch, argv):
     cfg = cfg_file(tmp_path, SOLVE_SQRT2)
     rc, out, err = run(capsys, argv[0], "-c", cfg, *argv[1:])
     assert rc == 0
 
-    def rebuilt(model):
+    def rebuilt(*args, **kwargs):
         raise AssertionError("the step was rebuilt after solving")
 
-    monkeypatch.setattr(cli, "qubit_propagator", rebuilt)
+    calls = []
+    kernel = propagator._kernel
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(cli, "PropagatorModel", rebuilt)
     monkeypatch.setattr(cli, "_step_report", rebuilt)
+    monkeypatch.setattr(propagator, "_kernel", counted)
     assert run(capsys, argv[0], "-c", cfg, *argv[1:]) == (0, out, err)
+    assert len(calls) == 1  # the solve's own step
+
+
+@pytest.mark.parametrize("argv", _SOLVE_ARGV)
+def test_solve_mode_goes_through_the_public_solver(tmp_path, capsys, monkeypatch, argv):
+    cfg = cfg_file(tmp_path, SOLVE_SQRT2)
+    want = run(capsys, argv[0], "-c", cfg, *argv[1:])
+    calls = []
+    solve = cli.solve_unitary_gammas
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_unitary_gammas", counted)
+    assert run(capsys, argv[0], "-c", cfg, *argv[1:]) == want
+    assert want[0] == 0 and len(calls) == 1
 
 
 @pytest.mark.parametrize("text", ["mu = 0.3\n", "gamma_mode = explicit\ngamma_mm = 0.5,-1\nmu = 0.3\n"])

@@ -104,8 +104,8 @@ def test_solve_feasible_sqrt2():
         0.0, 0.0, math.pi / 2, 0.0, 0.5, 1.0, 1.0, lam=0.0, sigma=0.0, gauge=SQRT2
     )
     assert sol.feasible
-    assert sol.min_residual <= 1e-12
-    for gamma in sol.model.gammas:
+    assert sol.report.max_residual <= 1e-12
+    for gamma in sol.gammas:
         assert gamma == pytest.approx(SQRT2, abs=1e-12)
 
 
@@ -114,7 +114,7 @@ def test_solve_infeasible_quarter_pi():
         0.0, 0.0, math.pi / 4, 0.0, 0.5, 1.0, 1.0, lam=0.0, sigma=0.0, gauge=SQRT2
     )
     assert not sol.feasible
-    assert sol.min_residual > 1e-2
+    assert sol.report.max_residual > 1e-2
 
 
 def test_solve_infeasible_radicand():
@@ -123,7 +123,7 @@ def test_solve_infeasible_radicand():
         0.0, 0.0, math.pi / 2, 0.0, 0.5, 1.0, 1.0, lam=0.0, sigma=0.0, gauge=10.0
     )
     assert not sol.feasible
-    assert sol.min_residual > 1e-3
+    assert sol.report.max_residual > 1e-3
 
 
 def test_solve_relation_gaps_with_drift():
@@ -137,7 +137,8 @@ def test_solve_relation_gaps_with_drift():
     assert sol.feasible
     assert sol.report.relation1_gap <= 1e-12
     assert sol.report.relation2_gap <= 1e-12
-    assert abs(sol.model.gamma_mp) / abs(sol.model.gamma_pm) == pytest.approx(
+    g_mm, g_mp, g_pm, g_pp = sol.gammas
+    assert abs(g_mp) / abs(g_pm) == pytest.approx(
         math.exp(2 * delta_ * tau / hbar), abs=1e-12
     )
 
@@ -173,14 +174,19 @@ def test_solve_rejects_degenerate_bias():
         solve_unitary_gammas(0, 0, 1.0, 0, 0.5, 1.0, 1.0, gauge=0.0)
 
 
-def scan_models(scan):
-    """The candidate model at each grid point of a quantization scan."""
-    return [dataclasses.replace(scan.model, mu=mu) for mu in scan.mu.tolist()]
+def scan_models(scan, args):
+    """The candidate model at each grid point of quantization_scan(*args)."""
+    v_plus, v_minus, delta_, p, tau, hbar, lam, sigma, _, _ = args
+    return [
+        PropagatorModel(v_plus, v_minus, mu, delta_, p, tau, hbar, *scan.gammas, lam=lam, sigma=sigma)
+        for mu in scan.mu.tolist()
+    ]
 
 
-def scan_steps(scan):
-    """The scan's own step matrices, (P, 2, 2), put together from the parts _scan_step gives the scan."""
-    re, im = _scan_step(scan.model, scan.mu)
+def scan_steps(scan, args):
+    """The step matrices of quantization_scan(*args), (P, 2, 2), put together from the parts _scan_step gives it."""
+    v_plus, v_minus, delta_, p, tau, hbar, *_ = args
+    re, im = _scan_step(scan.gammas, v_plus, v_minus, scan.mu, delta_, p, tau, hbar)
     us = np.empty((scan.mu.size, 2, 2), dtype=complex)
     for i in range(2):
         for j in range(2):
@@ -239,7 +245,7 @@ def test_scan_feasible_iff_radicand_and_phase_gap():
     for seed in range(20):
         args, radicand = _seeded_scan_params(seed)
         scan = quantization_scan(*args)
-        for model, feasible in zip(scan_models(scan), scan.feasible_mask.tolist()):
+        for model, feasible in zip(scan_models(scan, args), scan.feasible_mask.tolist()):
             gap = unitarity_residuals(model).global_phase_gap
             assert feasible == (radicand >= 0.0 and gap <= 1e-10)
             n_feasible += feasible
@@ -253,13 +259,13 @@ def test_negative_radicand_residual_is_its_magnitude():
         scan = quantization_scan(*args)
         assert scan.feasible is False and not scan.feasible_mask.any()
         v_plus, v_minus, delta_, p, tau, hbar, lam, sigma, gauge, _ = args
-        for mu, min_residual, model in zip(scan.mu.tolist(), scan.min_residual.tolist(), scan_models(scan)):
+        for mu, min_residual in zip(scan.mu.tolist(), scan.min_residual.tolist()):
             assert min_residual == pytest.approx(-radicand, abs=1e-12)
             sol = solve_unitary_gammas(
                 v_plus, v_minus, mu, delta_, p, tau, hbar, lam=lam, sigma=sigma, gauge=gauge
             )
-            assert sol.min_residual == min_residual
-            assert sol.model == model
+            assert sol.report.max_residual == min_residual
+            assert sol.gammas == scan.gammas
 
 
 def test_scan_matches_single_solves_bit_for_bit():
@@ -269,15 +275,15 @@ def test_scan_matches_single_solves_bit_for_bit():
         assert radicand > 0.0
         v_plus, v_minus, delta_, p, tau, hbar, lam, sigma, gauge, _ = args
         scan = quantization_scan(*args)
-        us = scan_steps(scan)
-        for i, mu in enumerate(scan.mu.tolist()):
+        us = scan_steps(scan, args)
+        for i, (mu, model) in enumerate(zip(scan.mu.tolist(), scan_models(scan, args))):
             sol = solve_unitary_gammas(
                 v_plus, v_minus, mu, delta_, p, tau, hbar, lam=lam, sigma=sigma, gauge=gauge
             )
             assert type(sol.feasible) is bool and sol.feasible == scan.feasible_mask[i]
-            assert repr(scan.min_residual[i].item()) == repr(sol.min_residual) == repr(sol.report.max_residual)
-            assert dataclasses.replace(scan.model, mu=scan.mu[i]) == sol.model
-            assert sol.u.tobytes() == us[i].tobytes() == qubit_propagator(sol.model).tobytes()
+            assert repr(scan.min_residual[i].item()) == repr(sol.report.max_residual)
+            assert sol.gammas == scan.gammas
+            assert _complex(*sol.step).tobytes() == us[i].tobytes() == qubit_propagator(model).tobytes()
             n_feasible += sol.feasible
     assert n_feasible >= 50
 
@@ -310,11 +316,11 @@ def test_step_matrix_is_the_python_formula_bit_for_bit(seed):
     args, _ = _seeded_scan_params(seed)
     v_plus, v_minus, delta_, p, tau, hbar, lam, sigma, gauge, _ = args
     scan = quantization_scan(*args)
-    for mu, u in zip(scan.mu.tolist(), scan_steps(scan)):
-        want = repr(python_step(scan.model, mu))
+    for mu, u, model in zip(scan.mu.tolist(), scan_steps(scan, args), scan_models(scan, args)):
+        want = repr(python_step(model, mu))
         assert repr(u.tolist()) == want
         sol = solve_unitary_gammas(v_plus, v_minus, mu, delta_, p, tau, hbar, lam=lam, sigma=sigma, gauge=gauge)
-        assert repr(sol.u.tolist()) == repr(qubit_propagator(sol.model).tolist()) == want
+        assert repr(_complex(*sol.step).tolist()) == repr(qubit_propagator(model).tolist()) == want
     m = PropagatorModel(v_plus, v_minus, 0.4, delta_, p, tau, hbar, 1 - 2j, -0.5 + 0.25j, 3j - 0.1, 0.25 - 1.5j)
     assert repr(qubit_propagator(m).tolist()) == repr(python_step(m, 0.4))
 
@@ -323,8 +329,9 @@ def test_scan_step_keeps_the_signs_of_underflowed_flips():
     # K[+][-] = 0j + root exp(-700 + i y) underflows to signed zeros, which the 0j + makes +0.0
     # in the solve and so in the scan; K[-][+] ~ exp(700) meets G_mp = 0
     grid = np.array([2.5, -2.5, 4.0, -4.0])  # each sign of cos and sin
-    scan = quantization_scan(0.0, 0.0, -700.0, 1e-308, 1.0, 1.0, 0.0, 0.0, 1.0, grid)
-    for model, u in zip(scan_models(scan), scan_steps(scan)):
+    args = (0.0, 0.0, -700.0, 1e-308, 1.0, 1.0, 0.0, 0.0, 1.0, grid)
+    scan = quantization_scan(*args)
+    for model, u in zip(scan_models(scan, args), scan_steps(scan, args)):
         assert repr(u.tolist()) == repr(qubit_propagator(model).tolist())
 
 
@@ -388,7 +395,7 @@ def test_residuals_follow_the_fixed_order_bit_for_bit(seed):
     args, _ = _seeded_scan_params(seed)
     v_plus, v_minus, delta_, p, tau, hbar, lam, sigma, gauge, _ = args
     scan = quantization_scan(*args)
-    models = scan_models(scan)
+    models = scan_models(scan, args)
     models.append(PropagatorModel(v_plus, v_minus, 0.4, delta_, p, tau, hbar, 1 - 2j, -0.5, 3j, 0.25))
     models.append(PropagatorModel(v_plus, v_minus, 0.4, delta_, 1e-160, tau, hbar))  # terms through + fall to subnormals
     us = np.stack([qubit_propagator(m) for m in models])
@@ -401,9 +408,9 @@ def test_residuals_follow_the_fixed_order_bit_for_bit(seed):
     for m, u, row in zip(models, us, rows):
         report = unitarity_residuals(m)
         assert repr(list(report.residuals)) == repr(row.tolist()) == repr(python_residuals(u.tolist()))
-    for mu in scan.mu.tolist():
+    for mu, model in zip(scan.mu.tolist(), scan_models(scan, args)):
         sol = solve_unitary_gammas(v_plus, v_minus, mu, delta_, p, tau, hbar, lam=lam, sigma=sigma, gauge=gauge)
-        assert sol.report == unitarity_residuals(sol.model)
+        assert sol.report == unitarity_residuals(model)
 
 
 def _all_gaps(re, im):
@@ -486,7 +493,7 @@ def test_the_independent_gaps_decide_all_eight(us):
             for re, im in zip(full_re[1:], full_im[1:]):
                 worst = np.maximum(worst, np.hypot(re, im))
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(propagator, "_scan_step", lambda model, mus: step)
+            patch.setattr(propagator, "_scan_step", lambda *args: step)
             if np.isfinite(worst).all():
                 scan = quantization_scan(0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 0.0, 0.0, 1.0, np.zeros(len(us)))
                 assert scan.min_residual.tobytes() == worst.tobytes()
@@ -565,7 +572,7 @@ def test_scan_rows_are_the_single_solves_bit_for_bit(x, p, s, clock, phases, gri
     scan = quantization_scan(v_plus, v_minus, delta_, p, tau, hbar, lam, sigma, gauge, np.array(grid))
     for i, mu in enumerate(scan.mu.tolist()):
         sol = solve_unitary_gammas(v_plus, v_minus, mu, delta_, p, tau, hbar, lam=lam, sigma=sigma, gauge=gauge)
-        assert scan.min_residual[i].tobytes() == np.float64(sol.min_residual).tobytes()
+        assert scan.min_residual[i].tobytes() == np.float64(sol.report.max_residual).tobytes()
         assert scan.feasible_mask[i] == sol.feasible
 
 

@@ -1,7 +1,7 @@
 """The single-point commands, byte for byte, against a frozen copy of their former path.
 
-``propagator`` and ``evolve`` solve a point through ``propagator._solve_point``
-and format straight from its floats.  ``_oracle_propagator`` and
+``propagator`` and ``evolve`` solve a point through ``solve_unitary_gammas``,
+which builds no model or array, and format straight from its floats.  ``_oracle_propagator`` and
 ``_oracle_evolve`` are those commands as they were before the scalar core: the
 former ``solve_unitary_gammas`` (a ``PropagatorModel``, its step matrix and its
 ``UnitarityReport`` on numpy arrays), then ``fixed_order_power`` and the
